@@ -57,16 +57,25 @@ let add_class c t =
   else { t with classes = c :: t.classes }
 
 let classes t = List.rev t.classes
+let classes_rev t = t.classes
 let has_class c t = List.exists (Class_name.equal c) t.classes
+
+(* Push [cs] (oldest first) onto the newest-first [acc], skipping
+   classes already present. *)
+let push_classes acc cs =
+  List.fold_left
+    (fun acc c -> if List.exists (Class_name.equal c) acc then acc else c :: acc)
+    acc cs
 
 let union a b =
   let msg_id = match b.msg_id with Some _ as id -> id | None -> a.msg_id in
   let fields = Smap.union (fun _ _ vb -> Some vb) a.fields b.fields in
-  let classes =
-    List.fold_left (fun acc c -> if List.exists (Class_name.equal c) acc then acc else c :: acc)
-      a.classes (List.rev b.classes)
-  in
-  { msg_id; fields; classes }
+  { msg_id; fields; classes = push_classes a.classes (List.rev b.classes) }
+
+let merge_flow ~msg_id flow_classes b =
+  let msg_id = match b.msg_id with Some _ as id -> id | None -> Some msg_id in
+  let classes = push_classes (push_classes [] flow_classes) (List.rev b.classes) in
+  { msg_id; fields = b.fields; classes }
 
 let pp fmt t =
   let pp_field fmt (k, v) = Format.fprintf fmt "%s=%a" k pp_value v in

@@ -45,10 +45,23 @@ val fields : t -> (string * value) list
 
 val add_class : Class_name.t -> t -> t
 val classes : t -> Class_name.t list
+(** Oldest first. *)
+
+val classes_rev : t -> Class_name.t list
+(** Newest first: [List.rev (classes t)] without building it. *)
+
 val has_class : Class_name.t -> t -> bool
 
 val union : t -> t -> t
 (** [union a b] merges classes and fields; on field conflict [b] wins. *)
+
+val merge_flow : msg_id:int64 -> Class_name.t list -> t -> t
+(** [merge_flow ~msg_id classes md] equals
+    [union (List.fold_left (fun m c -> add_class c m) (with_msg_id msg_id empty) classes) md]
+    without building the left operand: [md]'s message id wins, else
+    [msg_id]; [md]'s fields are kept as they are; [classes] (oldest
+    first) come before [md]'s, each class once.  The enclave merges a
+    flow's memoised flow-stage classes into stage metadata this way. *)
 
 val pp : Format.formatter -> t -> unit
 

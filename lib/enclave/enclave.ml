@@ -433,8 +433,44 @@ type installed = {
 }
 
 (* A table's resolved lookup for one class vector.  [C_none] caches "no
-   rule fires here" so misses are as cheap as hits. *)
-type cached = C_none | C_run of Table.rule * installed
+   rule fires here" so misses are as cheap as hits; [C_unknown] marks a
+   slot not resolved yet. *)
+type cached = C_unknown | C_none | C_run of Table.rule * installed
+
+(* A flow's enclave-assigned message id and its flow-stage classes.  The
+   classes are a pure function of the five-tuple and the flow stage's
+   rules, so they are computed once per flow and kept until the stage's
+   generation moves.  The lists are shared between flows (hash-consed),
+   so an entry costs three words, no more than a boxed [int64] id. *)
+type flow = { f_id : int; mutable f_classes : Class_name.t list }
+
+(* [f_classes] of a flow not classified since it opened or since the
+   flow stage's rules last changed; compared with [==]. *)
+let unclassified = [ Class_name.v ~stage:"enclave" ~ruleset:"memo" ~name:"UNCLASSIFIED" ]
+
+(* The last packet's front half: consecutive packets of one message carry
+   the same (immutable) stage metadata on the same flow, so the merged
+   metadata and its class vector's interned id are reused while
+   [s_stage_md] and [s_flow] stay physically the same.  Whatever changes
+   a flow's classes or the vector ids forgets the slot. *)
+type slot = {
+  mutable s_stage_md : Metadata.t;
+  mutable s_flow : flow;
+  mutable s_md : Metadata.t;  (* merged *)
+  mutable s_vec : int;  (* index into every per-table cache *)
+}
+
+let no_flow = { f_id = -1; f_classes = unclassified }
+
+(* Tables keyed by class vectors.  The generic hash stops after ten
+   strings, about three classes, so vectors that differ only further in
+   would share a bucket; this hash covers every class. *)
+module Vec_tbl = Hashtbl.Make (struct
+  type t = Class_name.t list
+
+  let equal = List.equal (fun a b -> a == b || Class_name.equal a b)
+  let hash = List.fold_left (fun h c -> (h * 31) + Hashtbl.hash c) 0
+end)
 
 let fault_ring_capacity = 100
 
@@ -445,14 +481,21 @@ type t = {
   e_rng : Rng.t;
   e_cache_cap : int;  (* per-table match-action cache capacity *)
   e_flow_stage : Stage.t;
-  e_flow_ids : int64 Addr.Flow_table.t;
-  mutable e_next_flow_id : int64;
+  e_flow_ids : flow Addr.Flow_table.t;
+  mutable e_next_flow_id : int;
+  mutable e_flow_gen : int;  (* flow-stage generation the [f_classes] memos hold for *)
+  e_flow_lists : Class_name.t list Vec_tbl.t;
+      (* hash-consed flow-class lists, shared by every flow *)
+  e_slot : slot;
   e_actions : (string, installed) Hashtbl.t;
   mutable e_install_order : string list;  (* oldest first *)
   e_tables : (int, Table.t) Hashtbl.t;
   mutable e_next_table : int;
-  mutable e_caches : (Class_name.t list, cached) Hashtbl.t array;
-      (* per-table match-action cache, indexed by (dense) table id *)
+  e_vec_ids : int Vec_tbl.t;
+      (* class vectors interned to dense ids, at most [e_cache_cap] *)
+  mutable e_caches : cached array array;
+      (* per-table match-action cache, indexed by (dense) table id, then by
+         interned class-vector id; grown on demand up to [e_cache_cap] *)
   (* Telemetry: the registry is the directory, the cells below are the
      hot-path storage (one field read + int bump per event, no lookup). *)
   e_tel : Tel.Registry.t;
@@ -487,7 +530,7 @@ type t = {
 
 (* The enclave's first flow id; far above any stage-assigned message id so
    the two spaces cannot collide. *)
-let flow_id_base = Int64.shift_left 1L 40
+let flow_id_base = 1 lsl 40
 
 let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~host () =
   if flow_cache_capacity < 1 then
@@ -505,11 +548,21 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_flow_stage = Builtin.flow ();
       e_flow_ids = Addr.Flow_table.create 64;
       e_next_flow_id = flow_id_base;
+      e_flow_gen = -1;
+      e_flow_lists = Vec_tbl.create 8;
+      e_slot =
+        {
+          s_stage_md = Metadata.empty;
+          s_flow = no_flow;
+          s_md = Metadata.empty;
+          s_vec = 0;
+        };
       e_actions = Hashtbl.create 8;
       e_install_order = [];
       e_tables = Hashtbl.create 4;
       e_next_table = 1;
-      e_caches = [| Hashtbl.create 64 |];
+      e_vec_ids = Vec_tbl.create 16;
+      e_caches = [| [||] |];
       e_tel = tel;
       m_packets = counter ~help:"Packets processed" "eden_enclave_packets_total";
       m_dropped = counter ~help:"Packets dropped by action decision" "eden_enclave_dropped_total";
@@ -616,7 +669,14 @@ let set_budget_ns t ns =
   if ns <= 0.0 then invalid_arg "Enclave.set_budget_ns: budget must be positive";
   t.e_budget_ns <- ns
 
-let invalidate_caches t = Array.iter Hashtbl.reset t.e_caches
+(* The slot keys on [s_flow], which no live flow matches after this. *)
+let forget_slot t = t.e_slot.s_flow <- no_flow
+
+(* Vector ids are reassigned after this, so every cache goes with them. *)
+let invalidate_caches t =
+  Vec_tbl.reset t.e_vec_ids;
+  t.e_caches <- Array.map (fun _ -> [||]) t.e_caches;
+  forget_slot t
 
 (* ------------------------------------------------------------------ *)
 (* Enclave API *)
@@ -768,8 +828,7 @@ let add_table t =
   Hashtbl.replace t.e_tables id (Table.create ~id);
   let n = Array.length t.e_caches in
   if id >= n then
-    t.e_caches <-
-      Array.init (id + 1) (fun i -> if i < n then t.e_caches.(i) else Hashtbl.create 64);
+    t.e_caches <- Array.init (id + 1) (fun i -> if i < n then t.e_caches.(i) else [||]);
   id
 
 let add_table_rule t ?(table = 0) ~pattern ~action () =
@@ -852,7 +911,7 @@ let set_action_lock t name lock = with_action t name (fun a -> a.a_lock <- lock)
 
 let set_flow_id_offset t offset =
   if offset < 0L then invalid_arg "Enclave.set_flow_id_offset: negative offset";
-  t.e_next_flow_id <- Int64.add flow_id_base offset
+  t.e_next_flow_id <- flow_id_base + Int64.to_int offset
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: breaker configuration *)
@@ -936,9 +995,11 @@ let restart t =
   Hashtbl.reset t.e_tables;
   Hashtbl.replace t.e_tables 0 (Table.create ~id:0);
   t.e_next_table <- 1;
-  t.e_caches <- [| Hashtbl.create 64 |];
   Addr.Flow_table.reset t.e_flow_ids;
+  Vec_tbl.reset t.e_flow_lists;
   t.e_next_flow_id <- flow_id_base;
+  t.e_caches <- [| [||] |];
+  invalidate_caches t;
   Tel.Registry.reset t.e_tel;
   (* Restart count survives the reboot (it identifies the incarnation). *)
   Tel.Counter.set t.m_restarts t.e_restarts;
@@ -1016,13 +1077,56 @@ let snapshot_summary sn =
 (* ------------------------------------------------------------------ *)
 (* Data path *)
 
-let flow_msg_id t flow =
-  match Addr.Flow_table.find t.e_flow_ids flow with
+let flow_entry t five_tuple =
+  match Addr.Flow_table.find t.e_flow_ids five_tuple with
+  | f -> f
+  | exception Not_found ->
+    let f = { f_id = t.e_next_flow_id; f_classes = unclassified } in
+    t.e_next_flow_id <- f.f_id + 1;
+    Addr.Flow_table.replace t.e_flow_ids five_tuple f;
+    f
+
+(* The flow's flow-stage classes, classified on first use.  Any rule
+   change at the flow stage (through its API or directly on one of its
+   rule-sets) moves its generation, which drops every flow's memo. *)
+let flow_classes t five_tuple f =
+  let gen = Stage.generation t.e_flow_stage in
+  if gen <> t.e_flow_gen then begin
+    Addr.Flow_table.iter (fun _ f -> f.f_classes <- unclassified) t.e_flow_ids;
+    Vec_tbl.reset t.e_flow_lists;
+    forget_slot t;
+    t.e_flow_gen <- gen
+  end;
+  if f.f_classes == unclassified then begin
+    let cs = Stage.classes t.e_flow_stage (Builtin.flow_descriptor five_tuple) in
+    f.f_classes <-
+      (match Vec_tbl.find t.e_flow_lists cs with
+      | shared -> shared
+      | exception Not_found ->
+        Vec_tbl.add t.e_flow_lists cs cs;
+        cs)
+  end;
+  f.f_classes
+
+(* Cache slots resolved in every table; what a full reset evicts. *)
+let cached_entries t =
+  Array.fold_left
+    (fun acc cache ->
+      Array.fold_left (fun acc c -> match c with C_unknown -> acc | _ -> acc + 1) acc cache)
+    0 t.e_caches
+
+(* A dense id for a class vector.  The intern table holds at most the
+   cache capacity; a new vector past that evicts every cache. *)
+let vec_id t classes =
+  match Vec_tbl.find t.e_vec_ids classes with
   | id -> id
   | exception Not_found ->
-    let id = t.e_next_flow_id in
-    t.e_next_flow_id <- Int64.add id 1L;
-    Addr.Flow_table.replace t.e_flow_ids flow id;
+    if Vec_tbl.length t.e_vec_ids >= t.e_cache_cap then begin
+      Tel.Counter.add t.m_cache_evictions (cached_entries t);
+      invalidate_caches t
+    end;
+    let id = Vec_tbl.length t.e_vec_ids in
+    Vec_tbl.add t.e_vec_ids classes id;
     id
 
 let record_fault t action fault now =
@@ -1178,42 +1282,53 @@ let invoke_traced t a pkt md msg_id out ~now =
     | None -> ()
   end
 
-(* Table walk with the per-flow match-action cache: the resolution of a
-   class vector at a table — which rule fires and which installed action
-   it names — is invariant until the controller changes the rule or
-   action set, so it is memoised per table and the steady-state lookup
-   is one hash probe with no list scan or pattern match. *)
-let rec walk t ~now pkt md msg_id classes out table_id hops =
+let resolve t table_id classes =
+  match Hashtbl.find_opt t.e_tables table_id with
+  | None -> C_none
+  | Some tbl -> (
+    match Table.lookup tbl classes with
+    | None -> C_none
+    | Some rule -> (
+      match Hashtbl.find_opt t.e_actions rule.Table.action with
+      | None -> C_none
+      | Some a -> C_run (rule, a)))
+
+let cache_store t table_id vec e =
+  let cache = t.e_caches.(table_id) in
+  let n = Array.length cache in
+  let cache =
+    if vec < n then cache
+    else begin
+      let grown = Array.make (min t.e_cache_cap (max (vec + 1) (max 8 (2 * n)))) C_unknown in
+      Array.blit cache 0 grown 0 n;
+      t.e_caches.(table_id) <- grown;
+      grown
+    end
+  in
+  cache.(vec) <- e
+
+(* Table walk with the match-action cache: the resolution of a class
+   vector at a table — which rule fires and which installed action it
+   names — is invariant until the controller changes the rule or action
+   set, so it is memoised per table under the vector's interned id, and
+   the steady-state lookup is one array read with no hashing, list scan
+   or pattern match. *)
+let rec walk t ~now pkt md msg_id classes vec out table_id hops =
   if hops < max_table_hops && table_id >= 0 && table_id < Array.length t.e_caches then begin
     let cache = t.e_caches.(table_id) in
     let entry =
-      match Hashtbl.find cache classes with
+      match if vec < Array.length cache then cache.(vec) else C_unknown with
+      | C_unknown ->
+        Tel.Counter.inc t.m_cache_misses;
+        let e = resolve t table_id classes in
+        cache_store t table_id vec e;
+        e
       | e ->
         Tel.Counter.inc t.m_cache_hits;
         e
-      | exception Not_found ->
-        Tel.Counter.inc t.m_cache_misses;
-        let e =
-          match Hashtbl.find_opt t.e_tables table_id with
-          | None -> C_none
-          | Some tbl -> (
-            match Table.lookup tbl classes with
-            | None -> C_none
-            | Some rule -> (
-              match Hashtbl.find_opt t.e_actions rule.Table.action with
-              | None -> C_none
-              | Some a -> C_run (rule, a)))
-        in
-        let len = Hashtbl.length cache in
-        if len >= t.e_cache_cap then begin
-          Tel.Counter.add t.m_cache_evictions len;
-          Hashtbl.reset cache
-        end;
-        Hashtbl.replace cache classes e;
-        e
     in
     match entry with
-    | C_none -> ()
+    | C_unknown | C_none -> ()
     | C_run (_rule, a) -> (
       match t.e_breaker with
       | None ->
@@ -1221,7 +1336,7 @@ let rec walk t ~now pkt md msg_id classes out table_id hops =
         out.o_goto <- -1;
         invoke_traced t a pkt md msg_id out ~now;
         if out.o_goto >= 0 && out.o_goto <> table_id then
-          walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
+          walk t ~now pkt md msg_id classes vec out out.o_goto (hops + 1)
       | Some cfg ->
         (* Quarantined action: matching packets fall through to default
            forwarding — [out] keeps its reset values, exactly as if no
@@ -1235,7 +1350,7 @@ let rec walk t ~now pkt md msg_id classes out table_id hops =
           brk_record a.a_brk cfg ~now
             ~faulted:(Tel.Counter.get t.m_faults > faults_before);
           if out.o_goto >= 0 && out.o_goto <> table_id then
-            walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
+            walk t ~now pkt md msg_id classes vec out out.o_goto (hops + 1)
         end)
   end
 
@@ -1250,21 +1365,32 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   | None -> ());
   Cost.Accum.add_vanilla t.e_cost t.e_cost_model;
   let stage_md = pkt.Packet.metadata in
-  let has_stage_metadata = Metadata.msg_id stage_md <> None in
-  if has_stage_metadata && charge_classify then Cost.Accum.add_api t.e_cost t.e_cost_model;
-  (* Enclave's own classification: the five-tuple stage. *)
+  (match Metadata.msg_id stage_md with
+  | Some _ when charge_classify -> Cost.Accum.add_api t.e_cost t.e_cost_model
+  | Some _ | None -> ());
+  (* Enclave's own classification: the five-tuple stage, memoised per
+     flow. *)
   if charge_classify then Cost.Accum.add_classify t.e_cost t.e_cost_model;
-  let flow_id = flow_msg_id t pkt.Packet.flow in
-  let flow_md =
-    Stage.classify ~msg_id:flow_id t.e_flow_stage
-      (Builtin.flow_descriptor pkt.Packet.flow)
-  in
-  (* Stage metadata wins on conflicts (its msg id identifies the
-     application message); flow classes are merged in. *)
-  let md = Metadata.union flow_md stage_md in
+  let flow = flow_entry t pkt.Packet.flow in
+  let flow_classes = flow_classes t pkt.Packet.flow flow in
+  let slot = t.e_slot in
+  (* The merged metadata is [union] of the flow stage's and the stage's:
+     stage metadata wins on conflicts (its msg id identifies the
+     application message); flow classes are merged in.  Table lookups
+     ignore class order, so the vector is taken as stored, newest
+     first. *)
+  if not (slot.s_flow == flow && slot.s_stage_md == stage_md) then begin
+    let md = Metadata.merge_flow ~msg_id:(Int64.of_int flow.f_id) flow_classes stage_md in
+    let vec = vec_id t (Metadata.classes_rev md) in
+    slot.s_stage_md <- stage_md;
+    slot.s_flow <- flow;
+    slot.s_md <- md;
+    slot.s_vec <- vec
+  end;
+  let md = slot.s_md in
+  (* [merge_flow] always sets a message id. *)
+  let msg_id = Option.get (Metadata.msg_id md) in
   pkt.Packet.metadata <- md;
-  let msg_id = match Metadata.msg_id md with Some id -> id | None -> flow_id in
-  let classes = Metadata.classes md in
   (if t.e_trace_armed then
      match t.e_trace with
      | Some tr ->
@@ -1275,7 +1401,7 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   let walk_before =
     if t.e_trace_armed then Cost.Accum.overhead_total_ns t.e_cost else 0.0
   in
-  walk t ~now pkt md msg_id classes out 0 0;
+  walk t ~now pkt md msg_id (Metadata.classes_rev md) slot.s_vec out 0 0;
   t.e_last_cost_ns <- Cost.Accum.overhead_total_ns t.e_cost -. cost_before;
   if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float t.e_last_cost_ns);
   (if t.e_trace_armed then
@@ -1347,12 +1473,13 @@ let process_batch t ~now pkts =
 let note_message_end t ~msg_id =
   Hashtbl.iter (fun _ a -> State.msg_end a.a_state ~msg:msg_id) t.e_actions
 
-let note_flow_closed t flow =
-  match Addr.Flow_table.find_opt t.e_flow_ids flow with
+let note_flow_closed t five_tuple =
+  match Addr.Flow_table.find_opt t.e_flow_ids five_tuple with
   | None -> ()
-  | Some id ->
-    Addr.Flow_table.remove t.e_flow_ids flow;
-    note_message_end t ~msg_id:id
+  | Some f ->
+    Addr.Flow_table.remove t.e_flow_ids five_tuple;
+    if t.e_slot.s_flow == f then forget_slot t;
+    note_message_end t ~msg_id:(Int64.of_int f.f_id)
 
 let expire_messages t ~now ~idle =
   Hashtbl.fold (fun _ a acc -> acc + State.expire a.a_state ~now ~idle) t.e_actions 0

@@ -88,8 +88,9 @@ type counters = {
   mutable cache_hits : int;  (** Match-action cache: class vector resolved by probe. *)
   mutable cache_misses : int;  (** Full table lookups (then memoised). *)
   mutable cache_evictions : int;
-      (** Entries dropped when a table cache hit {!flow_cache_capacity}
-          and was reset. *)
+      (** Resolved entries dropped, over all tables, when a new class
+          vector found {!flow_cache_capacity} vectors cached and every
+          table's cache was reset. *)
 }
 
 type fault_record = {
@@ -107,8 +108,8 @@ val create :
   host:Eden_base.Addr.host ->
   unit ->
   t
-(** [flow_cache_capacity] bounds each table's per-flow match-action
-    cache (default 4096 class vectors; must be positive). *)
+(** [flow_cache_capacity] bounds the class vectors the match-action
+    caches hold (default 4096; must be positive). *)
 
 val host : t -> Eden_base.Addr.host
 val placement : t -> placement

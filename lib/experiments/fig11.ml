@@ -82,8 +82,6 @@ let run_mode params ?engine mode =
     [ reader_host; writer_host; server_host ];
   let srv = Storage.server ~net ~host:(Host.id server_host) ~disk_rate_bps:params.disk_rate_bps in
   let stage = make_storage_stage () in
-  let run_reader = mode <> Isolated || true in
-  ignore run_reader;
   (* Pulsar: enclave on each client host, one rate-limited queue per
      tenant, charged by operation size for READs. *)
   if mode = Rate_controlled then begin

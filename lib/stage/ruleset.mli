@@ -15,18 +15,28 @@ type rule = {
       (** Descriptor fields to copy into the message metadata, e.g.
           [\["msg_size"; "msg_type"\]].  The message identifier is always
           attached, as in every example of Fig. 6. *)
+  qualified : Eden_base.Class_name.t;
+      (** [stage.ruleset.class_name], built once when the rule is added. *)
 }
 
 type t
 
-val create : string -> t
-(** [create id] makes an empty rule-set named [id] (e.g. ["r1"]). *)
+val create : stage:string -> metadata_fields:string list -> generation:int ref -> string -> t
+(** [create ~stage ~metadata_fields ~generation id] makes an empty
+    rule-set named [id] (e.g. ["r1"]) owned by stage [stage], whose rules
+    may attach only the [metadata_fields] the stage declares.  Every rule
+    change increments
+    [generation]; the rule-sets of one stage share one counter, so the
+    stage can tell when any of its classifications may have changed. *)
 
 val id : t -> string
 
 val add_rule :
   t -> classifier:Classifier.t -> class_name:string -> metadata_fields:string list -> rule
-(** Appends a rule (lowest priority so far) and returns it. *)
+(** Appends a rule (lowest priority so far) and returns it.
+    @raise Invalid_argument if the stage, rule-set or class name is not a
+    valid {!Eden_base.Class_name} component, or if [metadata_fields]
+    names a field the stage does not declare. *)
 
 val remove_rule : t -> int -> bool
 (** [remove_rule t rule_id] returns whether a rule was removed. *)

@@ -13,10 +13,18 @@ type t = {
   metadata_fields : string list;
   mutable rulesets : Ruleset.t list;  (* in creation order *)
   mutable next_msg_id : int64;
+  generation : int ref;  (* shared with every rule-set; bumped on each rule change *)
 }
 
 let create ~name ~classifier_fields ~metadata_fields =
-  { name; classifier_fields; metadata_fields; rulesets = []; next_msg_id = 0L }
+  {
+    name;
+    classifier_fields;
+    metadata_fields;
+    rulesets = [];
+    next_msg_id = 0L;
+    generation = ref 0;
+  }
 
 let name t = t.name
 
@@ -28,6 +36,7 @@ let info t =
   }
 
 let rulesets t = t.rulesets
+let generation t = !(t.generation)
 let find_ruleset t id = List.find_opt (fun rs -> String.equal (Ruleset.id rs) id) t.rulesets
 
 let new_msg_id t =
@@ -45,9 +54,7 @@ let classify ?msg_id t descriptor =
       match Ruleset.classify rs descriptor with
       | None -> md
       | Some rule ->
-        let md =
-          Metadata.add_class (qualified_class t ~ruleset:(Ruleset.id rs) rule.Ruleset.class_name) md
-        in
+        let md = Metadata.add_class rule.Ruleset.qualified md in
         List.fold_left
           (fun md field ->
             match Classifier.Descriptor.find field descriptor with
@@ -55,6 +62,11 @@ let classify ?msg_id t descriptor =
             | None -> md)
           md rule.Ruleset.metadata_fields)
     md t.rulesets
+
+let classes t descriptor =
+  List.filter_map
+    (fun rs -> Option.map (fun r -> r.Ruleset.qualified) (Ruleset.classify rs descriptor))
+    t.rulesets
 
 module Api = struct
   let get_stage_info = info
@@ -76,18 +88,22 @@ module Api = struct
       Error
         (Printf.sprintf "stage %s cannot generate metadata: %s" t.name
            (String.concat ", " unknown_metadata))
-    else begin
-      let rs =
-        match find_ruleset t ruleset with
-        | Some rs -> rs
-        | None ->
-          let rs = Ruleset.create ruleset in
-          t.rulesets <- t.rulesets @ [ rs ];
-          rs
-      in
-      let rule = Ruleset.add_rule rs ~classifier ~class_name ~metadata_fields in
-      Ok rule.Ruleset.rule_id
-    end
+    else
+      match qualified_class t ~ruleset class_name with
+      | exception Invalid_argument _ ->
+        Error (Printf.sprintf "invalid class name %s.%s.%s" t.name ruleset class_name)
+      | _ ->
+        let rs =
+          match find_ruleset t ruleset with
+          | Some rs -> rs
+          | None ->
+            let rs = Ruleset.create ~stage:t.name ~metadata_fields:t.metadata_fields
+                ~generation:t.generation ruleset in
+            t.rulesets <- t.rulesets @ [ rs ];
+            rs
+        in
+        let rule = Ruleset.add_rule rs ~classifier ~class_name ~metadata_fields in
+        Ok rule.Ruleset.rule_id
 
   let remove_stage_rule t ~ruleset ~rule_id =
     match find_ruleset t ruleset with

@@ -28,6 +28,12 @@ val info : t -> info
 val rulesets : t -> Ruleset.t list
 val find_ruleset : t -> string -> Ruleset.t option
 
+val generation : t -> int
+(** A counter that moves on every rule change, whether made through
+    {!Api} or directly on a rule-set from {!rulesets}.  Results of
+    {!classify} and {!classes} for a given descriptor stay valid while it
+    does not move. *)
+
 val new_msg_id : t -> int64
 (** Allocate a fresh message identifier (unique within the stage). *)
 
@@ -36,6 +42,10 @@ val classify : ?msg_id:int64 -> t -> Classifier.Descriptor.t -> Eden_base.Metada
     a message id (fresh unless provided), one fully-qualified class per
     matching rule-set, and the union of the metadata fields requested by
     the matched rules (values taken from the descriptor). *)
+
+val classes : t -> Classifier.Descriptor.t -> Eden_base.Class_name.t list
+(** The classes {!classify} would attach, in rule-set order, without
+    building metadata.  The enclave's flow stage memoises these per flow. *)
 
 val qualified_class : t -> ruleset:string -> string -> Eden_base.Class_name.t
 
@@ -52,8 +62,9 @@ module Api : sig
     metadata_fields:string list ->
     (int, string) result
   (** S1.  Creates the rule-set on first use.  Rejects classifiers over
-      fields the stage cannot classify on and metadata the stage cannot
-      generate; returns the rule id. *)
+      fields the stage cannot classify on, metadata the stage cannot
+      generate, and class or rule-set names that cannot be qualified;
+      returns the rule id. *)
 
   val remove_stage_rule : t -> ruleset:string -> rule_id:int -> bool
   (** S2.  Returns whether a rule was removed. *)

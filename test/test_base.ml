@@ -164,6 +164,33 @@ let test_metadata_union () =
   check_bool "b wins field" true (Metadata.find_int "x" u = Some 2L);
   check_bool "id kept" true (Metadata.msg_id u = Some 1L)
 
+(* [merge_flow] is [union] with a left operand of classes and an id only,
+   including classes on both sides and either side's id winning. *)
+let test_metadata_merge_flow () =
+  let c name = Class_name.v ~stage:"s" ~ruleset:"r" ~name in
+  let flow = [ c "F"; c "G" ] in
+  let left =
+    List.fold_left
+      (fun m k -> Metadata.add_class k m)
+      (Metadata.with_msg_id 7L Metadata.empty)
+      flow
+  in
+  let show m =
+    ( Metadata.msg_id m,
+      List.map Class_name.to_string (Metadata.classes m),
+      List.map (fun (k, v) -> (k, Metadata.value_to_string v)) (Metadata.fields m) )
+  in
+  List.iter
+    (fun b ->
+      check_bool "same as union" true
+        (show (Metadata.merge_flow ~msg_id:7L flow b) = show (Metadata.union left b)))
+    [
+      Metadata.empty;
+      Metadata.empty |> Metadata.add_class (c "P") |> Metadata.add_class (c "G");
+      Metadata.empty |> Metadata.with_msg_id 3L |> Metadata.add "x" (Metadata.int 2)
+      |> Metadata.add_class (c "F");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -310,6 +337,7 @@ let () =
           Alcotest.test_case "fields" `Quick test_metadata_fields;
           Alcotest.test_case "classes" `Quick test_metadata_classes;
           Alcotest.test_case "union" `Quick test_metadata_union;
+          Alcotest.test_case "merge_flow" `Quick test_metadata_merge_flow;
         ] );
       ( "stats",
         [

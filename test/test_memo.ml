@@ -1,0 +1,411 @@
+(* The enclave's front half: per-flow memo of the flow-stage classes,
+   the one-slot reuse of merged metadata and the interned class vectors
+   behind the match-action caches.
+
+   The differential test runs a seeded stream over many flows and, in
+   the middle of it, changes the flow stage's rules through every path
+   (the stage API, the controller, and directly on a rule-set), changes
+   table rules, closes and reopens flows, and restarts and restores the
+   enclave.  Every packet's metadata and treatment must equal an oracle
+   that classifies from scratch — [Metadata.union] of a fresh flow-stage
+   [Stage.classify] and the stage metadata — and walks the tables with
+   [Table.lookup], no cache involved.
+
+   The footprint test bounds what each flow costs the enclave, so a memo
+   that keeps per-flow metadata cannot slip in. *)
+
+module Enclave = Eden_enclave.Enclave
+module Table = Eden_enclave.Table
+module Stage = Eden_stage.Stage
+module Ruleset = Eden_stage.Ruleset
+module Classifier = Eden_stage.Classifier
+module Builtin = Eden_stage.Builtin
+module Controller = Eden_controller.Controller
+module Addr = Eden_base.Addr
+module Packet = Eden_base.Packet
+module Metadata = Eden_base.Metadata
+module Class_name = Eden_base.Class_name
+module Rng = Eden_base.Rng
+module Time = Eden_base.Time
+
+let get_ok = function Ok v -> v | Error m -> Alcotest.failf "unexpected error: %s" m
+
+let seed =
+  match Sys.getenv_opt "EDEN_TEST_SEED" with
+  | Some s -> Int64.of_string s
+  | None -> 0x3e3017L
+
+let pattern s = Option.get (Class_name.Pattern.of_string s)
+
+(* ------------------------------------------------------------------ *)
+(* Actions with a known effect, so the oracle can apply them by name. *)
+
+let jump_program () =
+  let src =
+    "fun (packet : Packet, msg : Message, _global : Global) ->\n\
+    \  packet.GotoTable <- _global.Next"
+  in
+  let ast =
+    match Eden_lang.Parser.parse_action ~name:"jump" src with
+    | Ok a -> a
+    | Error e -> Alcotest.fail (Eden_lang.Parser.error_to_string e)
+  in
+  let schema =
+    Eden_lang.Schema.with_standard_packet ~global:[ Eden_lang.Schema.field "Next" ] ()
+  in
+  match Eden_lang.Compile.compile schema ast with
+  | Ok p -> p
+  | Error e -> Alcotest.fail (Eden_lang.Compile.error_to_string e)
+
+(* Priority from the message id and a stage field: the decision depends
+   on the merged metadata, not only on the class vector. *)
+let mix ~msg_id md =
+  Int64.to_int
+    (Int64.rem
+       (Int64.add msg_id (Metadata.int_field Builtin.Field.msg_size ~default:5L md))
+       8L)
+
+type act = Prio of int | Mix | Drop | Jump
+
+let acts =
+  [ ("prio3", Prio 3); ("prio6", Prio 6); ("mix", Mix); ("drop", Drop); ("jump", Jump) ]
+
+let native = function
+  | Prio p -> fun ctx -> Enclave.Native_ctx.set_priority ctx p
+  | Mix ->
+    fun ctx ->
+      Enclave.Native_ctx.set_priority ctx
+        (mix ~msg_id:(Enclave.Native_ctx.msg_id ctx) (Enclave.Native_ctx.metadata ctx))
+  | Drop -> Enclave.Native_ctx.set_drop
+  | Jump -> assert false
+
+let install e =
+  List.iter
+    (fun (name, act) ->
+      let i_impl =
+        match act with
+        | Jump -> Enclave.Compiled (jump_program ())
+        | _ -> Enclave.Native (native act)
+      in
+      get_ok (Enclave.install_action e { Enclave.i_name = name; i_impl; i_msg_sources = [] }))
+    acts;
+  get_ok (Enclave.set_global e ~action:"jump" "Next" 1L);
+  let t1 = Enclave.add_table e in
+  let rule table p action =
+    ignore (get_ok (Enclave.add_table_rule e ~table ~pattern:(pattern p) ~action ()))
+  in
+  rule 0 "app.kind.GET" "prio3";
+  rule 0 "enclave.ports.LOW" "prio6";
+  rule 0 "enclave.direct.*" "drop";
+  rule 0 "*.*.*" "jump";
+  rule t1 "app.*.*" "mix";
+  rule t1 "enclave.ctl.*" "prio3"
+
+(* ------------------------------------------------------------------ *)
+(* The oracle *)
+
+(* The enclave numbers flows from 2^40 in order of first packet, forgets
+   a closed flow's number and starts over on restart. *)
+type ids = { tbl : int64 Addr.Flow_table.t; mutable next : int64 }
+
+let flow_id ids flow =
+  match Addr.Flow_table.find_opt ids.tbl flow with
+  | Some id -> id
+  | None ->
+    let id = ids.next in
+    ids.next <- Int64.add id 1L;
+    Addr.Flow_table.replace ids.tbl flow id;
+    id
+
+let fresh_ids () = { tbl = Addr.Flow_table.create 64; next = Int64.shift_left 1L 40 }
+
+type outcome = Dropped | Forwarded of int (* priority *)
+
+let oracle e ids (pkt : Packet.t) =
+  let stage_md = pkt.Packet.metadata in
+  let flow_md =
+    Stage.classify ~msg_id:(flow_id ids pkt.Packet.flow) (Enclave.flow_stage e)
+      (Builtin.flow_descriptor pkt.Packet.flow)
+  in
+  let md = Metadata.union flow_md stage_md in
+  let msg_id = Option.get (Metadata.msg_id md) in
+  let classes = Metadata.classes md in
+  let tables = Enclave.tables e in
+  let lookup id =
+    match List.find_opt (fun tbl -> Table.id tbl = id) tables with
+    | None -> None
+    | Some tbl ->
+      Option.map (fun r -> List.assoc r.Table.action acts) (Table.lookup tbl classes)
+  in
+  let rec apply table prio =
+    match lookup table with
+    | None -> Forwarded prio
+    | Some (Prio p) -> Forwarded p
+    | Some Mix -> Forwarded (mix ~msg_id md)
+    | Some Drop -> Dropped
+    | Some Jump -> if table = 0 then apply 1 prio else Forwarded prio
+  in
+  (md, apply 0 pkt.Packet.priority)
+
+let actual e (pkt : Packet.t) =
+  let d = Enclave.process e ~now:(Time.us 1) pkt in
+  ( pkt.Packet.metadata,
+    match d with
+    | Enclave.Dropped _ -> Dropped
+    | Enclave.Forward _ -> Forwarded pkt.Packet.priority )
+
+let show_md md =
+  let value = function
+    | Metadata.Int i -> Printf.sprintf "%Ld" i
+    | Metadata.Str s -> Printf.sprintf "%S" s
+  in
+  Printf.sprintf "id=%s classes=[%s] fields={%s}"
+    (match Metadata.msg_id md with Some i -> Int64.to_string i | None -> "-")
+    (String.concat "," (List.map Class_name.to_string (Metadata.classes md)))
+    (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ value v) (Metadata.fields md)))
+
+let show_outcome = function Dropped -> "dropped" | Forwarded p -> Printf.sprintf "prio %d" p
+
+(* ------------------------------------------------------------------ *)
+(* The stream *)
+
+let app_stage () =
+  let s =
+    Stage.create ~name:"app" ~classifier_fields:[ Builtin.Field.msg_type ]
+      ~metadata_fields:[ Builtin.Field.msg_type; Builtin.Field.msg_size ]
+  in
+  List.iter
+    (fun kind ->
+      ignore
+        (get_ok
+           (Stage.Api.create_stage_rule s ~ruleset:"kind"
+              ~classifier:[ (Builtin.Field.msg_type, Classifier.eq_str kind) ]
+              ~class_name:kind
+              ~metadata_fields:[ Builtin.Field.msg_type; Builtin.Field.msg_size ])))
+    [ "GET"; "PUT" ];
+  s
+
+let n_flows = 96
+
+let flows =
+  Array.init n_flows (fun i ->
+      Addr.five_tuple
+        ~src:(Addr.endpoint (1 + (i mod 5)) (1_000 + (i * 677 mod 60_000)))
+        ~dst:(Addr.endpoint (2 + (i mod 7)) (1 + (i * 1_543 mod 65_000)))
+        ~proto:Addr.Tcp)
+
+let port_range field lo hi = [ (field, Classifier.Range (Int64.of_int lo, Int64.of_int hi)) ]
+
+let test_differential () =
+  Printf.printf "memo differential seed: %Ld (set EDEN_TEST_SEED to override)\n%!" seed;
+  let rng = Rng.create seed in
+  (* A small cache, so new class vectors overflow it between rule
+     changes. *)
+  let e = Enclave.create ~host:1 ~flow_cache_capacity:8 () in
+  install e;
+  let fs = Enclave.flow_stage e in
+  let ctl = Controller.create ~seed () in
+  Controller.register_enclave ctl e;
+  Controller.register_stage ctl fs;
+  (* A rule-set for the direct [Ruleset] edits; its first rule never
+     matches TCP traffic. *)
+  ignore
+    (get_ok
+       (Stage.Api.create_stage_rule fs ~ruleset:"direct"
+          ~classifier:[ (Builtin.Field.proto, Classifier.eq_str "udp") ]
+          ~class_name:"UDP" ~metadata_fields:[]));
+  let direct = Option.get (Stage.find_ruleset fs "direct") in
+  let app = app_stage () in
+  let ids = ref (fresh_ids ()) in
+  let api_rules = ref [ ("flows", 0) ] and direct_rules = ref [] and table_rules = ref [] in
+  let ctl_pushes = ref 0 and restarts = ref 0 and closes = ref 0 and packets = ref 0 in
+  let evictions = ref 0 in
+  let plain = Metadata.empty in
+  let last = ref None in
+  let check (pkt : Packet.t) =
+    let want_md, want = oracle e !ids pkt in
+    let got_md, got = actual e pkt in
+    incr packets;
+    if show_md got_md <> show_md want_md || got <> want then
+      Alcotest.failf "seed %Ld, packet %d: enclave gave %s, %s; oracle %s, %s" seed !packets
+        (show_md got_md) (show_outcome got) (show_md want_md) (show_outcome want);
+    last := Some pkt
+  in
+  let rand_port () = Rng.int rng 65_536 in
+  let next_pkt_id = ref 0L in
+  let send flow md =
+    next_pkt_id := Int64.add !next_pkt_id 1L;
+    check
+      (Packet.make ~id:!next_pkt_id ~flow ~kind:Packet.Data
+         ~payload:(1 + Rng.int rng 1400)
+         ~metadata:md ())
+  in
+  for _step = 1 to 6_000 do
+    match Rng.int rng 100 with
+    | r when r < 80 ->
+      (* One message: 1-4 packets carrying the same stage metadata. *)
+      let flow = flows.(Rng.int rng n_flows) in
+      let md =
+        match Rng.int rng 3 with
+        | 0 -> plain
+        | 1 ->
+          let kind = if Rng.bool rng then "GET" else "PUT" in
+          Stage.classify app
+            (Classifier.Descriptor.of_list
+               [
+                 (Builtin.Field.msg_type, Metadata.str kind);
+                 (Builtin.Field.msg_size, Metadata.int (Rng.int rng 100_000));
+               ])
+        | _ ->
+          (* Classes without a message id: the flow id names the message. *)
+          let name = if Rng.bool rng then "GET" else "PUT" in
+          Metadata.add_class (Class_name.v ~stage:"app" ~ruleset:"kind" ~name) plain
+      in
+      for _ = 1 to 1 + Rng.int rng 4 do
+        send flow md
+      done
+    | r when r < 84 -> (
+      (* Re-send the last packet as it left: its metadata is the merged
+         result, which must merge to itself. *)
+      match !last with
+      | Some pkt ->
+        pkt.Packet.priority <- 0;
+        check pkt
+      | None -> ())
+    | r when r < 88 -> (
+      (* Flow-stage rules through the stage API. *)
+      match !api_rules with
+      | (rs, id) :: rest when Rng.bool rng ->
+        if not (Stage.Api.remove_stage_rule fs ~ruleset:rs ~rule_id:id) then
+          Alcotest.failf "rule %s/%d not removed" rs id;
+        api_rules := rest
+      | _ ->
+        let lo = rand_port () in
+        let rs, cls = if Rng.bool rng then ("ports", "LOW") else ("flows", "ALL") in
+        let classifier =
+          if rs = "flows" then [] else port_range Builtin.Field.dst_port lo (lo + 20_000)
+        in
+        let id =
+          get_ok
+            (Stage.Api.create_stage_rule fs ~ruleset:rs ~classifier ~class_name:cls
+               ~metadata_fields:[])
+        in
+        api_rules := (rs, id) :: !api_rules)
+    | r when r < 90 ->
+      (* Flow-stage rules through the controller. *)
+      incr ctl_pushes;
+      let lo = rand_port () in
+      get_ok
+        (Controller.program_stage ctl ~stage:"enclave" ~ruleset:"ctl"
+           ~rules:
+             [
+               ( port_range Builtin.Field.src_port lo (lo + 30_000),
+                 Printf.sprintf "C%d" !ctl_pushes,
+                 [] );
+             ])
+    | r when r < 93 -> (
+      (* Flow-stage rules edited directly on the stage's rule-set. *)
+      match !direct_rules with
+      | id :: rest when Rng.bool rng ->
+        if not (Ruleset.remove_rule direct id) then
+          Alcotest.failf "direct rule %d not removed" id;
+        direct_rules := rest
+      | _ ->
+        let lo = rand_port () in
+        (* The memo keeps classes only, so a flow-stage rule carrying a
+           metadata field must be refused here as through the API. *)
+        let gen = Stage.generation fs in
+        (match
+           Ruleset.add_rule direct ~classifier:[] ~class_name:"F"
+             ~metadata_fields:[ Builtin.Field.src_port ]
+         with
+        | _ -> Alcotest.fail "flow-stage rule with a metadata field accepted"
+        | exception Invalid_argument _ -> ());
+        if Stage.generation fs <> gen then
+          Alcotest.fail "refused rule moved the generation";
+        let rule =
+          Ruleset.add_rule direct
+            ~classifier:(port_range Builtin.Field.dst_port lo (lo + 8_000))
+            ~class_name:(Printf.sprintf "D%d" (Rng.int rng 3))
+            ~metadata_fields:[]
+        in
+        direct_rules := rule.Ruleset.rule_id :: !direct_rules)
+    | r when r < 95 -> (
+      (* Table rules: a flow class that jumps straight to [mix]. *)
+      match !table_rules with
+      | id :: rest when Rng.bool rng ->
+        if not (Enclave.remove_table_rule e id) then
+          Alcotest.failf "table rule %d not removed" id;
+        table_rules := rest
+      | _ ->
+        let p = Printf.sprintf "enclave.ctl.C%d" (1 + Rng.int rng (max 1 !ctl_pushes)) in
+        let id = get_ok (Enclave.add_table_rule e ~pattern:(pattern p) ~action:"mix" ()) in
+        table_rules := id :: !table_rules)
+    | r when r < 99 ->
+      (* Close a flow; its next packet reopens it under a new id. *)
+      incr closes;
+      let flow = flows.(Rng.int rng n_flows) in
+      Enclave.note_flow_closed e flow;
+      Addr.Flow_table.remove !ids.tbl flow
+    | _ ->
+      incr restarts;
+      let sn = Enclave.snapshot e in
+      evictions := !evictions + (Enclave.counters e).Enclave.cache_evictions;
+      Enclave.restart e;
+      get_ok (Enclave.restore e sn);
+      (* Rule ids do not survive a restore. *)
+      table_rules := [];
+      ids := fresh_ids ()
+  done;
+  evictions := !evictions + (Enclave.counters e).Enclave.cache_evictions;
+  Printf.printf "%d packets, %d controller pushes, %d closes, %d restarts, %d cache evictions\n"
+    !packets !ctl_pushes !closes !restarts !evictions;
+  Alcotest.(check bool) "every path exercised" true
+    (!ctl_pushes > 0 && !closes > 0 && !restarts > 0 && !evictions > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Footprint *)
+
+(* Words the enclave holds per flow it has seen, measured by
+   [Obj.reachable_words] over [n] unique flows that never close: the
+   flow-table binding, the flow's entry and its five-tuple key.  17.82
+   words is the figure for the boxed [int64] flow id the memo replaced;
+   the memo may add at most one word.  Per-flow metadata would add at
+   least four. *)
+let words_per_flow_before_memo = 17.82
+
+let test_footprint () =
+  let n = 10_000 in
+  let e = Enclave.create ~host:1 () in
+  let pkts =
+    Array.init n (fun i ->
+        Packet.make ~id:(Int64.of_int i)
+          ~flow:
+            (Addr.five_tuple ~src:(Addr.endpoint 1 (1 + i)) ~dst:(Addr.endpoint 2 80)
+               ~proto:Addr.Tcp)
+          ~kind:Packet.Data ~payload:100 ())
+  in
+  let warm =
+    Packet.make ~id:(-1L)
+      ~flow:(Addr.five_tuple ~src:(Addr.endpoint 9 9) ~dst:(Addr.endpoint 9 9) ~proto:Addr.Tcp)
+      ~kind:Packet.Data ~payload:1 ()
+  in
+  ignore (Enclave.process e ~now:(Time.us 1) warm);
+  let before = Obj.reachable_words (Obj.repr e) in
+  Array.iteri (fun i p -> ignore (Enclave.process e ~now:(Time.us (i + 2)) p)) pkts;
+  let per_flow = float_of_int (Obj.reachable_words (Obj.repr e) - before) /. float_of_int n in
+  Printf.printf "enclave words per flow: %.3f (bound %.2f)\n" per_flow
+    (words_per_flow_before_memo +. 1.0);
+  if per_flow > words_per_flow_before_memo +. 1.0 then
+    Alcotest.failf "the enclave keeps %.3f words per flow, over %.2f + 1" per_flow
+      words_per_flow_before_memo
+
+let () =
+  Alcotest.run "eden_memo"
+    [
+      ( "front-half",
+        [
+          Alcotest.test_case "memo matches fresh classification" `Quick test_differential;
+          Alcotest.test_case "words per flow" `Quick test_footprint;
+        ] );
+    ]

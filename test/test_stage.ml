@@ -196,6 +196,49 @@ let test_remove_rule () =
   check_int "no classes" 0 (List.length (Metadata.classes md2));
   check_bool "second removal fails" false (Stage.Api.remove_stage_rule st ~ruleset:"r" ~rule_id:id)
 
+let test_create_rule_validates_class_name () =
+  let st = Builtin.memcached () in
+  (match
+     Stage.Api.create_stage_rule st ~ruleset:"r" ~classifier:[] ~class_name:"a.b"
+       ~metadata_fields:[]
+   with
+  | Ok _ -> Alcotest.fail "expected rejection"
+  | Error _ -> ());
+  check_bool "no rule-set created" true (Stage.find_ruleset st "r" = None)
+
+(* Every rule change moves the generation, including edits made directly
+   on a rule-set; [classes] lists what [classify] attaches. *)
+let test_generation_and_classes () =
+  let st = Builtin.memcached () in
+  let g0 = Stage.generation st in
+  let id =
+    get_ok
+      (Stage.Api.create_stage_rule st ~ruleset:"r" ~classifier:[] ~class_name:"X"
+         ~metadata_fields:[])
+  in
+  let g1 = Stage.generation st in
+  check_bool "api add moves it" true (g1 <> g0);
+  let rs = Option.get (Stage.find_ruleset st "r") in
+  (match
+     Ruleset.add_rule rs ~classifier:[] ~class_name:"Z" ~metadata_fields:[ "not_declared" ]
+   with
+  | _ -> Alcotest.fail "undeclared metadata field accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "refused rule leaves it" g1 (Stage.generation st);
+  let rule =
+    Ruleset.add_rule rs ~classifier:[] ~class_name:"Y" ~metadata_fields:[ Builtin.Field.key ]
+  in
+  check_string "qualified at install" "memcached.r.Y"
+    (Class_name.to_string rule.Ruleset.qualified);
+  let g2 = Stage.generation st in
+  check_bool "direct add moves it" true (g2 <> g1);
+  check_bool "failed removal" false (Ruleset.remove_rule rs 99);
+  check_int "failed removal leaves it" g2 (Stage.generation st);
+  check_bool "direct removal" true (Ruleset.remove_rule rs id);
+  check_bool "direct removal moves it" true (Stage.generation st <> g2);
+  check_bool "classes agree with classify" true
+    (List.equal Class_name.equal (Stage.classes st d) (Metadata.classes (Stage.classify st d)))
+
 (* ------------------------------------------------------------------ *)
 (* Built-ins *)
 
@@ -288,6 +331,9 @@ let () =
           Alcotest.test_case "metadata validation" `Quick
             test_create_rule_validates_metadata_fields;
           Alcotest.test_case "remove rule" `Quick test_remove_rule;
+          Alcotest.test_case "class name validation" `Quick
+            test_create_rule_validates_class_name;
+          Alcotest.test_case "generation and classes" `Quick test_generation_and_classes;
         ] );
       ( "builtin",
         [
