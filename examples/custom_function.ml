@@ -56,9 +56,7 @@ let () =
   in
   Printf.printf "Compiled: %d instructions, %s concurrency.\n"
     (Array.length program.Eden_bytecode.Program.code)
-    (if Eden_bytecode.Program.writes_entity program Eden_bytecode.Program.Global then
-       "serial"
-     else "per-message");
+    Eden_bytecode.Program.(concurrency_to_string (footprint program).concurrency);
   (* ...ship it over the controller->enclave wire format... *)
   let wire = Eden_bytecode.Codec.encode program in
   Printf.printf "Wire format: %d bytes.\n\n" (String.length wire);

@@ -41,7 +41,7 @@ let run schema (a : Ast.t) =
             {
               Report.r_name = a.Ast.af_name;
               r_footprint = footprint;
-              r_concurrency = Effects.concurrency footprint;
+              r_concurrency = (P.footprint hardened).P.concurrency;
               r_shard = Eden_bytecode.Shardclass.classify hardened;
               r_diagnostics = [];
               r_nodes_before = stats.Optimize.nodes_before;

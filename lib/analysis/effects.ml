@@ -27,21 +27,6 @@ let of_action (a : Ast.t) =
     uses_hash = uses (function Ast.Hash _ -> true | _ -> false);
   }
 
-(* Mirror of the enclave's concurrency decision (§3.4.4): writes to
-   global state force serial execution, writes to message state allow one
-   packet per message, a read-only footprint runs fully parallel.  Packet
-   writes are inherently per-packet and constrain nothing. *)
-let concurrency fp =
-  let writes ent l = List.exists (fun (e, _, acc) -> e = ent && acc = `Write) l in
-  if writes Ast.Global fp.fields || writes Ast.Global fp.arrays then `Serial
-  else if writes Ast.Message fp.fields || writes Ast.Message fp.arrays then `Per_message
-  else `Parallel
-
-let concurrency_to_string = function
-  | `Parallel -> "parallel"
-  | `Per_message -> "per-message"
-  | `Serial -> "serial"
-
 let diagnostics schema (a : Ast.t) =
   let fp = of_action a in
   let check kind find l =

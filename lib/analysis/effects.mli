@@ -1,14 +1,15 @@
-(** Effect analysis: the state footprint of an action function.
+(** Effect analysis: the state footprint of an action function, by name.
 
-    Computed from the AST at install time, the footprint drives two
-    decisions the paper attributes to type annotations (§3.4.4):
+    Computed from the AST before compilation, the footprint serves the
+    human-facing half of the paper's type annotations (§3.4.4): writes
+    to state the schema declares [Read_only], or touches on undeclared
+    state, are reported by name as install-time errors rather than
+    runtime faults, and [eden analyze] prints the footprint.
 
-    - {b concurrency}: a function that never writes shared state can run
-      on many packets in parallel; message-state writers serialise per
-      message; global-state writers run serially.
-    - {b rejection}: writes to state the schema declares [Read_only], or
-      touches on undeclared state, are install-time errors rather than
-      runtime faults. *)
+    It decides nothing about execution.  The concurrency class, the shard
+    class and the marshal plan all come from one pass over the compiled
+    program, {!Eden_bytecode.Program.footprint}, which sees the code the
+    enclave will actually run. *)
 
 type access = [ `Read | `Write ]
 
@@ -21,12 +22,6 @@ type footprint = {
 }
 
 val of_action : Eden_lang.Ast.t -> footprint
-
-val concurrency : footprint -> [ `Parallel | `Per_message | `Serial ]
-(** Same decision {!Eden_enclave.Enclave.concurrency_of} makes from the
-    compiled program's slot accesses, available before compilation. *)
-
-val concurrency_to_string : [ `Parallel | `Per_message | `Serial ] -> string
 
 val diagnostics : Eden_lang.Schema.t -> Eden_lang.Ast.t -> string list
 (** Human-readable install blockers: writes to read-only state and uses

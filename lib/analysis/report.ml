@@ -1,7 +1,7 @@
 type t = {
   r_name : string;
   r_footprint : Effects.footprint;
-  r_concurrency : [ `Parallel | `Per_message | `Serial ];
+  r_concurrency : Eden_bytecode.Program.concurrency;
   r_shard : Eden_bytecode.Shardclass.klass;
   r_diagnostics : string list;
   r_nodes_before : int;
@@ -17,7 +17,7 @@ let pp fmt r =
   Format.fprintf fmt "action %S@," r.r_name;
   Format.fprintf fmt "effects:@,%a" Effects.pp_footprint r.r_footprint;
   Format.fprintf fmt "  concurrency: %s@,"
-    (Effects.concurrency_to_string r.r_concurrency);
+    (Eden_bytecode.Program.concurrency_to_string r.r_concurrency);
   Format.fprintf fmt "  sharding: %s@," (Eden_bytecode.Shardclass.to_string r.r_shard);
   List.iter (fun d -> Format.fprintf fmt "  problem: %s@," d) r.r_diagnostics;
   Format.fprintf fmt "optimizer: %d -> %d AST nodes@," r.r_nodes_before r.r_nodes_after;

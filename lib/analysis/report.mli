@@ -3,7 +3,9 @@
 type t = {
   r_name : string;
   r_footprint : Effects.footprint;
-  r_concurrency : [ `Parallel | `Per_message | `Serial ];
+  r_concurrency : Eden_bytecode.Program.concurrency;
+      (** From the hardened program's declared slot accesses: the class
+          the enclave will run it under. *)
   r_shard : Eden_bytecode.Shardclass.klass;
       (** How the multicore front-end ({!Eden_enclave.Shard}) will run
           this action: fully sharded, per-shard delta accumulators, or

@@ -19,10 +19,6 @@ let make_env (p : Program.t) ~scalars ~arrays =
     p.array_slots;
   { scalars; arrays }
 
-let zero_env (p : Program.t) ~array_lengths =
-  let arrays = Array.map (fun len -> Array.make len 0L) array_lengths in
-  make_env p ~scalars:(Array.make (Array.length p.scalar_slots) 0L) ~arrays
-
 type fault =
   | Division_by_zero of { pc : int }
   | Array_bounds of { pc : int; index : int; length : int }

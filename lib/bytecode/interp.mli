@@ -21,9 +21,6 @@ val make_env : Program.t -> scalars:int64 array -> arrays:int64 array array -> e
     length against its slot's [a_min_len].
     @raise Invalid_argument on a mismatch. *)
 
-val zero_env : Program.t -> array_lengths:int array -> env
-(** All-zero environment with the given array-slot lengths. *)
-
 type fault =
   | Division_by_zero of { pc : int }
   | Array_bounds of { pc : int; index : int; length : int }

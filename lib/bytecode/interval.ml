@@ -9,7 +9,6 @@ let of_bounds lo hi =
   if Int64.compare lo hi > 0 then invalid_arg "Interval.of_bounds: lo > hi";
   { lo; hi }
 
-let is_top t = Int64.equal t.lo ninf && Int64.equal t.hi pinf
 let min64 a b = if Int64.compare a b <= 0 then a else b
 let max64 a b = if Int64.compare a b >= 0 then a else b
 let join a b = { lo = min64 a.lo b.lo; hi = max64 a.hi b.hi }

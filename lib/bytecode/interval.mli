@@ -15,7 +15,6 @@ type t = { lo : int64; hi : int64 }
 val top : t
 val const : int64 -> t
 val of_bounds : int64 -> int64 -> t
-val is_top : t -> bool
 
 val join : t -> t -> t
 val meet : t -> t -> t option

@@ -57,13 +57,53 @@ let make ~name ~code ?(scalar_slots = [||]) ?(array_slots = [||]) ?n_locals
   in
   { name; code; scalar_slots; array_slots; n_locals; stack_limit; heap_limit; step_limit }
 
-let writes_entity t entity =
-  Array.exists
-    (fun s -> s.s_entity = entity && s.s_access = Read_write)
-    t.scalar_slots
-  || Array.exists
-       (fun a -> a.a_entity = entity && a.a_access = Read_write)
-       t.array_slots
+type concurrency = [ `Parallel | `Per_message | `Serial ]
+
+let concurrency_to_string = function
+  | `Parallel -> "parallel"
+  | `Per_message -> "per-message"
+  | `Serial -> "serial"
+
+type footprint = {
+  loads : bool array;
+  stores : bool array;
+  array_stores : bool array;
+  shared_local : bool;
+  writes : entity list;
+  concurrency : concurrency;
+}
+
+let footprint t =
+  let loads = Array.make t.n_locals false in
+  let stores = Array.make t.n_locals false in
+  let array_stores = Array.make (Array.length t.array_slots) false in
+  Array.iter
+    (function
+      | Opcode.Load i -> loads.(i) <- true
+      | Opcode.Store i -> stores.(i) <- true
+      | Opcode.Gastore s | Opcode.Gastore_unsafe s -> array_stores.(s) <- true
+      | _ -> ())
+    t.code;
+  let claimed = Array.make t.n_locals false in
+  let shared_local =
+    Array.exists
+      (fun s ->
+        let d = claimed.(s.s_local) in
+        claimed.(s.s_local) <- true;
+        d)
+      t.scalar_slots
+  in
+  let declares_write e =
+    Array.exists (fun s -> s.s_entity = e && s.s_access = Read_write) t.scalar_slots
+    || Array.exists (fun a -> a.a_entity = e && a.a_access = Read_write) t.array_slots
+  in
+  let writes = List.filter declares_write [ Packet; Message; Global ] in
+  let concurrency =
+    if List.mem Global writes then `Serial
+    else if List.mem Message writes then `Per_message
+    else `Parallel
+  in
+  { loads; stores; array_stores; shared_local; writes; concurrency }
 
 let find_scalar t name =
   Array.find_opt (fun s -> String.equal s.s_name name) t.scalar_slots

@@ -72,9 +72,36 @@ val strip_unreachable : t -> t
     remap the surviving jump targets.  Semantics are unchanged; the
     result passes the verifier's strict (no-unreachable-code) mode. *)
 
-val writes_entity : t -> entity -> bool
-(** Does any slot of this entity have read-write access?  Drives the
-    enclave's concurrency admission (paper §3.4.4). *)
+(** {2 Access footprint}
+
+    One pass over the code and the slot table answers every question the
+    install path asks about which state a program touches: the enclave's
+    marshal plan, the shard classification ({!Shardclass}) and the
+    concurrency class (paper §3.4.4) all read it. *)
+
+type concurrency = [ `Parallel | `Per_message | `Serial ]
+(** A program declaring a writable global slot runs serially; one
+    declaring a writable message slot runs one packet per message at a
+    time; any other runs fully parallel.  Packet writes are per-packet
+    and constrain nothing. *)
+
+val concurrency_to_string : concurrency -> string
+
+type footprint = {
+  loads : bool array;  (** Per local: some [Load] reads it. *)
+  stores : bool array;  (** Per local: some [Store] writes it. *)
+  array_stores : bool array;  (** Per array slot: some [Gastore]/[Gastore_unsafe] names it. *)
+  shared_local : bool;  (** Two scalar slots name the same local. *)
+  writes : entity list;
+      (** Entities with a declared [Read_write] slot, in the order
+          [Packet], [Message], [Global]. *)
+  concurrency : concurrency;  (** Derived from [writes]. *)
+}
+
+val footprint : t -> footprint
+(** Every local and array-slot index the code and the slot table name
+    must be in range ([n_locals], [array_slots]).
+    @raise Invalid_argument otherwise. *)
 
 val find_scalar : t -> string -> scalar_slot option
 val find_array : t -> string -> (int * array_slot) option

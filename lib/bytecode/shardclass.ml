@@ -90,48 +90,29 @@ let accumulator_ok (p : Program.t) l =
   | _ -> false
 
 let classify (p : Program.t) =
-  let code = p.Program.code in
-  let stores_array s =
-    Array.exists
-      (function
-        | Opcode.Gastore x | Opcode.Gastore_unsafe x -> x = s
-        | _ -> false)
-      code
-  in
-  let stores_local l =
-    Array.exists (function Opcode.Store x -> x = l | _ -> false) code
-  in
+  let fp = Program.footprint p in
   let array_written = ref false in
   Array.iteri
     (fun i (a : Program.array_slot) ->
       if a.Program.a_entity = Program.Global && a.Program.a_access = Program.Read_write
-         && stores_array i
+         && fp.Program.array_stores.(i)
       then array_written := true)
     p.Program.array_slots;
   if !array_written then Serialized
   else begin
-    (* Slots sharing one local make per-slot reasoning ambiguous; bail
-       to the serialization fallback if a written global is involved. *)
-    let dup_local =
-      let seen = Hashtbl.create 8 in
-      Array.exists
-        (fun (s : Program.scalar_slot) ->
-          let d = Hashtbl.mem seen s.Program.s_local in
-          Hashtbl.replace seen s.Program.s_local ();
-          d)
-        p.Program.scalar_slots
-    in
     let written_globals = ref [] in
     Array.iteri
       (fun i (s : Program.scalar_slot) ->
         if s.Program.s_entity = Program.Global && s.Program.s_access = Program.Read_write
-           && stores_local s.Program.s_local
+           && fp.Program.stores.(s.Program.s_local)
         then written_globals := (i, s.Program.s_local) :: !written_globals)
       p.Program.scalar_slots;
     match List.rev !written_globals with
     | [] -> Sharded
     | writes ->
-      if dup_local then Serialized
+      (* Slots sharing one local make per-slot reasoning ambiguous; bail
+         to the serialization fallback if a written global is involved. *)
+      if fp.Program.shared_local then Serialized
       else if List.for_all (fun (_, l) -> accumulator_ok p l) writes then
         Sharded_delta (List.map fst writes)
       else Serialized

@@ -3,8 +3,8 @@
     A multicore enclave front-end ({!Eden_enclave}'s shard runtime) runs
     one data-path replica per worker domain and partitions state by
     flow/message key.  Whether that is safe for a given action is a
-    static property of its effect footprint, decided here once at
-    install time:
+    static property of its access footprint ({!Program.footprint}),
+    decided here once at install time:
 
     - [Sharded] — the program writes no global state (packet and
       per-message writes partition cleanly under flow/message-affine

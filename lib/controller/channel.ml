@@ -76,11 +76,8 @@ type t = {
   ch_applied : (int64, (int64, string) result) Hashtbl.t;
   mutable ch_acked_generation : int;
   mutable ch_divergent : bool;
-  mutable ch_ops_sent : int;
-  mutable ch_faults_injected : int;
-  mutable ch_restarts_injected : int;
-  (* Telemetry cells, synced from the fields above at scrape time so the
-     protocol paths stay untouched. *)
+  (* The counters are bumped live; the two gauges are read off the
+     backlog and the watermark at scrape. *)
   ch_tel : Tel.Registry.t;
   chm_ops : Tel.Counter.t;
   chm_faults : Tel.Counter.t;
@@ -102,9 +99,6 @@ let create ?(seed = 0xFA17L) enclave =
     ch_applied = Hashtbl.create 256;
     ch_acked_generation = 0;
     ch_divergent = false;
-    ch_ops_sent = 0;
-    ch_faults_injected = 0;
-    ch_restarts_injected = 0;
     ch_tel = tel;
     chm_ops = Tel.Registry.counter tel ~help:"Control ops sent" "eden_channel_ops_sent_total";
     chm_faults =
@@ -128,15 +122,11 @@ let set_partitioned t b = t.ch_partitioned <- b
 let divergent t = t.ch_divergent
 let mark_divergent t = t.ch_divergent <- true
 let clear_divergent t = t.ch_divergent <- false
-let ops_sent t = t.ch_ops_sent
-let faults_injected t = t.ch_faults_injected
-let restarts_injected t = t.ch_restarts_injected
+let ops_sent t = Tel.Counter.get t.chm_ops
+let faults_injected t = Tel.Counter.get t.chm_faults
 let delayed_count t = List.length t.ch_delayed
 
 let sync_telemetry t =
-  Tel.Counter.set t.chm_ops t.ch_ops_sent;
-  Tel.Counter.set t.chm_faults t.ch_faults_injected;
-  Tel.Counter.set t.chm_restarts t.ch_restarts_injected;
   Tel.Gauge.set_int t.chg_delayed (List.length t.ch_delayed);
   Tel.Gauge.set_int t.chg_acked t.ch_acked_generation
 
@@ -201,7 +191,7 @@ let restart t =
   Hashtbl.reset t.ch_applied;
   t.ch_acked_generation <- 0;
   t.ch_delayed <- [];
-  t.ch_restarts_injected <- t.ch_restarts_injected + 1
+  Tel.Counter.inc t.chm_restarts
 
 let inject_restart = restart
 
@@ -237,12 +227,12 @@ let next_fault t =
     else None
 
 let send t ~op_id ~gen op =
-  t.ch_ops_sent <- t.ch_ops_sent + 1;
+  Tel.Counter.inc t.chm_ops;
   if t.ch_partitioned then Error Partitioned
   else begin
     flush_due t;
     let fault = next_fault t in
-    (match fault with Some _ -> t.ch_faults_injected <- t.ch_faults_injected + 1 | None -> ());
+    (match fault with Some _ -> Tel.Counter.inc t.chm_faults | None -> ());
     match fault with
     | None -> (
       match deliver t ~op_id ~gen op with Ok _ as ok -> ok | Error m -> Error (Rejected m))

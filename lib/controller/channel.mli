@@ -135,16 +135,16 @@ val mark_divergent : t -> unit
 val clear_divergent : t -> unit
 val ops_sent : t -> int
 val faults_injected : t -> int
-val restarts_injected : t -> int
+(** Both read the channel's registry cells, the only record of them. *)
 
 (** {2 Telemetry}
 
-    The channel keeps its protocol counters in plain fields (the paths
-    above stay allocation-free) and syncs them into a per-channel
-    registry ([eden_channel_*]: ops sent, faults and restarts injected,
-    delayed-op backlog, acked-generation watermark) only when scraped. *)
+    The channel's registry ([eden_channel_*]) holds its protocol
+    counters, bumped as ops are sent and faults and crash-restarts
+    injected; they have no other home.  Two gauges are derived at scrape:
+    the delayed-op backlog and the acked-generation watermark. *)
 
 val telemetry : t -> Eden_telemetry.Registry.t
-(** The synced registry (cells refreshed on every call). *)
+(** The registry, with its derived gauges refreshed on every call. *)
 
 val scrape : t -> Eden_telemetry.Registry.sample list

@@ -16,11 +16,11 @@ let default_retry =
   { rp_max_attempts = 5; rp_base_backoff = Time.us 50; rp_max_backoff = Time.ms 5 }
 
 type retry_stats = {
-  mutable rs_ops : int;
-  mutable rs_attempts : int;
-  mutable rs_retries : int;
-  mutable rs_giveups : int;
-  mutable rs_backoff : Time.t;
+  rs_ops : int;
+  rs_attempts : int;
+  rs_retries : int;
+  rs_giveups : int;
+  rs_backoff : Time.t;
 }
 
 type t = {
@@ -31,10 +31,9 @@ type t = {
   retry : retry_policy;
   jitter : Rng.t;
   mutable next_op : int64;
-  stats : retry_stats;
-  (* Retry/generation cells are synced from [stats] and the desired
-     store at scrape time; reconcile cells are bumped live (they have no
-     other home). *)
+  (* The retry and reconcile cells are bumped live and are the only
+     record of those counts; the generation, lag and divergence gauges
+     are derived from the desired store and the channels at scrape. *)
   tel : Tel.Registry.t;
   cm_push_ops : Tel.Counter.t;
   cm_attempts : Tel.Counter.t;
@@ -60,7 +59,6 @@ let create ?topology ?(retry = default_retry) ?(seed = 0xC0DEL) () =
     retry;
     jitter = Rng.create seed;
     next_op = 1L;
-    stats = { rs_ops = 0; rs_attempts = 0; rs_retries = 0; rs_giveups = 0; rs_backoff = Time.zero };
     tel;
     cm_push_ops =
       Tel.Registry.counter tel ~help:"Logical push ops" "eden_controller_push_ops_total";
@@ -97,7 +95,15 @@ let stages t = List.rev t.stgs
 let find_stage t name = List.find_opt (fun s -> String.equal (Stage.name s) name) t.stgs
 let generation t = Desired.generation t.desired
 let desired t = t.desired
-let stats t = t.stats
+
+let stats t =
+  {
+    rs_ops = Tel.Counter.get t.cm_push_ops;
+    rs_attempts = Tel.Counter.get t.cm_attempts;
+    rs_retries = Tel.Counter.get t.cm_retries;
+    rs_giveups = Tel.Counter.get t.cm_giveups;
+    rs_backoff = Time.of_float_ns (Tel.Gauge.get t.cg_backoff_ns);
+  }
 
 let channel_for t host =
   List.find_opt (fun ch -> Channel.host ch = host) t.chans
@@ -113,8 +119,8 @@ let fresh_op t =
   id
 
 (* Capped exponential backoff with seeded jitter.  The controller runs in
-   simulated time, so backoff is accounted, not slept: [rs_backoff] is
-   the control-plane latency a real deployment would have paid. *)
+   simulated time, so backoff is accounted, not slept: the backoff gauge
+   is the control-plane latency a real deployment would have paid. *)
 let backoff_for t ~attempt =
   let base = Int64.to_float (Time.to_ns t.retry.rp_base_backoff) in
   let cap = Int64.to_float (Time.to_ns t.retry.rp_max_backoff) in
@@ -130,20 +136,21 @@ type push_error =
 
 let send_with_retry t ch ~gen op : (int64, push_error) result =
   let op_id = fresh_op t in
-  t.stats.rs_ops <- t.stats.rs_ops + 1;
+  Tel.Counter.inc t.cm_push_ops;
   let rec go attempt =
-    t.stats.rs_attempts <- t.stats.rs_attempts + 1;
+    Tel.Counter.inc t.cm_attempts;
     match Channel.send ch ~op_id ~gen op with
     | Ok payload -> Ok payload
     | Error (Channel.Rejected msg) -> Error (`Rejected msg)
     | Error e ->
       if attempt >= t.retry.rp_max_attempts then begin
-        t.stats.rs_giveups <- t.stats.rs_giveups + 1;
+        Tel.Counter.inc t.cm_giveups;
         Error (`Unreachable (Channel.error_to_string e))
       end
       else begin
-        t.stats.rs_retries <- t.stats.rs_retries + 1;
-        t.stats.rs_backoff <- Time.add t.stats.rs_backoff (backoff_for t ~attempt);
+        Tel.Counter.inc t.cm_retries;
+        (* Whole nanoseconds, summed exactly below 2^53. *)
+        Tel.Gauge.add t.cg_backoff_ns (Int64.to_float (Time.to_ns (backoff_for t ~attempt)));
         go (attempt + 1)
       end
   in
@@ -631,11 +638,6 @@ let converged t =
 (* Telemetry *)
 
 let sync_telemetry t =
-  Tel.Counter.set t.cm_push_ops t.stats.rs_ops;
-  Tel.Counter.set t.cm_attempts t.stats.rs_attempts;
-  Tel.Counter.set t.cm_retries t.stats.rs_retries;
-  Tel.Counter.set t.cm_giveups t.stats.rs_giveups;
-  Tel.Gauge.set t.cg_backoff_ns (Int64.to_float (Time.to_ns t.stats.rs_backoff));
   let gen = Desired.generation t.desired in
   Tel.Gauge.set_int t.cg_generation gen;
   let min_acked =

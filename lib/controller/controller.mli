@@ -21,7 +21,8 @@ type t
 (** Capped exponential backoff: attempt [k] waits
     [min (base * 2^(k-1), max) * jitter] with jitter uniform in
     [\[0.5, 1\]] from the controller's seeded stream.  Time is simulated:
-    backoff is accounted in {!retry_stats}, not slept. *)
+    backoff is accounted in the [eden_controller_backoff_ns] gauge, not
+    slept. *)
 type retry_policy = {
   rp_max_attempts : int;
   rp_base_backoff : Eden_base.Time.t;
@@ -32,12 +33,13 @@ val default_retry : retry_policy
 (** 5 attempts, 50 µs base, 5 ms cap. *)
 
 type retry_stats = {
-  mutable rs_ops : int;  (** Logical ops sent (one per enclave per push). *)
-  mutable rs_attempts : int;  (** Channel sends, including retries. *)
-  mutable rs_retries : int;
-  mutable rs_giveups : int;  (** Transient failures that exhausted the budget. *)
-  mutable rs_backoff : Eden_base.Time.t;  (** Total simulated backoff. *)
+  rs_ops : int;  (** Logical ops sent (one per enclave per push). *)
+  rs_attempts : int;  (** Channel sends, including retries. *)
+  rs_retries : int;
+  rs_giveups : int;  (** Transient failures that exhausted the budget. *)
+  rs_backoff : Eden_base.Time.t;  (** Total simulated backoff. *)
 }
+(** A snapshot of the controller's retry cells (see Telemetry below). *)
 
 val create : ?topology:Topology.t -> ?retry:retry_policy -> ?seed:int64 -> unit -> t
 val topology : t -> Topology.t
@@ -60,6 +62,7 @@ val generation : t -> int
 
 val desired : t -> Desired.t
 val stats : t -> retry_stats
+(** Read from the registry cells, the only record of these counts. *)
 
 val divergent_hosts : t -> Eden_base.Addr.host list
 (** Enclaves a push or rollback could not fully reach, pending
@@ -145,15 +148,17 @@ val converged : t -> bool
 
 (** {2 Telemetry}
 
-    The controller keeps {!retry_stats} in plain fields and syncs them
-    into a registry ([eden_controller_*]: push ops, attempts, retries,
-    giveups, backoff, generation and generation lag, divergent-host
-    count) at scrape time; reconcile-round and replayed-op counters are
-    bumped live.  [scrape] merges the controller's registry with every
-    channel's ([eden_channel_*]) into one fleet-level sample list. *)
+    The controller's registry ([eden_controller_*]) is the only record
+    of its retry and reconcile counts: push ops, attempts, retries,
+    giveups, backoff, reconcile rounds and replayed ops are bumped as
+    they happen.  Only derived gauges are computed at scrape: the
+    desired generation, the generation lag and the divergent-host count.
+    [scrape] merges the controller's registry with every channel's
+    ([eden_channel_*]) into one fleet-level sample list. *)
 
 val telemetry : t -> Eden_telemetry.Registry.t
-(** The controller's own registry, synced on every call. *)
+(** The controller's own registry, with its derived gauges refreshed on
+    every call. *)
 
 val scrape : t -> Eden_telemetry.Registry.sample list
 

@@ -293,42 +293,22 @@ type plan = {
   mutable pl_undersized : Interp.fault option;  (* checked at rebind *)
 }
 
-let local_usage (p : P.t) =
-  let reads = Array.make (max 1 p.P.n_locals) false in
-  let writes = Array.make (max 1 p.P.n_locals) false in
-  Array.iter
-    (function
-      | Opcode.Load i -> reads.(i) <- true
-      | Opcode.Store i -> writes.(i) <- true
-      | _ -> ())
-    p.P.code;
-  (reads, writes)
-
 let msg_source_of sources name =
   match Hashtbl.find_opt sources name with Some s -> s | None -> Stateful 0L
 
 let make_plan (p : P.t) sources =
-  let reads, writes = local_usage p in
+  (* Two slots sharing one local would make per-slot elision ambiguous;
+     [shared_local] falls back to copying everything (the verifier does
+     not forbid it, but no compiler emits it). *)
+  let fp = P.footprint p in
   let n_scalars = Array.length p.P.scalar_slots in
   let n_arrays = Array.length p.P.array_slots in
-  (* Two slots sharing one local would make per-slot elision ambiguous;
-     fall back to copying everything (the verifier does not forbid it,
-     but no compiler emits it). *)
-  let dup_local =
-    let seen = Hashtbl.create 8 in
-    Array.exists
-      (fun (s : P.scalar_slot) ->
-        let d = Hashtbl.mem seen s.P.s_local in
-        Hashtbl.replace seen s.P.s_local ();
-        d)
-      p.P.scalar_slots
-  in
   let pl_in =
     Array.map
       (fun (s : P.scalar_slot) ->
         let needed =
-          dup_local || reads.(s.P.s_local)
-          || (s.P.s_access = P.Read_write && writes.(s.P.s_local))
+          fp.P.shared_local || fp.P.loads.(s.P.s_local)
+          || (s.P.s_access = P.Read_write && fp.P.stores.(s.P.s_local))
         in
         if not needed then In_zero
         else
@@ -345,7 +325,8 @@ let make_plan (p : P.t) sources =
   let pl_out =
     Array.map
       (fun (s : P.scalar_slot) ->
-        if s.P.s_access <> P.Read_write || not (dup_local || writes.(s.P.s_local)) then
+        if s.P.s_access <> P.Read_write || not (fp.P.shared_local || fp.P.stores.(s.P.s_local))
+        then
           Out_none
         else
           match s.P.s_entity with
@@ -354,12 +335,6 @@ let make_plan (p : P.t) sources =
           | P.Global -> Out_global s.P.s_name)
       p.P.scalar_slots
   in
-  let written = Array.make (max 1 n_arrays) false in
-  Array.iter
-    (function
-      | Opcode.Gastore s | Opcode.Gastore_unsafe s -> written.(s) <- true
-      | _ -> ())
-    p.P.code;
   let fault_free = lazy (Eden_bytecode.Wcet.fault_free p) in
   let name_count name =
     Array.fold_left
@@ -369,7 +344,7 @@ let make_plan (p : P.t) sources =
   let pl_abind =
     Array.mapi
       (fun i (a : P.array_slot) ->
-        if a.P.a_access = P.Read_only || not written.(i) then A_alias
+        if a.P.a_access = P.Read_only || not fp.P.array_stores.(i) then A_alias
         else if Lazy.force fault_free && name_count a.P.a_name = 1 then A_inplace
         else A_scratch)
       p.P.array_slots
@@ -424,7 +399,6 @@ type installed = {
   a_spec : install_spec;  (* retained for snapshot/restore and reconciliation *)
   mutable a_state : State.t;  (* swappable so shards can share one store *)
   a_msg_sources : (string, msg_field_source) Hashtbl.t;
-  a_concurrency : [ `Parallel | `Per_message | `Serial ];
   a_engine : engine;
   a_brk : brk;
   mutable a_lock : Mutex.t option;
@@ -525,7 +499,6 @@ type t = {
   mutable e_enforce : bool;
   mutable e_last_cost_ns : float;
   mutable e_breaker : breaker_config option;
-  mutable e_restarts : int;
 }
 
 (* The enclave's first flow id; far above any stage-assigned message id so
@@ -611,7 +584,6 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_enforce = true;
       e_last_cost_ns = 0.0;
       e_breaker = None;
-      e_restarts = 0;
     }
   in
   Hashtbl.replace t.e_tables 0 (Table.create ~id:0);
@@ -681,11 +653,6 @@ let invalidate_caches t =
 (* ------------------------------------------------------------------ *)
 (* Enclave API *)
 
-let concurrency_of_program (p : P.t) =
-  if P.writes_entity p P.Global then `Serial
-  else if P.writes_entity p P.Message then `Per_message
-  else `Parallel
-
 type install_error =
   | Already_installed of string
   | Rejected_bytecode of Verifier.error
@@ -712,8 +679,7 @@ let admission_steps (p : P.t) =
   | Some n -> min n p.P.step_limit
   | None -> p.P.step_limit
 
-(* Contract and budget validation shared by both bytecode engines.
-   Returns the concurrency class on success. *)
+(* Contract and budget validation shared by both bytecode engines. *)
 let validate_bytecode t sources ~per_step_ns (p : P.t) =
   match Verifier.verify p with
   | Error e -> Error (Rejected_bytecode e)
@@ -758,7 +724,7 @@ let validate_bytecode t sources ~per_step_ns (p : P.t) =
       in
       if est_ns > t.e_budget_ns then
         Error (Over_budget { est_ns; budget_ns = t.e_budget_ns; steps })
-      else Ok (concurrency_of_program p))
+      else Ok ())
 
 let install_action_full t spec =
   if Hashtbl.mem t.e_actions spec.i_name then Error (Already_installed spec.i_name)
@@ -767,32 +733,30 @@ let install_action_full t spec =
     List.iter (fun (name, src) -> Hashtbl.replace sources name src) spec.i_msg_sources;
     let build () =
       match spec.i_impl with
-      | Native f -> Ok (`Serial, E_native f)
+      | Native f -> Ok (E_native f)
       | Interpreted p -> (
         match validate_bytecode t sources ~per_step_ns:t.e_cost_model.Cost.per_step_ns p with
         | Error _ as e -> e
-        | Ok concurrency ->
-          Ok (concurrency, E_interp (p, Interp.make_scratch p, make_plan p sources)))
+        | Ok () -> Ok (E_interp (p, Interp.make_scratch p, make_plan p sources)))
       | Compiled p -> (
         match
           validate_bytecode t sources ~per_step_ns:t.e_cost_model.Cost.compiled_step_ns p
         with
         | Error _ as e -> e
-        | Ok concurrency -> (
+        | Ok () -> (
           match Eden_bytecode.Compiled.compile p with
           | Error e -> Error (Rejected_bytecode e)
-          | Ok c -> Ok (concurrency, E_compiled (c, make_plan p sources))))
+          | Ok c -> Ok (E_compiled (c, make_plan p sources))))
     in
     match build () with
     | Error _ as e -> e
-    | Ok (concurrency, engine) ->
+    | Ok engine ->
       Hashtbl.replace t.e_actions spec.i_name
         {
           a_name = spec.i_name;
           a_spec = spec;
           a_state = State.create ();
           a_msg_sources = sources;
-          a_concurrency = concurrency;
           a_engine = engine;
           a_brk = make_brk ();
           a_lock = None;
@@ -818,9 +782,6 @@ let remove_action t name =
   end
 
 let action_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.e_actions [] |> List.sort compare
-
-let concurrency_of t name =
-  Option.map (fun a -> a.a_concurrency) (Hashtbl.find_opt t.e_actions name)
 
 let add_table t =
   let id = t.e_next_table in
@@ -896,6 +857,14 @@ let action_program t name =
     | E_interp (p, _, _) -> Some p
     | E_compiled (_, plan) -> Some plan.pl_prog
     | E_native _ -> None)
+
+(* Native actions have opaque effects, so they run serially. *)
+let concurrency_of t name =
+  if not (Hashtbl.mem t.e_actions name) then None
+  else
+    match action_program t name with
+    | Some p -> Some (P.footprint p).P.concurrency
+    | None -> Some `Serial
 
 let action_state t name =
   Option.map (fun a -> a.a_state) (Hashtbl.find_opt t.e_actions name)
@@ -986,10 +955,10 @@ let snapshot t =
     sn_rules = List.map (fun tbl -> (Table.id tbl, Table.rules tbl)) (tables t);
   }
 
-let restarts t = t.e_restarts
+let restarts t = Tel.Counter.get t.m_restarts
 
 let restart t =
-  t.e_restarts <- t.e_restarts + 1;
+  let restarts = restarts t + 1 in
   Hashtbl.reset t.e_actions;
   t.e_install_order <- [];
   Hashtbl.reset t.e_tables;
@@ -1002,7 +971,7 @@ let restart t =
   invalidate_caches t;
   Tel.Registry.reset t.e_tel;
   (* Restart count survives the reboot (it identifies the incarnation). *)
-  Tel.Counter.set t.m_restarts t.e_restarts;
+  Tel.Counter.set t.m_restarts restarts;
   Tel.Ring.clear t.e_faults;
   (match t.e_trace with Some tr -> Tel.Trace.clear tr | None -> ());
   t.e_trace_armed <- false;
@@ -1177,60 +1146,51 @@ let marshal_out a plan out msg_id ~now =
     | A_alias | A_inplace -> ()
   done
 
-let run_interpreted t a p scratch plan pkt md msg_id out ~now =
+(* Shared by both bytecode engines.  [enter] rebinds and copies in, and
+   says whether the program may run; [leave] does the post-exec
+   accounting and then records the fault or publishes.  [leave] takes the
+   engine kind and reads its per-step cost itself: a [float] argument
+   would be boxed at every call. *)
+let enter t a plan pkt md msg_id ~now =
   rebind_plan plan a.a_state;
   match plan.pl_undersized with
-  | Some fault -> record_fault t a.a_name fault now
-  | None -> (
+  | Some fault ->
+    record_fault t a.a_name fault now;
+    false
+  | None ->
     marshal_in a plan pkt md msg_id ~now;
     Cost.Accum.add_marshal t.e_cost t.e_cost_model;
     if t.e_timing then
       Tel.Histogram.observe t.h_marshal (int_of_float t.e_cost_model.Cost.marshal_ns);
+    true
+
+let leave t a plan out msg_id ~now ~compiled ~steps fault =
+  let m = t.e_cost_model in
+  Tel.Counter.add t.m_interp_steps steps;
+  if compiled then Cost.Accum.add_compiled t.e_cost m ~steps
+  else Cost.Accum.add_interp t.e_cost m ~steps;
+  if t.e_timing then
+    Tel.Histogram.observe t.h_exec
+      (int_of_float
+         (float_of_int steps *. if compiled then m.Cost.compiled_step_ns else m.Cost.per_step_ns));
+  match fault with
+  | Some fault -> record_fault t a.a_name fault now
+  | None -> marshal_out a plan out msg_id ~now
+
+let run_interpreted t a p scratch plan pkt md msg_id out ~now =
+  if enter t a plan pkt md msg_id ~now then
     match Interp.run ~scratch p ~env:plan.pl_env ~now ~rng:t.e_rng with
     | Error (fault, stats) ->
-      Tel.Counter.add t.m_interp_steps stats.Interp.steps;
-      Cost.Accum.add_interp t.e_cost t.e_cost_model ~steps:stats.Interp.steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float
-             (float_of_int stats.Interp.steps *. t.e_cost_model.Cost.per_step_ns));
-      record_fault t a.a_name fault now
-    | Ok stats ->
-      Tel.Counter.add t.m_interp_steps stats.Interp.steps;
-      Cost.Accum.add_interp t.e_cost t.e_cost_model ~steps:stats.Interp.steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float
-             (float_of_int stats.Interp.steps *. t.e_cost_model.Cost.per_step_ns));
-      marshal_out a plan out msg_id ~now)
+      leave t a plan out msg_id ~now ~compiled:false ~steps:stats.Interp.steps (Some fault)
+    | Ok stats -> leave t a plan out msg_id ~now ~compiled:false ~steps:stats.Interp.steps None
 
 let run_compiled t a c plan pkt md msg_id out ~now =
-  rebind_plan plan a.a_state;
-  match plan.pl_undersized with
-  | Some fault -> record_fault t a.a_name fault now
-  | None -> (
-    marshal_in a plan pkt md msg_id ~now;
-    Cost.Accum.add_marshal t.e_cost t.e_cost_model;
-    if t.e_timing then
-      Tel.Histogram.observe t.h_marshal (int_of_float t.e_cost_model.Cost.marshal_ns);
+  if enter t a plan pkt md msg_id ~now then begin
     Tel.Counter.inc t.m_compiled_invocations;
-    match Eden_bytecode.Compiled.exec c ~env:plan.pl_env ~now ~rng:t.e_rng with
-    | Some fault ->
-      let steps = Eden_bytecode.Compiled.last_steps c in
-      Tel.Counter.add t.m_interp_steps steps;
-      Cost.Accum.add_compiled t.e_cost t.e_cost_model ~steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float (float_of_int steps *. t.e_cost_model.Cost.compiled_step_ns));
-      record_fault t a.a_name fault now
-    | None ->
-      let steps = Eden_bytecode.Compiled.last_steps c in
-      Tel.Counter.add t.m_interp_steps steps;
-      Cost.Accum.add_compiled t.e_cost t.e_cost_model ~steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float (float_of_int steps *. t.e_cost_model.Cost.compiled_step_ns));
-      marshal_out a plan out msg_id ~now)
+    let fault = Eden_bytecode.Compiled.exec c ~env:plan.pl_env ~now ~rng:t.e_rng in
+    leave t a plan out msg_id ~now ~compiled:true ~steps:(Eden_bytecode.Compiled.last_steps c)
+      fault
+  end
 
 let run_native t a f pkt md msg_id out ~now =
   Tel.Counter.inc t.m_native_invocations;

@@ -171,11 +171,12 @@ val remove_action : t -> string -> int option
 
 val action_names : t -> string list
 
-val concurrency_of : t -> string -> [ `Parallel | `Per_message | `Serial ] option
-(** Concurrency level derived from the program's access annotations
-    (§3.4.4): read-only everywhere → parallel; message writes →
-    one packet per message; global writes → serial. Native actions are
-    conservatively serial. *)
+val concurrency_of : t -> string -> Eden_bytecode.Program.concurrency option
+(** Concurrency level of the installed program, from its declared slot
+    accesses (§3.4.4, {!Eden_bytecode.Program.footprint}, the same pass
+    that builds the marshal plan): read-only everywhere → parallel;
+    message writes → one packet per message; global writes → serial.
+    Native actions are conservatively serial. *)
 
 val add_table : t -> int
 (** Creates the next match-action table; returns its id (table 0 is
@@ -301,6 +302,8 @@ val restart : t -> unit
     controller must re-converge it via reconciliation. *)
 
 val restarts : t -> int
+(** Read from the restart counter cell, which {!restart} carries across
+    its registry reset. *)
 
 (** Programmed configuration, captured for restart injection and for the
     reconciliation plane's desired-vs-actual diff. *)

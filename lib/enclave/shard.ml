@@ -440,10 +440,6 @@ let scrape t =
     (Tel.Registry.scrape t.s_tel
     :: Array.to_list (Array.map (fun w -> Enclave.scrape w.w_enclave) t.s_workers))
 
-let worker_scrape t i =
-  drain t;
-  Enclave.scrape t.s_workers.(i).w_enclave
-
 let set_timing t b = Array.iter (fun w -> Enclave.set_timing w.w_enclave b) t.s_workers
 
 let attach_traces t ?(capacity = 256) ~every () =

@@ -119,9 +119,6 @@ val consumer_parks : t -> int
 
 val scrape : t -> Eden_telemetry.Registry.sample list
 
-val worker_scrape : t -> int -> Eden_telemetry.Registry.sample list
-(** One replica's scrape (drains first); index in [\[0, shards)]. *)
-
 val set_timing : t -> bool -> unit
 (** Toggle stage-timing histograms on every replica. *)
 

@@ -44,11 +44,6 @@ let array_default (slot : P.array_slot) =
   | "ReplicaLabels" -> [| 301L; 302L; 303L |]
   | _ -> [||]
 
-let concurrency_string p =
-  if P.writes_entity p P.Global then "serial"
-  else if P.writes_entity p P.Message then "per-message"
-  else "parallel"
-
 let measure name (p : P.t) =
   let max_stack =
     match Verifier.max_stack_depth p with
@@ -76,7 +71,7 @@ let measure name (p : P.t) =
     stack_bytes = 8 * max_stack;
     steps_per_packet = stats.Interp.steps;
     heap_cells = stats.Interp.heap_cells;
-    concurrency = concurrency_string p;
+    concurrency = P.concurrency_to_string (P.footprint p).P.concurrency;
   }
 
 let run () =

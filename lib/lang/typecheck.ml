@@ -180,10 +180,3 @@ let check schema t =
     Ok ()
   with Type_error message -> Error { message }
 
-let infer_fun_return schema t fn =
-  try
-    let ctx = initial_ctx schema t in
-    match Smap.find_opt fn ctx.funs with
-    | None -> Error { message = Printf.sprintf "no function %S" fn }
-    | Some fd -> Ok (return_type ctx fn fd)
-  with Type_error message -> Error { message }

@@ -17,5 +17,3 @@ val pp_error : Format.formatter -> error -> unit
 
 val check : Schema.t -> Ast.t -> (unit, error) result
 
-val infer_fun_return : Schema.t -> Ast.t -> string -> (ty, error) result
-(** Return type of a named auxiliary function (used by the compiler). *)

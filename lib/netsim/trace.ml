@@ -20,33 +20,26 @@ type entry = {
   priority : int;
 }
 
+module Ring = Eden_telemetry.Ring
+
 type t = {
-  buf : entry option array;
-  mutable next : int;  (* next write position *)
-  mutable total : int;
+  ring : entry Ring.t;
+  mutable total : int;  (* ever recorded, evicted ones included *)
 }
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { buf = Array.make capacity None; next = 0; total = 0 }
+  { ring = Ring.create capacity; total = 0 }
 
 let record t e =
-  t.buf.(t.next) <- Some e;
-  t.next <- (t.next + 1) mod Array.length t.buf;
+  Ring.push t.ring e;
   t.total <- t.total + 1
 
-let entries t =
-  let n = Array.length t.buf in
-  let start = if t.total >= n then t.next else 0 in
-  let len = min t.total n in
-  List.init len (fun i -> t.buf.((start + i) mod n))
-  |> List.filter_map Fun.id
-
+let entries t = List.rev (Ring.to_list t.ring)
 let count t = t.total
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.next <- 0;
+  Ring.clear t.ring;
   t.total <- 0
 
 let filter ?link ?kind ?flow t =

@@ -25,6 +25,8 @@ let compile_exn ?step_limit schema action =
 (* ------------------------------------------------------------------ *)
 (* Effect footprints of the paper functions *)
 
+let concurrency schema action = (P.footprint (compile_exn schema action)).P.concurrency
+
 let test_effects_wcmp () =
   let fp = Effects.of_action Eden_functions.Wcmp.action in
   check_bool "writes packet.Path" true
@@ -34,7 +36,8 @@ let test_effects_wcmp () =
   check_bool "no array writes" true
     (List.for_all (fun (_, _, a) -> a = `Read) fp.Effects.arrays);
   check_bool "uses rand" true fp.Effects.uses_rand;
-  check_bool "parallel" true (Effects.concurrency fp = `Parallel)
+  check_bool "parallel" true
+    (concurrency Eden_functions.Wcmp.schema Eden_functions.Wcmp.action = `Parallel)
 
 let test_effects_pias () =
   let fp = Effects.of_action Eden_functions.Pias.action in
@@ -42,34 +45,34 @@ let test_effects_pias () =
     (List.mem (Ast.Message, "Size", `Write) fp.Effects.fields);
   check_bool "reads _global.Thresholds" true
     (List.mem (Ast.Global, "Thresholds", `Read) fp.Effects.arrays);
-  check_bool "per-message" true (Effects.concurrency fp = `Per_message)
+  check_bool "per-message" true
+    (concurrency Eden_functions.Pias.schema Eden_functions.Pias.action = `Per_message)
 
 let test_effects_sff () =
-  let fp = Effects.of_action Eden_functions.Sff.action in
   check_bool "parallel: no message or global writes" true
-    (Effects.concurrency fp = `Parallel)
+    (concurrency Eden_functions.Sff.schema Eden_functions.Sff.action = `Parallel)
 
 let test_effects_port_knocking_serial () =
-  let fp = Effects.of_action Eden_functions.Port_knocking.action in
   check_bool "serial: writes global state" true
-    (Effects.concurrency fp = `Serial)
+    (concurrency Eden_functions.Port_knocking.schema Eden_functions.Port_knocking.action
+    = `Serial)
 
-(* Same decision the enclave reaches from compiled slot accesses. *)
+(* The AST footprint writes an entity exactly when the compiled program
+   declares a writable slot of it. *)
 let test_effects_agree_with_enclave () =
   List.iter
     (fun (name, action, schema) ->
-      let ast_level = Effects.concurrency (Effects.of_action action) in
-      let program = compile_exn schema action in
-      let e = Enclave.create ~host:1 () in
-      (match
-         Enclave.install_action e
-           { Enclave.i_name = name; i_impl = Enclave.Interpreted program;
-             i_msg_sources = [] }
-       with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s: install: %s" name msg);
-      check_bool (name ^ ": AST and bytecode concurrency agree") true
-        (Enclave.concurrency_of e name = Some ast_level))
+      let fp = Effects.of_action action in
+      let declared = (P.footprint (compile_exn schema action)).P.writes in
+      List.iter
+        (fun (ast_entity, entity) ->
+          let writes l = List.exists (fun (e, _, acc) -> e = ast_entity && acc = `Write) l in
+          check_bool
+            (Printf.sprintf "%s: AST and bytecode agree on %s writes" name
+               (P.entity_to_string entity))
+            (writes fp.Effects.fields || writes fp.Effects.arrays)
+            (List.mem entity declared))
+        [ (Ast.Packet, P.Packet); (Ast.Message, P.Message); (Ast.Global, P.Global) ])
     [
       ("wcmp", Eden_functions.Wcmp.action, Eden_functions.Wcmp.schema);
       ("pias", Eden_functions.Pias.action, Eden_functions.Pias.schema);

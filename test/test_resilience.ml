@@ -374,6 +374,52 @@ let test_reports_include_resilience_columns () =
     check_int "watermark visible in the report" 0 r.Controller.er_generation
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
 
+(* The accessors and the scrapes read the same cells: after pushes
+   through drops, lost acks, a duplicate, a crash-restart, a give-up
+   and a reconcile, every count the controller and the channels report equals
+   the scraped [eden_controller_*] / [eden_channel_*] value. *)
+let test_stats_equal_scrape () =
+  let module R = Eden_telemetry.Registry in
+  let ctl, enclaves = fresh_fleet () in
+  Channel.script (chan ctl 0)
+    [ (0, Channel.Drop); (1, Channel.Ack_lost); (2, Channel.Crash_restart); (4, Channel.Duplicate) ];
+  Channel.script (chan ctl 1) (List.init 5 (fun i -> (i, Channel.Drop)));
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  ignore (Controller.reconcile ctl);
+  get_ok (Controller.set_global_everywhere ctl ~action:"divider" "D" 4L);
+  let value samples name =
+    match List.find_opt (fun smp -> String.equal smp.R.s_name name) samples with
+    | Some { R.s_value = R.Counter n; _ } -> float_of_int n
+    | Some { R.s_value = R.Gauge g; _ } -> g
+    | Some _ | None -> Alcotest.failf "no counter or gauge %s" name
+  in
+  let check_scraped samples name expected =
+    Alcotest.(check (float 0.0)) name (float_of_int expected) (value samples name)
+  in
+  let fleet = Controller.scrape ctl in
+  let st = Controller.stats ctl in
+  check_bool "faults forced retries" true (st.Controller.rs_retries > 0);
+  check_int "host 1 gave up" 1 st.Controller.rs_giveups;
+  check_scraped fleet "eden_controller_push_ops_total" st.Controller.rs_ops;
+  check_scraped fleet "eden_controller_send_attempts_total" st.Controller.rs_attempts;
+  check_scraped fleet "eden_controller_retries_total" st.Controller.rs_retries;
+  check_scraped fleet "eden_controller_giveups_total" st.Controller.rs_giveups;
+  check_scraped fleet "eden_controller_backoff_ns"
+    (Int64.to_int (Time.to_ns st.Controller.rs_backoff));
+  let sum f = List.fold_left (fun acc ch -> acc + f ch) 0 (Controller.channels ctl) in
+  check_scraped fleet "eden_channel_ops_sent_total" (sum Channel.ops_sent);
+  check_scraped fleet "eden_channel_faults_injected_total" (sum Channel.faults_injected);
+  List.iter
+    (fun ch ->
+      let own = Channel.scrape ch in
+      check_scraped own "eden_channel_ops_sent_total" (Channel.ops_sent ch);
+      check_scraped own "eden_channel_faults_injected_total" (Channel.faults_injected ch);
+      check_scraped own "eden_channel_restarts_injected_total"
+        (Enclave.restarts (Channel.enclave ch)))
+    (Controller.channels ctl);
+  check_int "host 0 faults" 4 (Channel.faults_injected (chan ctl 0));
+  check_int "host 0 crashed once" 1 (Enclave.restarts enclaves.(0))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos scenarios under the CI seed *)
 
@@ -438,6 +484,7 @@ let () =
             test_partition_heal_convergence;
           Alcotest.test_case "reports carry resilience columns" `Quick
             test_reports_include_resilience_columns;
+          Alcotest.test_case "stats equal the scrape" `Quick test_stats_equal_scrape;
         ] );
       ( "chaos",
         [
