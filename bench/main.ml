@@ -214,6 +214,58 @@ let allocation_words_budget = 64.0
    on any machine. *)
 let no_policy_words_budget = 24.0
 
+(* A packet that opens a new flow pays for its flow-table entry, its
+   flow-stage classification (compiled rule-sets over the five-tuple's
+   row), the interning of its class vectors and its merged metadata.
+   Over churn-like flow-stage rules (32 source-port and 8
+   destination-port buckets) that is about 103 words.  The budget has the
+   ~20% headroom of [no_policy_words_budget]; building and interpreting a
+   descriptor per flow costs about 310 and fails it on any machine. *)
+let new_flow_words_budget = 124.0
+
+let new_flow_enclave () =
+  let e = Enclave.create ~host:1 () in
+  let buckets ruleset field ~lo ~hi ~n =
+    let width = (hi - lo + n) / n in
+    for b = 0 to n - 1 do
+      let a = Int64.of_int (lo + (b * width)) in
+      let range = Eden_stage.Classifier.Range (a, Int64.add a (Int64.of_int (width - 1))) in
+      match
+        Stage.Api.create_stage_rule (Enclave.flow_stage e) ~ruleset
+          ~classifier:[ (field, range) ]
+          ~class_name:(Printf.sprintf "B%d" b) ~metadata_fields:[]
+      with
+      | Ok _ -> ()
+      | Error msg -> invalid_arg msg
+    done
+  in
+  buckets "sport" Builtin.Field.src_port ~lo:1024 ~hi:65_535 ~n:32;
+  buckets "dport" Builtin.Field.dst_port ~lo:1 ~hi:65_535 ~n:8;
+  e
+
+let words_per_new_flow () =
+  let e = new_flow_enclave () in
+  (* Flow [i]'s five-tuple; unique for every [i] below 2^16 * 64k. *)
+  let packet i =
+    Packet.make ~id:(Int64.of_int i)
+      ~flow:
+        (Addr.five_tuple
+           ~src:(Addr.endpoint (1 + (i / 64_000)) (1024 + (i mod 64_000)))
+           ~dst:(Addr.endpoint 2 (1 + (i * 7_919 mod 65_535)))
+           ~proto:Addr.Tcp)
+      ~kind:Packet.Data ~payload:1000 ()
+  in
+  let warm = 1_000 and n = 20_000 in
+  let pkts = Array.init (warm + n) packet in
+  for i = 0 to warm - 1 do
+    ignore (Enclave.process e ~now:(Eden_base.Time.us i) pkts.(i))
+  done;
+  let before = Gc.minor_words () in
+  for i = warm to warm + n - 1 do
+    ignore (Enclave.process e ~now:(Eden_base.Time.us i) pkts.(i))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
 let allocation_check () =
   let words_per_packet e =
     let pkt = bench_packet () in
@@ -276,6 +328,17 @@ let allocation_check () =
       "ALLOCATION REGRESSION: process_batch allocates %.1f words/packet over the \
        no-policy baseline\n"
       (batched -. base);
+    exit 1
+  end;
+  let new_flow = words_per_new_flow () in
+  Printf.printf
+    "allocation (minor words/packet): new flow, 32 + 8 port-bucket flow rules %.1f (budget \
+     %.0f)\n"
+    new_flow new_flow_words_budget;
+  if new_flow > new_flow_words_budget then begin
+    Printf.printf
+      "ALLOCATION REGRESSION: a packet opening a new flow allocates %.1f words (budget %.0f)\n"
+      new_flow new_flow_words_budget;
     exit 1
   end
 

@@ -19,14 +19,30 @@ type five_tuple = { src : endpoint; dst : endpoint; proto : proto }
 let five_tuple ~src ~dst ~proto = { src; dst; proto }
 let reverse t = { t with src = t.dst; dst = t.src }
 
+let proto_code = function Tcp -> 0 | Udp -> 1
+
+(* Integer comparisons only, in the order structural comparison gives:
+   source host and port, destination host and port, then protocol. *)
 let compare_five_tuple a b =
-  let c = compare a.src b.src in
+  let c = Int.compare a.src.host b.src.host in
   if c <> 0 then c
   else
-    let c = compare a.dst b.dst in
-    if c <> 0 then c else compare a.proto b.proto
+    let c = Int.compare a.src.port b.src.port in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.dst.host b.dst.host in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.dst.port b.dst.port in
+        if c <> 0 then c else Int.compare (proto_code a.proto) (proto_code b.proto)
 
-let equal_five_tuple a b = compare_five_tuple a b = 0
+let equal_five_tuple a b =
+  a == b
+  || Int.equal a.src.port b.src.port
+     && Int.equal a.dst.port b.dst.port
+     && Int.equal a.src.host b.src.host
+     && Int.equal a.dst.host b.dst.host
+     && proto_code a.proto = proto_code b.proto
 
 (* FNV-1a over the tuple fields; deterministic across runs, unlike
    [Hashtbl.hash] on boxed values it is explicit about what is mixed. *)

@@ -1,11 +1,17 @@
-type t = { stage : string; ruleset : string; name : string }
+(* [hash] is computed once, when the name is made, so the enclave's
+   class-vector tables and the metadata's class sets hash and compare
+   names with integer and string operations only.  It is the last field:
+   structural comparison of two names still orders by the components. *)
+type t = { stage : string; ruleset : string; name : string; hash : int }
 
 let valid_component s = s <> "" && not (String.contains s '.')
+let make stage ruleset name =
+  { stage; ruleset; name; hash = Hashtbl.hash (stage, ruleset, name) }
 
 let v ~stage ~ruleset ~name =
   if not (valid_component stage && valid_component ruleset && valid_component name)
   then invalid_arg "Class_name.v: components must be non-empty and dot-free";
-  { stage; ruleset; name }
+  make stage ruleset name
 
 let to_string c = Printf.sprintf "%s.%s.%s" c.stage c.ruleset c.name
 
@@ -13,11 +19,27 @@ let of_string s =
   match String.split_on_char '.' s with
   | [ stage; ruleset; name ]
     when valid_component stage && valid_component ruleset && valid_component name ->
-    Some { stage; ruleset; name }
+    Some (make stage ruleset name)
   | _ -> None
 
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
+let hash c = c.hash
+
+let compare a b =
+  if a == b then 0
+  else
+    let c = String.compare a.stage b.stage in
+    if c <> 0 then c
+    else
+      let c = String.compare a.ruleset b.ruleset in
+      if c <> 0 then c else String.compare a.name b.name
+
+let equal a b =
+  a == b
+  || a.hash = b.hash
+     && String.equal a.name b.name
+     && String.equal a.ruleset b.ruleset
+     && String.equal a.stage b.stage
+
 let pp fmt c = Format.pp_print_string fmt (to_string c)
 
 module Pattern = struct

@@ -5,7 +5,8 @@
     Enclave match-action tables match on these names, possibly with
     wildcards on any component. *)
 
-type t = private { stage : string; ruleset : string; name : string }
+type t = private { stage : string; ruleset : string; name : string; hash : int }
+(** [hash] is {!hash}, computed by {!v} and {!of_string}. *)
 
 val v : stage:string -> ruleset:string -> name:string -> t
 
@@ -17,7 +18,15 @@ val of_string : string -> t option
     dot-separated components. *)
 
 val compare : t -> t -> int
+(** Orders by stage, then rule-set, then name. *)
+
 val equal : t -> t -> bool
+(** Physical equality first, then the hashes, then the components. *)
+
+val hash : t -> int
+(** A hash of the three components, equal for equal names; computed once
+    when the name is made. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Patterns over class names, for match-action tables. Each component is

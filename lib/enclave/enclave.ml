@@ -436,14 +436,14 @@ type slot = {
 
 let no_flow = { f_id = -1; f_classes = unclassified }
 
-(* Tables keyed by class vectors.  The generic hash stops after ten
-   strings, about three classes, so vectors that differ only further in
-   would share a bucket; this hash covers every class. *)
+(* Tables keyed by class vectors.  The hash mixes every class's
+   precomputed hash, so neither hashing nor comparing a vector walks the
+   class names' strings unless two vectors collide. *)
 module Vec_tbl = Hashtbl.Make (struct
   type t = Class_name.t list
 
-  let equal = List.equal (fun a b -> a == b || Class_name.equal a b)
-  let hash = List.fold_left (fun h c -> (h * 31) + Hashtbl.hash c) 0
+  let equal = List.equal Class_name.equal
+  let hash = List.fold_left (fun h c -> (h * 31) + Class_name.hash c) 0
 end)
 
 let fault_ring_capacity = 100
@@ -1067,7 +1067,7 @@ let flow_classes t five_tuple f =
     t.e_flow_gen <- gen
   end;
   if f.f_classes == unclassified then begin
-    let cs = Stage.classes t.e_flow_stage (Builtin.flow_descriptor five_tuple) in
+    let cs = Stage.classes_of_row t.e_flow_stage (Builtin.flow_row five_tuple) in
     f.f_classes <-
       (match Vec_tbl.find t.e_flow_lists cs with
       | shared -> shared

@@ -67,12 +67,27 @@ let storage_descriptor ~op ~tenant ~size =
       (Field.msg_size, Metadata.int size);
     ]
 
-let flow () =
-  Stage.create ~name:"enclave"
-    ~classifier_fields:
-      [ Field.src_host; Field.src_port; Field.dst_host; Field.dst_port; Field.proto ]
-    ~metadata_fields:[]
+(* The flow stage's classifier fields and the five-tuple's values for
+   them, in the same order: the one place that order is written down. *)
+let flow_fields =
+  [ Field.src_host; Field.src_port; Field.dst_host; Field.dst_port; Field.proto ]
 
+let flow () = Stage.create ~name:"enclave" ~classifier_fields:flow_fields ~metadata_fields:[]
+
+let tcp = Some (Metadata.str (Addr.proto_to_string Addr.Tcp))
+let udp = Some (Metadata.str (Addr.proto_to_string Addr.Udp))
+
+let flow_row (ft : Addr.five_tuple) : Classifier.row =
+  [|
+    Some (Metadata.int ft.Addr.src.Addr.host);
+    Some (Metadata.int ft.Addr.src.Addr.port);
+    Some (Metadata.int ft.Addr.dst.Addr.host);
+    Some (Metadata.int ft.Addr.dst.Addr.port);
+    (match ft.Addr.proto with Addr.Tcp -> tcp | Addr.Udp -> udp);
+  |]
+
+(* Built by field name, not from [flow_row]: the two agreeing is what the
+   stage tests check. *)
 let flow_descriptor (ft : Addr.five_tuple) =
   Classifier.Descriptor.of_list
     [

@@ -48,6 +48,14 @@ val flow : unit -> Stage.t
     (paper Table 2, last row); each transport connection is a message. *)
 
 val flow_descriptor : Eden_base.Addr.five_tuple -> Classifier.Descriptor.t
+(** The five-tuple as a descriptor, for applications, tests and
+    benchmarks that classify through {!Stage.classify}. *)
+
+val flow_row : Eden_base.Addr.five_tuple -> Classifier.row
+(** The five-tuple's values for {!flow}'s classifier fields, in their
+    order, with no descriptor built: the enclave classifies each new flow
+    with [Stage.classes_of_row stage (flow_row ft)], which equals
+    [Stage.classes stage (flow_descriptor ft)]. *)
 
 val install_default_rule : Stage.t -> ruleset:string -> unit
 (** Fig. 6's [r2]: a catch-all rule placing every message in class

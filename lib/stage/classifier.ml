@@ -73,3 +73,76 @@ let fields_referenced t =
     (fun acc (f, _) -> if List.mem f acc then acc else f :: acc)
     [] t
   |> List.rev
+
+(* Compiled form.  A stage compiles each rule once, at install, into
+   tests over the indices of its classifier fields; classifying a message
+   then looks each field up once ({!row}) and runs integer-indexed tests
+   that allocate nothing.  [matches] above stays the reference
+   semantics. *)
+
+type row = Metadata.value option array
+
+let row fields descriptor =
+  let r = Array.make (Array.length fields) None in
+  for i = 0 to Array.length fields - 1 do
+    r.(i) <- Descriptor.find fields.(i) descriptor
+  done;
+  r
+
+type test =
+  | T_present of int
+  | T_eq of int * Metadata.value
+  | T_ne of int * Metadata.value
+  | T_in_set of int * Metadata.value array
+  | T_range of int * int64 * int64
+  | T_prefix of int * string
+
+type compiled = test array
+
+let rec index_of fields field i =
+  if i = Array.length fields then
+    invalid_arg (Printf.sprintf "Classifier.compile: no classifier field %s" field)
+  else if String.equal fields.(i) field then i
+  else index_of fields field (i + 1)
+
+let compile ~fields t =
+  List.filter_map
+    (fun (field, pattern) ->
+      let i = index_of fields field 0 in
+      match pattern with
+      | Any -> None
+      | Present -> Some (T_present i)
+      | Eq v -> Some (T_eq (i, v))
+      | Ne v -> Some (T_ne (i, v))
+      | In_set vs -> Some (T_in_set (i, Array.of_list vs))
+      | Range (lo, hi) -> Some (T_range (i, lo, hi))
+      | Prefix p -> Some (T_prefix (i, p)))
+    t
+  |> Array.of_list
+
+let rec mem_value v vs i =
+  i < Array.length vs && (Metadata.equal_value v vs.(i) || mem_value v vs (i + 1))
+
+let rec has_prefix s p i =
+  i = String.length p || (Char.equal s.[i] p.[i] && has_prefix s p (i + 1))
+
+let test_row row = function
+  | T_present i -> ( match row.(i) with Some _ -> true | None -> false)
+  | T_eq (i, expected) -> (
+    match row.(i) with Some v -> Metadata.equal_value expected v | None -> false)
+  | T_ne (i, expected) -> (
+    match row.(i) with Some v -> not (Metadata.equal_value expected v) | None -> false)
+  | T_in_set (i, vs) -> ( match row.(i) with Some v -> mem_value v vs 0 | None -> false)
+  | T_range (i, lo, hi) -> (
+    match row.(i) with
+    | Some (Metadata.Int v) -> Int64.compare lo v <= 0 && Int64.compare v hi <= 0
+    | Some (Metadata.Str _) | None -> false)
+  | T_prefix (i, p) -> (
+    match row.(i) with
+    | Some (Metadata.Str s) -> String.length s >= String.length p && has_prefix s p 0
+    | Some (Metadata.Int _) | None -> false)
+
+let rec all_from tests row i =
+  i = Array.length tests || (test_row row tests.(i) && all_from tests row (i + 1))
+
+let matches_row tests row = all_from tests row 0

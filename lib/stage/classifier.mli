@@ -41,3 +41,28 @@ val pp : Format.formatter -> t -> unit
 
 val fields_referenced : t -> string list
 (** Field names the classifier inspects, deduplicated, in order. *)
+
+(** {1 Compiled form}
+
+    Stages compile each rule's classifier once, when the rule is
+    installed, into tests over the positions of the stage's classifier
+    fields.  Classifying a message then looks each field up once
+    ({!row}) and runs the tests without allocating.  {!matches} is the
+    reference the compiled form agrees with. *)
+
+type row = Eden_base.Metadata.value option array
+(** One message's values for a stage's classifier fields, in the order
+    the stage declares them; [None] where the message lacks the field. *)
+
+val row : string array -> Descriptor.t -> row
+(** [row fields d] looks up each of [fields] in [d] once. *)
+
+type compiled
+
+val compile : fields:string array -> t -> compiled
+(** Tests over the indices of [fields]; [Any] compiles to no test.
+    @raise Invalid_argument if the classifier names a field (with any
+    pattern, [Any] included) that is not in [fields]. *)
+
+val matches_row : compiled -> row -> bool
+(** [matches_row (compile ~fields c) (row fields d) = matches c d]. *)

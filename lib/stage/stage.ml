@@ -10,6 +10,7 @@ type info = {
 type t = {
   name : string;
   classifier_fields : string list;
+  fields : string array;  (* [classifier_fields]: the order of a {!Classifier.row} *)
   metadata_fields : string list;
   mutable rulesets : Ruleset.t list;  (* in creation order *)
   mutable next_msg_id : int64;
@@ -20,6 +21,7 @@ let create ~name ~classifier_fields ~metadata_fields =
   {
     name;
     classifier_fields;
+    fields = Array.of_list classifier_fields;
     metadata_fields;
     rulesets = [];
     next_msg_id = 0L;
@@ -46,12 +48,15 @@ let new_msg_id t =
 
 let qualified_class t ~ruleset cls = Class_name.v ~stage:t.name ~ruleset ~name:cls
 
+(* Both entry points look each classifier field up once, then run every
+   rule-set's compiled tests over that row. *)
 let classify ?msg_id t descriptor =
   let msg_id = match msg_id with Some id -> id | None -> new_msg_id t in
   let md = Metadata.with_msg_id msg_id Metadata.empty in
+  let row = Classifier.row t.fields descriptor in
   List.fold_left
     (fun md rs ->
-      match Ruleset.classify rs descriptor with
+      match Ruleset.classify_row rs row with
       | None -> md
       | Some rule ->
         let md = Metadata.add_class rule.Ruleset.qualified md in
@@ -63,10 +68,20 @@ let classify ?msg_id t descriptor =
           md rule.Ruleset.metadata_fields)
     md t.rulesets
 
-let classes t descriptor =
-  List.filter_map
-    (fun rs -> Option.map (fun r -> r.Ruleset.qualified) (Ruleset.classify rs descriptor))
-    t.rulesets
+let rec classes_in rulesets row =
+  match rulesets with
+  | [] -> []
+  | rs :: rest -> (
+    match Ruleset.classify_row rs row with
+    | Some r -> r.Ruleset.qualified :: classes_in rest row
+    | None -> classes_in rest row)
+
+let classes_of_row t row =
+  if Array.length row <> Array.length t.fields then
+    invalid_arg "Stage.classes_of_row: row does not match the classifier fields";
+  classes_in t.rulesets row
+
+let classes t descriptor = classes_in t.rulesets (Classifier.row t.fields descriptor)
 
 module Api = struct
   let get_stage_info = info
@@ -97,8 +112,10 @@ module Api = struct
           match find_ruleset t ruleset with
           | Some rs -> rs
           | None ->
-            let rs = Ruleset.create ~stage:t.name ~metadata_fields:t.metadata_fields
-                ~generation:t.generation ruleset in
+            let rs =
+              Ruleset.create ~stage:t.name ~classifier_fields:t.classifier_fields
+                ~metadata_fields:t.metadata_fields ~generation:t.generation ruleset
+            in
             t.rulesets <- t.rulesets @ [ rs ];
             rs
         in

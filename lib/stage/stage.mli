@@ -38,14 +38,25 @@ val new_msg_id : t -> int64
 (** Allocate a fresh message identifier (unique within the stage). *)
 
 val classify : ?msg_id:int64 -> t -> Classifier.Descriptor.t -> Eden_base.Metadata.t
-(** Run every installed rule-set over the descriptor.  The result carries
+(** Run every installed rule-set over the descriptor: each classifier
+    field is looked up once, then each rule-set's rules, compiled when
+    they were added, run in order.  The result carries
     a message id (fresh unless provided), one fully-qualified class per
     matching rule-set, and the union of the metadata fields requested by
     the matched rules (values taken from the descriptor). *)
 
 val classes : t -> Classifier.Descriptor.t -> Eden_base.Class_name.t list
 (** The classes {!classify} would attach, in rule-set order, without
-    building metadata.  The enclave's flow stage memoises these per flow. *)
+    building metadata. *)
+
+val classes_of_row : t -> Classifier.row -> Eden_base.Class_name.t list
+(** [classes] for a row of this stage's classifier fields, in
+    [classifier_fields] order: [classes t d = classes_of_row t
+    (Classifier.row (Array.of_list (info t).classifier_fields) d)].  The
+    enclave classifies each new flow this way, from the row
+    {!Builtin.flow_row} reads off the five-tuple, and memoises the result.
+    @raise Invalid_argument if the row's length is not the number of
+    classifier fields. *)
 
 val qualified_class : t -> ruleset:string -> string -> Eden_base.Class_name.t
 

@@ -95,6 +95,46 @@ let test_five_tuple_reverse () =
   check_int "dst port" 1000 r.Addr.dst.Addr.port;
   check_bool "double reverse" true (Addr.equal_five_tuple t (Addr.reverse r))
 
+(* [compare_five_tuple] compares ints field by field; its sign must be
+   structural comparison's, so [Flow_map] iterates in the same order. *)
+let prop_five_tuple_compare =
+  let field = QCheck.Gen.(oneof [ int_range 0 3; int ]) in
+  let tuple =
+    QCheck.Gen.(
+      map
+        (fun ((sh, sp), (dh, dp), udp) ->
+          Addr.five_tuple ~src:(Addr.endpoint sh sp) ~dst:(Addr.endpoint dh dp)
+            ~proto:(if udp then Addr.Udp else Addr.Tcp))
+        (triple (pair field field) (pair field field) bool))
+  in
+  QCheck.Test.make ~name:"five-tuple compare agrees with Stdlib.compare" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Format.asprintf "%a vs %a" Addr.pp_five_tuple a Addr.pp_five_tuple b)
+       QCheck.Gen.(
+         tuple >>= fun a ->
+         (* Half the pairs differ from [a] in one field only. *)
+         let one_off =
+           map2
+             (fun k v ->
+               match k with
+               | 0 -> { a with Addr.src = { a.Addr.src with Addr.host = v } }
+               | 1 -> { a with Addr.src = { a.Addr.src with Addr.port = v } }
+               | 2 -> { a with Addr.dst = { a.Addr.dst with Addr.host = v } }
+               | 3 -> { a with Addr.dst = { a.Addr.dst with Addr.port = v } }
+               | _ ->
+                 let flip = if a.Addr.proto = Addr.Tcp then Addr.Udp else Addr.Tcp in
+                 { a with Addr.proto = flip })
+             (int_bound 4) field
+         in
+         map (fun b -> (a, b)) (oneof [ tuple; one_off ])))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      let c = Addr.compare_five_tuple a b in
+      sign c = sign (Stdlib.compare a b)
+      && Addr.equal_five_tuple a b = (c = 0)
+      && Addr.compare_five_tuple a a = 0)
+
 let test_five_tuple_hash_deterministic () =
   let t =
     Addr.five_tuple
@@ -301,9 +341,10 @@ let test_poisson_gap_positive () =
     check_bool "gap >= 0" true Time.(Dist.poisson_gap rng ~rate_per_sec:1000.0 >= zero)
   done
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_base"
     [
       ( "time",
@@ -325,6 +366,7 @@ let () =
         [
           Alcotest.test_case "reverse" `Quick test_five_tuple_reverse;
           Alcotest.test_case "hash" `Quick test_five_tuple_hash_deterministic;
+          qcheck prop_five_tuple_compare;
         ] );
       ( "class_name",
         [

@@ -427,7 +427,7 @@ let prop_verified_linear_runs_clean =
         | Ok _ -> true
         | Error _ -> false))
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 let test_scratch_reuse () =
   (* Same results with and without scratch, and no state leak between
@@ -615,6 +615,7 @@ let prop_codec_roundtrip_random =
       | Error _ -> false)
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_bytecode"
     (bytecode_suites
     @ [

@@ -204,7 +204,7 @@ let test_exec_accessors () =
   check_int "heap" 0 (Compiled.last_heap_cells cp);
   Alcotest.(check int64) "published" 3L env.Interp.scalars.(0)
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 (* ------------------------------------------------------------------ *)
 (* Enclave-level engine differential: a whole enclave running Compiled
@@ -443,4 +443,6 @@ let engine_suites =
       ] );
   ]
 
-let () = Alcotest.run "eden_compiled" engine_suites
+let () =
+  Qcheck_seed.announce ();
+  Alcotest.run "eden_compiled" engine_suites

@@ -273,15 +273,10 @@ let prop_verifier_stack_bound_sound =
         | Ok stats -> stats.Interp.max_stack <= bound
         | Error (_, stats) -> stats.Interp.max_stack <= bound))
 
-(* Pinned so a failure replays; EDEN_QCHECK_SEED explores other seeds. *)
-let qcheck_seed =
-  match Sys.getenv_opt "EDEN_QCHECK_SEED" with Some s -> int_of_string s | None -> 0x5eed
-
-let qcheck t =
-  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t
+let qcheck = Qcheck_seed.qcheck
 
 let () =
-  Printf.printf "qcheck seed: %d (set EDEN_QCHECK_SEED to override)\n%!" qcheck_seed;
+  Qcheck_seed.announce ();
   Alcotest.run "eden_eval"
     [
       ( "eval",

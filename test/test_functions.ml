@@ -700,9 +700,10 @@ let test_reqresp_buckets () =
   Alcotest.(check string) "large" "large"
     (Eden_workloads.Reqresp.bucket_to_string (Eden_workloads.Reqresp.bucket_of_size 5_000_000))
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_functions"
     [
       ( "wcmp",

@@ -433,9 +433,10 @@ let prop_constant_folding_preserves_value =
         | Error _ -> false
         | Ok _ -> Int64.equal (scalar_out p env "msg.Size") (eval expr)))
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_lang"
     [
       ( "typecheck",

@@ -274,9 +274,10 @@ let prop_action_roundtrip =
       | Error err ->
         QCheck.Test.fail_reportf "parse error %s on:\n%s" (Parser.error_to_string err) src)
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+let qcheck = Qcheck_seed.qcheck
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_parser"
     [
       ( "expressions",

@@ -225,6 +225,14 @@ let test_generation_and_classes () =
   | _ -> Alcotest.fail "undeclared metadata field accepted"
   | exception Invalid_argument _ -> ());
   check_int "refused rule leaves it" g1 (Stage.generation st);
+  (match
+     Ruleset.add_rule rs ~classifier:[ ("tenant", Classifier.Any) ] ~class_name:"Z"
+       ~metadata_fields:[]
+   with
+  | _ -> Alcotest.fail "undeclared classifier field accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "refused classifier leaves it" g1 (Stage.generation st);
+  check_int "refused rules not added" 1 (List.length (Ruleset.rules rs));
   let rule =
     Ruleset.add_rule rs ~classifier:[] ~class_name:"Y" ~metadata_fields:[ Builtin.Field.key ]
   in
@@ -302,9 +310,220 @@ let prop_classification_deterministic =
       let md2 = Stage.classify ~msg_id:7L st d in
       class_strings md1 = class_strings md2)
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+(* ------------------------------------------------------------------ *)
+(* Compiled rule-sets against the reference [Classifier.matches] *)
+
+module G = QCheck.Gen
+
+let diff_fields = [ "a"; "b"; "c" ]
+
+let gen_value =
+  G.oneof
+    [
+      G.map Metadata.int (G.int_range (-1) 3);
+      G.map Metadata.str (G.oneofl [ ""; "x"; "xy"; "xyz"; "y" ]);
+    ]
+
+let gen_pattern =
+  G.frequency
+    [
+      (1, G.return Classifier.Any);
+      (1, G.return Classifier.Present);
+      (3, G.map (fun v -> Classifier.Eq v) gen_value);
+      (2, G.map (fun v -> Classifier.Ne v) gen_value);
+      (2, G.map (fun vs -> Classifier.In_set vs) (G.list_size (G.int_bound 3) gen_value));
+      ( 2,
+        G.map
+          (fun (lo, hi) -> Classifier.Range (Int64.of_int lo, Int64.of_int hi))
+          (G.pair (G.int_range (-1) 3) (G.int_range (-1) 3)) );
+      (2, G.map (fun p -> Classifier.Prefix p) (G.oneofl [ ""; "x"; "xy"; "y" ]));
+    ]
+
+(* Up to three tests over the declared fields; [] is the empty classifier. *)
+let gen_classifier = G.list_size (G.int_bound 3) (G.pair (G.oneofl diff_fields) gen_pattern)
+
+(* Any subset of the declared fields plus an undeclared one. *)
+let gen_descriptor =
+  G.map Classifier.Descriptor.of_list
+    (G.list_size (G.int_bound 4) (G.pair (G.oneofl ("z" :: diff_fields)) gen_value))
+
+(* [Remove i] picks a rule added so far by index in [build_ruleset], by
+   rule id (possibly absent) in the stage property. *)
+type op = Add of Classifier.t | Remove of int
+
+let gen_ops =
+  G.list_size (G.int_range 1 12)
+    (G.frequency
+       [ (4, G.map (fun c -> Add c) gen_classifier); (1, G.map (fun i -> Remove i) G.nat) ])
+
+let print_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Add c -> "add " ^ Classifier.to_string c
+         | Remove i -> Printf.sprintf "remove #%d" i)
+       ops)
+
+let print_descriptor d = Format.asprintf "%a" Classifier.Descriptor.pp d
+
+let build_ruleset ops =
+  let rs =
+    Ruleset.create ~stage:"s" ~classifier_fields:diff_fields ~metadata_fields:[]
+      ~generation:(ref 0) "r"
+  in
+  let added = ref [] in
+  List.iteri
+    (fun k -> function
+      | Add classifier ->
+        let class_name = Printf.sprintf "C%d" k in
+        let r = Ruleset.add_rule rs ~classifier ~class_name ~metadata_fields:[] in
+        added := !added @ [ r.Ruleset.rule_id ]
+      | Remove i -> (
+        match !added with
+        | [] -> ()
+        | ids -> ignore (Ruleset.remove_rule rs (List.nth ids (i mod List.length ids)))))
+    ops;
+  rs
+
+let reference rs d =
+  List.find_opt (fun r -> Classifier.matches r.Ruleset.classifier d) (Ruleset.rules rs)
+
+let same_rule a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x.Ruleset.rule_id = y.Ruleset.rule_id
+  | _ -> false
+
+let prop_compiled_first_match =
+  QCheck.Test.make ~name:"compiled first match = reference first match" ~count:1000
+    (QCheck.make
+       ~print:(fun (ops, ds) ->
+         print_ops ops ^ " on " ^ String.concat ", " (List.map print_descriptor ds))
+       (G.pair gen_ops (G.list_size (G.int_range 1 8) gen_descriptor)))
+    (fun (ops, ds) ->
+      let rs = build_ruleset ops in
+      List.for_all (fun d -> same_rule (Ruleset.classify rs d) (reference rs d)) ds)
+
+(* The stage entry points run the same compiled form. *)
+let prop_stage_classes_reference =
+  QCheck.Test.make ~name:"stage classes = reference per rule-set" ~count:300
+    (QCheck.make
+       ~print:(fun ((o1, o2), d) ->
+         print_ops o1 ^ " | " ^ print_ops o2 ^ " on " ^ print_descriptor d)
+       (G.pair (G.pair gen_ops gen_ops) gen_descriptor))
+    (fun ((o1, o2), d) ->
+      let st = Stage.create ~name:"s" ~classifier_fields:diff_fields ~metadata_fields:[] in
+      let install ruleset ops =
+        List.iteri
+          (fun k -> function
+            | Add classifier ->
+              ignore
+                (get_ok
+                   (Stage.Api.create_stage_rule st ~ruleset ~classifier
+                      ~class_name:(Printf.sprintf "C%d" k) ~metadata_fields:[]))
+            | Remove i -> ignore (Stage.Api.remove_stage_rule st ~ruleset ~rule_id:i))
+          ops
+      in
+      install "r1" o1;
+      install "r2" o2;
+      let expected =
+        List.filter_map
+          (fun rs -> Option.map (fun r -> r.Ruleset.qualified) (reference rs d))
+          (Stage.rulesets st)
+      in
+      List.equal Class_name.equal expected (Stage.classes st d)
+      && List.equal Class_name.equal expected
+           (Metadata.classes (Stage.classify ~msg_id:0L st d)))
+
+(* The enclave classifies a new flow from its five-tuple; that must agree
+   with classifying [Builtin.flow_descriptor]. *)
+let prop_flow_row_classes =
+  let gen_tuple =
+    G.map
+      (fun ((sh, sp), (dh, dp), udp) ->
+        Eden_base.Addr.five_tuple
+          ~src:(Eden_base.Addr.endpoint sh sp)
+          ~dst:(Eden_base.Addr.endpoint dh dp)
+          ~proto:(if udp then Eden_base.Addr.Udp else Eden_base.Addr.Tcp))
+      (G.triple
+         (G.pair (G.int_bound 5) (G.int_bound 65_535))
+         (G.pair (G.int_bound 5) (G.int_bound 65_535))
+         G.bool)
+  in
+  let buckets field n =
+    let width = (65_536 + n - 1) / n in
+    List.init n (fun b ->
+        let lo = b * width in
+        ( [ (field, Classifier.Range (Int64.of_int lo, Int64.of_int (lo + width - 1))) ],
+          Printf.sprintf "B%d" b ))
+  in
+  QCheck.Test.make ~name:"flow classes from the five-tuple = from its descriptor" ~count:300
+    (QCheck.make
+       ~print:(fun ((ns, nd, hosts, proto), fts) ->
+         Printf.sprintf "sport %d dport %d hosts [%s] proto %s on %s" ns nd
+           (String.concat "," (List.map string_of_int hosts))
+           proto
+           (String.concat ", "
+              (List.map (Format.asprintf "%a" Eden_base.Addr.pp_five_tuple) fts)))
+       (G.pair
+          (G.quad (G.int_range 1 32) (G.int_range 1 8)
+             (G.list_size (G.int_bound 3) (G.int_bound 5))
+             (G.oneofl [ "tcp"; "udp" ]))
+          (G.list_size (G.int_range 1 20) gen_tuple)))
+    (fun ((ns, nd, hosts, proto), fts) ->
+      let st = Builtin.flow () in
+      let program ruleset rules =
+        List.iter
+          (fun (classifier, class_name) ->
+            ignore
+              (get_ok
+                 (Stage.Api.create_stage_rule st ~ruleset ~classifier ~class_name
+                    ~metadata_fields:[])))
+          rules
+      in
+      program "sport" (buckets Builtin.Field.src_port ns);
+      program "dport" (buckets Builtin.Field.dst_port nd);
+      program "hosts"
+        (List.mapi
+           (fun i h ->
+             ( [
+                 (Builtin.Field.src_host, Classifier.eq_int h);
+                 ( Builtin.Field.dst_host,
+                   Classifier.In_set [ Metadata.int h; Metadata.int (h + 1) ] );
+               ],
+               Printf.sprintf "H%d" i ))
+           hosts);
+      program "proto" [ ([ (Builtin.Field.proto, Classifier.eq_str proto) ], "P") ];
+      List.for_all
+        (fun ft ->
+          List.equal Class_name.equal
+            (Stage.classes st (Builtin.flow_descriptor ft))
+            (Stage.classes_of_row st (Builtin.flow_row ft)))
+        fts)
+
+(* [Class_name] compares by components without polymorphic compare and
+   hashes once; its order must stay structural order on the triple. *)
+let prop_class_name_order =
+  let component = G.oneofl [ "a"; "b"; "ab"; "B"; "a0" ] in
+  let name = G.triple component component component in
+  QCheck.Test.make ~name:"class name compare, equal and hash" ~count:2000
+    (QCheck.make
+       ~print:(fun ((a, b, c), (d, e, f)) -> Printf.sprintf "%s.%s.%s vs %s.%s.%s" a b c d e f)
+       (G.pair name name))
+    (fun (((s1, r1, n1) as x), ((s2, r2, n2) as y)) ->
+      let a = Class_name.v ~stage:s1 ~ruleset:r1 ~name:n1 in
+      let b = Class_name.v ~stage:s2 ~ruleset:r2 ~name:n2 in
+      let sign v = Int.compare v 0 in
+      let c = Class_name.compare a b in
+      sign c = sign (Stdlib.compare x y)
+      && Class_name.equal a b = (c = 0)
+      && ((not (Class_name.equal a b)) || Class_name.hash a = Class_name.hash b)
+      && Class_name.equal a (Option.get (Class_name.of_string (Class_name.to_string a))))
+
+let qcheck = Qcheck_seed.qcheck
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_stage"
     [
       ( "classifier",
@@ -340,5 +559,12 @@ let () =
           Alcotest.test_case "storage" `Quick test_storage_stage;
           Alcotest.test_case "flow five-tuple" `Quick test_flow_stage_five_tuple;
         ] );
-      ("properties", [ qcheck prop_classification_deterministic ]);
+      ( "properties",
+        [
+          qcheck prop_classification_deterministic;
+          qcheck prop_compiled_first_match;
+          qcheck prop_stage_classes_reference;
+          qcheck prop_flow_row_classes;
+          qcheck prop_class_name_order;
+        ] );
     ]
