@@ -266,6 +266,32 @@ let words_per_new_flow () =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* The simulator's own allocation: minor words per host-transmitted
+   packet over a short Fig. 9 Baseline/Native run (no enclave, so netsim,
+   TCP and the workload are all that allocate), about 122.  The budget
+   has the ~20% headroom of [no_policy_words_budget]; a calendar entry,
+   boxed time and option per event and a closure per hop and NIC entry
+   cost about 193 and fail it on any machine. *)
+let sim_words_budget = 146.0
+
+let sim_words_per_packet () =
+  let params = { Fig9.default_params with Fig9.runs = 1; duration = Time.ms 60 } in
+  let sc = Fig9.scenario params Fig9.Baseline Fig9.Native ~seed:params.Fig9.seed in
+  let before = Gc.minor_words () in
+  Eden_netsim.Net.run ~until:sc.Fig9.horizon sc.Fig9.net;
+  let words = Gc.minor_words () -. before in
+  let tx =
+    List.fold_left
+      (fun acc h ->
+        acc
+        + Eden_telemetry.Counter.get
+            (Eden_telemetry.Registry.counter (Eden_netsim.Host.telemetry h)
+               "eden_host_tx_packets_total"))
+      0
+      (Eden_netsim.Net.hosts sc.Fig9.net)
+  in
+  words /. float_of_int tx
+
 let allocation_check () =
   let words_per_packet e =
     let pkt = bench_packet () in
@@ -339,6 +365,17 @@ let allocation_check () =
     Printf.printf
       "ALLOCATION REGRESSION: a packet opening a new flow allocates %.1f words (budget %.0f)\n"
       new_flow new_flow_words_budget;
+    exit 1
+  end;
+  let sim = sim_words_per_packet () in
+  Printf.printf
+    "allocation (minor words/packet): Fig. 9 baseline/native simulation %.1f (budget %.0f)\n"
+    sim sim_words_budget;
+  if sim > sim_words_budget then begin
+    Printf.printf
+      "ALLOCATION REGRESSION: the simulator allocates %.1f words per host-transmitted \
+       packet (budget %.0f)\n"
+      sim sim_words_budget;
     exit 1
   end
 

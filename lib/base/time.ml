@@ -9,8 +9,10 @@ let add = Int64.add
 let sub = Int64.sub
 let mul t k = Int64.mul t (Int64.of_int k)
 let div t k = Int64.div t (Int64.of_int k)
-let max = Stdlib.max
-let min = Stdlib.min
+(* Monomorphic, with Stdlib's tie rule: [max a b] is [a] when [a >= b],
+   [min a b] is [a] when [a <= b]. *)
+let max a b = if Int64.compare a b >= 0 then a else b
+let min a b = if Int64.compare a b <= 0 then a else b
 let compare = Int64.compare
 let ( <= ) a b = Int64.compare a b <= 0
 let ( < ) a b = Int64.compare a b < 0

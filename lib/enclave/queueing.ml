@@ -88,23 +88,29 @@ module Priority = struct
       false
     end
 
+  (* The highest non-empty level, or -1 when every level is empty. *)
   let highest_nonempty t =
-    let rec go p = if p < 0 then None else if Queue.is_empty t.queues.(p) then go (p - 1) else Some p in
-    go (levels - 1)
+    let p = ref (levels - 1) in
+    while !p >= 0 && Queue.is_empty t.queues.(!p) do
+      decr p
+    done;
+    !p
 
   let pop t =
-    match highest_nonempty t with
-    | None -> None
-    | Some p ->
+    let p = highest_nonempty t in
+    if p < 0 then None
+    else begin
       let x = Queue.pop t.queues.(p) in
       let size = Queue.pop t.sizes.(p) in
       t.level_bytes.(p) <- t.level_bytes.(p) - size;
       t.total_bytes <- t.total_bytes - size;
       t.total_count <- t.total_count - 1;
       Some x
+    end
 
   let peek t =
-    match highest_nonempty t with None -> None | Some p -> Queue.peek_opt t.queues.(p)
+    let p = highest_nonempty t in
+    if p < 0 then None else Queue.peek_opt t.queues.(p)
 
   let is_empty t = t.total_count = 0
   let length t = t.total_count

@@ -73,8 +73,14 @@ let install_policy scheme engine enclave =
 
 let needs_enclave = function Baseline, Native -> false | _ -> true
 
-(* One simulation run; returns (avg_small, p95_small, avg_int, p95_int). *)
-let run_once params scheme engine ~seed =
+type scenario = {
+  net : Net.t;
+  requests : Reqresp.t;
+  background : Tcp.Sender.t list;
+  horizon : Time.t;
+}
+
+let scenario params scheme engine ~seed =
   let net = Net.create ~seed () in
   let sw = Net.add_switch net in
   let worker = Net.add_host net in
@@ -106,11 +112,12 @@ let run_once params scheme engine ~seed =
   let bg_bytes =
     int_of_float (params.link_rate_bps /. 8.0 *. Time.to_sec params.duration) * 2
   in
-  for _ = 1 to 2 do
-    ignore
-      (Net.start_flow net ~src:(Host.id bg) ~dst:(Host.id client) ~metadata:bg_md
-         ~size:bg_bytes ())
-  done;
+  let background =
+    List.init 2 (fun _ ->
+        (Net.start_flow net ~src:(Host.id bg) ~dst:(Host.id client) ~metadata:bg_md
+           ~size:bg_bytes ())
+          .Net.f_sender)
+  in
   let msg_counter = ref 0L in
   let metadata_for ~size =
     msg_counter := Int64.add !msg_counter 1L;
@@ -124,9 +131,14 @@ let run_once params scheme engine ~seed =
       ~sizes:Flowsize.web_search ~load:params.load ~link_rate_bps:params.link_rate_bps
       ~metadata_for ~until:params.duration ()
   in
-  Net.run ~until:(Time.add params.duration (Time.ms 200)) net;
+  { net; requests = gen; background; horizon = Time.add params.duration (Time.ms 200) }
+
+(* One simulation run; returns (avg_small, p95_small, avg_int, p95_int). *)
+let run_once params scheme engine ~seed =
+  let sc = scenario params scheme engine ~seed in
+  Net.run ~until:sc.horizon sc.net;
   let bucket b =
-    let s = Stats.Samples.of_list (Reqresp.fcts_us gen b) in
+    let s = Stats.Samples.of_list (Reqresp.fcts_us sc.requests b) in
     (Stats.Samples.mean s, Stats.Samples.percentile s 95.0, Stats.Samples.count s)
   in
   let sm_avg, sm_p95, sm_n = bucket Reqresp.Small in

@@ -47,6 +47,18 @@ type result = {
   intermediate : bucket_result;
 }
 
+type scenario = {
+  net : Eden_netsim.Net.t;
+  requests : Eden_workloads.Reqresp.t;
+  background : Eden_netsim.Tcp.Sender.t list;  (** the two long-running flows *)
+  horizon : Eden_base.Time.t;  (** arrivals stop at [duration]; the run ends here *)
+}
+
+val scenario : params -> scheme -> engine -> seed:int64 -> scenario
+(** One run's network with its policy installed and its traffic
+    scheduled, not yet run.  [run_config] runs each with
+    [Net.run ~until:horizon]. *)
+
 val run_config : params -> scheme -> engine -> result
 
 val run_all : ?params:params -> unit -> result list

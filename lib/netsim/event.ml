@@ -1,107 +1,155 @@
 module Time = Eden_base.Time
 
-type entry = { at : Time.t; seq : int; fire : unit -> unit }
-
-(* Binary min-heap ordered by (at, seq). *)
+(* Binary min-heap ordered by (at, seq), laid out as three parallel
+   arrays: times in integer nanoseconds, schedule sequence numbers, and
+   the closures, so that scheduling stores two ints and a pointer and
+   popping allocates nothing. *)
 type t = {
-  mutable heap : entry array;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable fires : (unit -> unit) array;
   mutable size : int;
-  mutable clock : Time.t;
+  mutable clock : int;
   mutable next_seq : int;
 }
 
-let dummy = { at = 0L; seq = 0; fire = (fun () -> ()) }
-let create () = { heap = Array.make 256 dummy; size = 0; clock = Time.zero; next_seq = 0 }
-let now t = t.clock
+let initial_slots = 256
+let nothing () = ()
 
-let earlier a b = Time.( < ) a.at b.at || (Time.compare a.at b.at = 0 && a.seq < b.seq)
+let create () =
+  {
+    times = Array.make initial_slots 0;
+    seqs = Array.make initial_slots 0;
+    fires = Array.make initial_slots nothing;
+    size = 0;
+    clock = 0;
+    next_seq = 0;
+  }
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
+let now t = Int64.of_int t.clock
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+(* Times beyond the 63-bit int range (146 years of nanoseconds)
+   saturate. *)
+let ticks (at : Time.t) =
+  if Int64.compare at (Int64.of_int max_int) >= 0 then max_int
+  else if Int64.compare at (Int64.of_int min_int) <= 0 then min_int
+  else Int64.to_int at
+
+let grow t =
+  let n = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.fires <- extend t.fires nothing
+
+(* Insert at tick [at]: walk the hole up from the end, moving later
+   parents down, then fill it. *)
+let insert t at fire =
+  if t.size = Array.length t.times then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.times and seqs = t.seqs and fires = t.fires in
+  let i = ref t.size in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pt = Array.unsafe_get times parent in
+    (* [seq] is the largest yet, so it loses every tie. *)
+    if at < pt then begin
+      Array.unsafe_set times !i pt;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set fires !i (Array.unsafe_get fires parent);
+      i := parent
     end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+    else continue := false
+  done;
+  Array.unsafe_set times !i at;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set fires !i fire;
+  t.size <- t.size + 1
 
 let schedule_at t at fire =
-  let at = Time.max at t.clock in
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- { at; seq = t.next_seq; fire };
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let at = ticks at in
+  insert t (if at < t.clock then t.clock else at) fire
 
 let schedule_in t delta fire =
-  schedule_at t (Time.add t.clock (Time.max delta Time.zero)) fire
+  let d = ticks delta in
+  let at = if d <= 0 then t.clock else if d > max_int - t.clock then max_int else t.clock + d in
+  insert t at fire
 
 let pending t = t.size
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(t.size) <- dummy;
-    if t.size > 0 then sift_down t 0;
-    Some top
+(* Remove the root: move the last entry into the hole at the top and
+   sift it down.  The vacated slot drops its closure so a fired event
+   is not kept reachable. *)
+let remove_min t =
+  let times = t.times and seqs = t.seqs and fires = t.fires in
+  let last = t.size - 1 in
+  t.size <- last;
+  let at = Array.unsafe_get times last
+  and seq = Array.unsafe_get seqs last
+  and fire = Array.unsafe_get fires last in
+  Array.unsafe_set fires last nothing;
+  if last > 0 then begin
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= last then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < last then begin
+            let tl = Array.unsafe_get times l and tr = Array.unsafe_get times r in
+            if tr < tl || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l) then r
+            else l
+          end
+          else l
+        in
+        let tc = Array.unsafe_get times c in
+        if tc < at || (tc = at && Array.unsafe_get seqs c < seq) then begin
+          Array.unsafe_set times !i tc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set fires !i (Array.unsafe_get fires c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set times !i at;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set fires !i fire
   end
 
+(* Precondition: the calendar is not empty. *)
+let fire_next t =
+  let at = Array.unsafe_get t.times 0 and fire = Array.unsafe_get t.fires 0 in
+  remove_min t;
+  t.clock <- at;
+  fire ()
+
 let step t =
-  match pop t with
-  | None -> false
-  | Some e ->
-    t.clock <- e.at;
-    e.fire ();
+  if t.size = 0 then false
+  else begin
+    fire_next t;
     true
+  end
 
 let run ?until ?max_events t =
+  let stop = match until with Some u -> ticks u | None -> max_int in
+  let budget = match max_events with Some m -> m | None -> max_int in
   let fired = ref 0 in
-  let continue () =
-    (match max_events with Some m -> !fired < m | None -> true)
-    && t.size > 0
-    && (match until with
-       | Some stop -> Time.( <= ) t.heap.(0).at stop
-       | None -> true)
-    &&
-    match pop t with
-    | None -> false
-    | Some e ->
-      t.clock <- e.at;
-      e.fire ();
-      incr fired;
-      true
-  in
-  while continue () do
-    ()
+  while !fired < budget && t.size > 0 && t.times.(0) <= stop do
+    fire_next t;
+    incr fired
   done;
   (* When stopped by [until] (not by [max_events]), advance the clock to
      the horizon so repeated bounded runs observe monotonic time. *)
   match until with
-  | Some stop ->
-    if
-      (t.size = 0 || Time.( > ) t.heap.(0).at stop)
-      && Time.( < ) t.clock stop
-    then t.clock <- stop
+  | Some _ ->
+    if (t.size = 0 || t.times.(0) > stop) && t.clock < stop then t.clock <- stop
   | None -> ()

@@ -2,7 +2,8 @@
 
     A binary-heap calendar of closures.  Events scheduled for the same
     instant fire in schedule order (a strict tiebreaker keeps runs
-    deterministic). *)
+    deterministic).  Times are kept as integer nanoseconds; times beyond
+    the 63-bit range (146 years) saturate. *)
 
 type t
 

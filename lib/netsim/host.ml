@@ -14,6 +14,8 @@ type t = {
   rng : Rng.t;
   mutable tx_jitter : Time.t;
   mutable nic_clock : Time.t;  (* last scheduled NIC-entry time: keeps egress FIFO *)
+  nic_queue : Packet.t Queue.t;  (* scheduled NIC entries, oldest first *)
+  nic_entry : unit -> unit;  (* the NIC-entry event: [nic_queue]'s head *)
   alloc_packet_id : unit -> int64;
   mutable uplink : Link.t option;
   mutable enclave : Enclave.t option;
@@ -30,36 +32,50 @@ type t = {
   hm_enclave_drops : Tel.Counter.t;
 }
 
+let nic_send t pkt =
+  match t.uplink with
+  | Some link -> ignore (Link.send link pkt)
+  | None -> ()
+
 let create ?(seed = 0x05EAL) ev ~id ~alloc_packet_id =
   let tel = Tel.Registry.create () in
-  {
-    id;
-    ev;
-    rng = Rng.create (Int64.add seed (Int64.of_int (id * 7919)));
-    (* Default 200 ns of uniform transmission jitter: real hosts have
-       scheduling noise, and without it a perfectly deterministic
-       simulator exhibits TCP phase effects (Floyd & Jacobson 1992) —
-       drop-tail buffers systematically lock out whichever sender has a
-       few nanoseconds more fixed latency. *)
-    tx_jitter = Time.ns 200;
-    nic_clock = Time.zero;
-    alloc_packet_id;
-    uplink = None;
-    enclave = None;
-    ingress_enclave = None;
-    tcp_config = Tcp.default_config;
-    senders = Addr.Flow_table.create 32;
-    receivers = Addr.Flow_table.create 32;
-    rate_queues = Hashtbl.create 4;
-    next_port = 10_000;
-    enclave_drops = 0;
-    tel;
-    hm_tx = Tel.Registry.counter tel ~help:"Packets submitted for transmit" "eden_host_tx_packets_total";
-    hm_rx = Tel.Registry.counter tel ~help:"Packets arriving from the network" "eden_host_rx_packets_total";
-    hm_enclave_drops =
-      Tel.Registry.counter tel ~help:"Packets dropped by egress or ingress enclave"
-        "eden_host_enclave_drops_total";
-  }
+  let rec t =
+    {
+      id;
+      ev;
+      rng = Rng.create (Int64.add seed (Int64.of_int (id * 7919)));
+      (* Default 200 ns of uniform transmission jitter: real hosts have
+         scheduling noise, and without it a perfectly deterministic
+         simulator exhibits TCP phase effects (Floyd & Jacobson 1992) —
+         drop-tail buffers systematically lock out whichever sender has a
+         few nanoseconds more fixed latency. *)
+      tx_jitter = Time.ns 200;
+      nic_clock = Time.zero;
+      nic_queue = Queue.create ();
+      nic_entry = (fun () -> nic_send t (Queue.pop t.nic_queue));
+      alloc_packet_id;
+      uplink = None;
+      enclave = None;
+      ingress_enclave = None;
+      tcp_config = Tcp.default_config;
+      senders = Addr.Flow_table.create 32;
+      receivers = Addr.Flow_table.create 32;
+      rate_queues = Hashtbl.create 4;
+      next_port = 10_000;
+      enclave_drops = 0;
+      tel;
+      hm_tx =
+        Tel.Registry.counter tel ~help:"Packets submitted for transmit"
+          "eden_host_tx_packets_total";
+      hm_rx =
+        Tel.Registry.counter tel ~help:"Packets arriving from the network"
+          "eden_host_rx_packets_total";
+      hm_enclave_drops =
+        Tel.Registry.counter tel ~help:"Packets dropped by egress or ingress enclave"
+          "eden_host_enclave_drops_total";
+    }
+  in
+  t
 
 let id t = t.id
 let set_uplink t link = t.uplink <- Some link
@@ -75,11 +91,6 @@ let define_rate_queue t ~queue ~rate_bps ?burst_bytes () =
   let burst_bytes = Option.value ~default:(64 * 1024) burst_bytes in
   Hashtbl.replace t.rate_queues queue { bucket = Token_bucket.create ~rate_bps ~burst_bytes }
 
-let nic_send t pkt =
-  match t.uplink with
-  | Some link -> ignore (Link.send link pkt)
-  | None -> ()
-
 let set_tx_jitter t j = t.tx_jitter <- j
 
 let jitter t =
@@ -87,13 +98,17 @@ let jitter t =
   if bound <= 0 then Time.zero else Time.ns (Rng.int t.rng (bound + 1))
 
 (* Hand the packet to the NIC after [delay], without ever reordering this
-   host's own submissions: entry times are forced monotonic. *)
+   host's own submissions: entry times are forced monotonic, so the
+   scheduled entries fire in schedule order and one closure per host,
+   popping [nic_queue], serves them all. *)
 let nic_send_after t delay pkt =
   let at = Time.add (Event.now t.ev) delay in
   let at = Time.max at t.nic_clock in
   t.nic_clock <- at;
-  if Time.( > ) at (Event.now t.ev) then
-    Event.schedule_at t.ev at (fun () -> nic_send t pkt)
+  if Time.( > ) at (Event.now t.ev) then begin
+    Queue.add pkt t.nic_queue;
+    Event.schedule_at t.ev at t.nic_entry
+  end
   else nic_send t pkt
 
 let transmit t pkt =

@@ -15,30 +15,14 @@ type t = {
   name : string;
   ecn_threshold_bytes : int option;
   buffer : Packet.t Priority.t;
+  in_flight : Packet.t Queue.t;  (* serialized, awaiting delivery, oldest first *)
+  deliver_next : unit -> unit;  (* the delivery event: [in_flight]'s head *)
+  tx_done : unit -> unit;  (* the serialization-complete event *)
   mutable deliver : (Packet.t -> unit) option;
   mutable busy : bool;
   mutable tracer : (Trace.entry -> unit) option;
   stats : stats;
 }
-
-let create ?(capacity_bytes = 512 * 1024) ?(name = "link") ?ecn_threshold_bytes ev
-    ~rate_bps ~delay () =
-  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
-  {
-    ev;
-    rate_bps;
-    delay;
-    name;
-    ecn_threshold_bytes;
-    buffer = Priority.create ~capacity_bytes ();
-    deliver = None;
-    busy = false;
-    tracer = None;
-    stats = { tx_packets = 0; tx_bytes = 0; dropped_packets = 0 };
-  }
-
-let attach t deliver = t.deliver <- Some deliver
-let set_tracer t tracer = t.tracer <- Some tracer
 
 let trace t kind (pkt : Packet.t) =
   match t.tracer with
@@ -58,7 +42,18 @@ let trace t kind (pkt : Packet.t) =
 
 let tx_time t bytes = Time.of_float_ns (float_of_int bytes *. 8.0 /. t.rate_bps *. 1e9)
 
-let rec start_tx t =
+(* Every delivery is scheduled a constant delay after its packet's
+   serialization ends, and serializations end in the order they start, so
+   deliveries fire in schedule order: the event firing now is always
+   [in_flight]'s head, and one closure per link serves them all. *)
+let deliver_head t =
+  let pkt = Queue.pop t.in_flight in
+  trace t Trace.Delivered pkt;
+  match t.deliver with
+  | Some deliver -> deliver pkt
+  | None -> ()
+
+let start_tx t =
   match Priority.pop t.buffer with
   | None -> t.busy <- false
   | Some pkt ->
@@ -68,12 +63,34 @@ let rec start_tx t =
     t.stats.tx_packets <- t.stats.tx_packets + 1;
     t.stats.tx_bytes <- t.stats.tx_bytes + bytes;
     (* Delivery happens a propagation delay after serialization ends. *)
-    Event.schedule_in t.ev (Time.add tx t.delay) (fun () ->
-        trace t Trace.Delivered pkt;
-        match t.deliver with
-        | Some deliver -> deliver pkt
-        | None -> ());
-    Event.schedule_in t.ev tx (fun () -> start_tx t)
+    Queue.add pkt t.in_flight;
+    Event.schedule_in t.ev (Time.add tx t.delay) t.deliver_next;
+    Event.schedule_in t.ev tx t.tx_done
+
+let create ?(capacity_bytes = 512 * 1024) ?(name = "link") ?ecn_threshold_bytes ev
+    ~rate_bps ~delay () =
+  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
+  let rec t =
+    {
+      ev;
+      rate_bps;
+      delay;
+      name;
+      ecn_threshold_bytes;
+      buffer = Priority.create ~capacity_bytes ();
+      in_flight = Queue.create ();
+      deliver_next = (fun () -> deliver_head t);
+      tx_done = (fun () -> start_tx t);
+      deliver = None;
+      busy = false;
+      tracer = None;
+      stats = { tx_packets = 0; tx_bytes = 0; dropped_packets = 0 };
+    }
+  in
+  t
+
+let attach t deliver = t.deliver <- Some deliver
+let set_tracer t tracer = t.tracer <- Some tracer
 
 let send t pkt =
   (* DCTCP-style marking: set the congestion bit when the instantaneous

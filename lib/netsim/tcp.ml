@@ -405,6 +405,7 @@ module Receiver = struct
     mutable cum : int;
     mutable delivered : int;
     msgs : (int64, msg_progress) Hashtbl.t;  (* in-flight tagged messages *)
+    mutable first_end : int;  (* no tracked message ends before this byte *)
   }
 
   let create ?(config = default_config) ?on_message ~ev ~flow ~alloc_packet_id ~transmit
@@ -420,6 +421,7 @@ module Receiver = struct
       cum = 0;
       delivered = 0;
       msgs = Hashtbl.create 16;
+      first_end = max_int;
     }
 
   (* Insert [s, e) keeping the list disjoint and sorted. *)
@@ -467,30 +469,47 @@ module Receiver = struct
             Hashtbl.replace t.msgs id mp;
             mp
         in
-        if pkt.Packet.seq < mp.mp_start then mp.mp_start <- pkt.Packet.seq)
+        if pkt.Packet.seq < mp.mp_start then mp.mp_start <- pkt.Packet.seq;
+        t.first_end <- min t.first_end (mp.mp_start + mp.mp_size))
     | (Some _ | None), _ -> ()
 
+  (* A message completes once the in-order prefix covers it.  Until the
+     prefix reaches [first_end] none can have, and the table is not
+     scanned. *)
   let fire_completed_messages t =
     match t.on_message with
-    | None -> ()
-    | Some f ->
+    | Some f when t.cum >= t.first_end ->
       let now = Event.now t.ev in
-      let done_ids =
+      let done_ids, first_end =
         Hashtbl.fold
-          (fun id mp acc -> if mp.mp_start + mp.mp_size <= t.cum then (id, mp) :: acc else acc)
-          t.msgs []
+          (fun id mp (acc, first_end) ->
+            let e = mp.mp_start + mp.mp_size in
+            if e <= t.cum then ((id, mp) :: acc, first_end) else (acc, min first_end e))
+          t.msgs ([], max_int)
       in
+      t.first_end <- first_end;
       List.iter
         (fun (id, mp) ->
           Hashtbl.remove t.msgs id;
           f mp.mp_metadata now)
         done_ids
+    | Some _ | None -> ()
 
   let handle_data t (pkt : Packet.t) =
     if pkt.Packet.payload > 0 then begin
       note_message t pkt;
-      t.intervals <- insert_interval t.intervals pkt.Packet.seq (Packet.end_seq pkt);
-      advance_cum t;
+      let e = Packet.end_seq pkt in
+      (* In order with nothing buffered beyond the prefix: extend the
+         prefix directly, as inserting and merging the interval would. *)
+      (match t.intervals with
+      | [] when pkt.Packet.seq <= t.cum ->
+        if e > t.cum then begin
+          t.delivered <- t.delivered + (e - t.cum);
+          t.cum <- e
+        end
+      | _ ->
+        t.intervals <- insert_interval t.intervals pkt.Packet.seq e;
+        advance_cum t);
       fire_completed_messages t;
       let ack =
         Packet.make ~id:(t.alloc_packet_id ()) ~flow:(Addr.reverse t.flow) ~kind:Packet.Ack

@@ -24,6 +24,18 @@ let test_time_ordering () =
   check_bool "gt" false Time.(us 1 > us 2);
   Alcotest.(check int64) "max" (Time.us 2) (Time.max (Time.us 1) (Time.us 2))
 
+(* [max]/[min] agree with Stdlib's on every pair, extremes and ties
+   included. *)
+let prop_time_max_min =
+  let edge = QCheck.Gen.oneofl [ Int64.min_int; -1L; 0L; 1L; Int64.max_int ] in
+  let gen =
+    QCheck.Gen.(
+      frequency [ (1, edge); (2, map Int64.of_int (int_range (-3) 3)); (2, ui64) ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"time max/min agree with Stdlib"
+    (QCheck.make ~print:QCheck.Print.(pair int64 int64) (QCheck.Gen.pair gen gen))
+    (fun (a, b) -> Time.max a b = Stdlib.max a b && Time.min a b = Stdlib.min a b)
+
 let test_time_pp () =
   let s t = Format.asprintf "%a" Time.pp t in
   Alcotest.(check string) "ns" "12ns" (s (Time.ns 12));
@@ -351,6 +363,7 @@ let () =
         [
           Alcotest.test_case "units" `Quick test_time_units;
           Alcotest.test_case "ordering" `Quick test_time_ordering;
+          Qcheck_seed.qcheck prop_time_max_min;
           Alcotest.test_case "pretty printing" `Quick test_time_pp;
         ] );
       ( "rng",

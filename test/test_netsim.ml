@@ -63,6 +63,144 @@ let test_event_cascade () =
   check_int "all fired" 100 !count;
   check_bool "clock advanced" true (Time.compare (Event.now ev) (Time.us 100) = 0)
 
+(* Model-based check of the calendar.  A random forest of events, each
+   scheduled with [schedule_at] (possibly in the past) or [schedule_in]
+   (possibly negative), each scheduling its children when it fires, is
+   driven through random bounded [run]/[step] calls and compared with a
+   reference: a map ordered by (time, schedule sequence). *)
+
+type ev_spec = { absolute : bool; time : int; children : ev_spec list; id : int }
+
+type ev_cmd = Run of int option * int option | Step
+
+module Calendar_model = Map.Make (struct
+  type t = int * int
+
+  let compare (a1, s1) (a2, s2) = if a1 <> a2 then Int.compare a1 a2 else Int.compare s1 s2
+end)
+
+let gen_event_case =
+  let open QCheck.Gen in
+  let rec spec depth =
+    let* absolute = bool in
+    (* Narrow times make same-instant ties common. *)
+    let* time = int_range (-10) 40 in
+    let* children =
+      if depth = 0 then return [] else list_size (int_bound 2) (spec (depth - 1))
+    in
+    return { absolute; time; children; id = 0 }
+  in
+  (* Past 256 roots the calendar must grow. *)
+  let* n_roots = frequency [ (3, int_bound 30); (1, int_range 257 600) ] in
+  let* roots = list_repeat n_roots (spec 2) in
+  let* cmds =
+    list_size (int_bound 6)
+      (frequency
+         [
+           (1, return Step);
+           ( 3,
+             let* until = opt (int_range 0 120) in
+             let* max_events = opt (int_bound 40) in
+             return (Run (until, max_events)) );
+         ])
+  in
+  let next = ref 0 in
+  let rec number sp =
+    let id = !next in
+    incr next;
+    { sp with children = List.map number sp.children; id }
+  in
+  return (List.map number roots, cmds)
+
+(* The reference: fire in (at, seq) order; after a bounded run, the clock
+   moves to [until] unless an event at or before it is still pending. *)
+let model_run roots cmds =
+  let clock = ref 0 and seq = ref 0 and pending = ref Calendar_model.empty in
+  let log = ref [] in
+  let schedule sp =
+    let at = if sp.absolute then max sp.time !clock else !clock + max sp.time 0 in
+    pending := Calendar_model.add (at, !seq) sp !pending;
+    incr seq
+  in
+  let step () =
+    match Calendar_model.min_binding_opt !pending with
+    | None -> false
+    | Some (((at, _) as key), sp) ->
+      pending := Calendar_model.remove key !pending;
+      clock := at;
+      log := sp.id :: !log;
+      List.iter schedule sp.children;
+      true
+  in
+  let next_at () =
+    Option.map (fun ((at, _), _) -> at) (Calendar_model.min_binding_opt !pending)
+  in
+  List.iter schedule roots;
+  let observe () = (List.rev !log, !clock, Calendar_model.cardinal !pending) in
+  let snapshots =
+    List.map
+      (fun cmd ->
+        (match cmd with
+        | Step -> ignore (step ())
+        | Run (until, max_events) ->
+          let fired = ref 0 in
+          while
+            (match max_events with Some m -> !fired < m | None -> true)
+            && (match (next_at (), until) with
+               | None, _ -> false
+               | Some at, Some stop -> at <= stop
+               | Some _, None -> true)
+            && step ()
+          do
+            incr fired
+          done;
+          Option.iter
+            (fun stop ->
+              let idle = match next_at () with None -> true | Some at -> at > stop in
+              if idle && !clock < stop then clock := stop)
+            until);
+        observe ())
+      cmds
+  in
+  while step () do
+    ()
+  done;
+  (snapshots, observe ())
+
+let real_run roots cmds =
+  let ev = Event.create () in
+  let log = ref [] in
+  let rec schedule sp =
+    let fire () =
+      log := sp.id :: !log;
+      List.iter schedule sp.children
+    in
+    if sp.absolute then Event.schedule_at ev (Time.ns sp.time) fire
+    else Event.schedule_in ev (Time.ns sp.time) fire
+  in
+  List.iter schedule roots;
+  let observe () = (List.rev !log, Int64.to_int (Event.now ev), Event.pending ev) in
+  let snapshots =
+    List.map
+      (fun cmd ->
+        (match cmd with
+        | Step -> ignore (Event.step ev)
+        | Run (until, max_events) ->
+          Event.run ?until:(Option.map Time.ns until) ?max_events ev);
+        observe ())
+      cmds
+  in
+  Event.run ev;
+  (snapshots, observe ())
+
+let prop_event_matches_model =
+  QCheck.Test.make ~count:200 ~name:"calendar matches (at, seq) model"
+    (QCheck.make
+       ~print:(fun (roots, cmds) ->
+         Printf.sprintf "%d roots, %d commands" (List.length roots) (List.length cmds))
+       gen_event_case)
+    (fun (roots, cmds) -> real_run roots cmds = model_run roots cmds)
+
 (* ------------------------------------------------------------------ *)
 (* Link *)
 
@@ -352,6 +490,42 @@ let test_message_completion_callbacks_in_order () =
   Net.run net;
   Alcotest.(check (list int)) "in order" [ 1; 2; 3 ] (List.rev !order)
 
+(* Out-of-order arrival: message 1's second segment arrives first, so
+   the receiver first places message 1 at [1000, 3000); its first
+   segment then moves it to [0, 2000) and completes it. *)
+let test_message_completion_out_of_order () =
+  let ev = Event.create () in
+  let flow =
+    Addr.five_tuple ~src:(Addr.endpoint 0 1) ~dst:(Addr.endpoint 1 2) ~proto:Addr.Tcp
+  in
+  let fired = ref [] in
+  let rx =
+    Tcp.Receiver.create ~ev ~flow
+      ~on_message:(fun md _ -> fired := Metadata.msg_id md :: !fired)
+      ~alloc_packet_id:(fun () -> 0L)
+      ~transmit:ignore ()
+  in
+  let segment msg seq =
+    let metadata =
+      Metadata.empty |> Metadata.with_msg_id msg
+      |> Metadata.add Metadata.Field.msg_size (Metadata.int 2000)
+    in
+    Packet.make ~id:0L ~flow ~kind:Packet.Data ~seq ~payload:1000 ~metadata ()
+  in
+  let after pkt =
+    fired := [];
+    Tcp.Receiver.handle_data rx pkt;
+    List.rev !fired
+  in
+  let check name expected pkt =
+    Alcotest.(check (list (option int64))) name expected (after pkt)
+  in
+  check "message 1, second segment" [] (segment 1L 1000);
+  check "message 1, first segment" [ Some 1L ] (segment 1L 0);
+  check "message 2, first segment" [] (segment 2L 2000);
+  check "message 2, second segment" [ Some 2L ] (segment 2L 3000);
+  check_int "all delivered" 4000 (Tcp.Receiver.bytes_delivered rx)
+
 let test_throughput_accounting () =
   let net, _, _ = star ~rate_bps:1e9 2 in
   let flow = Net.open_flow net ~src:0 ~dst:1 () in
@@ -629,7 +803,77 @@ let test_fabric_star () =
   check_int "completes" 1 !done_;
   check_int "one switch" 1 (Array.length fabric.Fabric.leaves)
 
+(* ------------------------------------------------------------------ *)
+(* Simulation fingerprint *)
+
+module Fig9 = Eden_experiments.Fig9
+
+(* A short Fig. 9 run, stepped to the horizon one event at a time (a
+   sentinel at the horizon stops the loop; events on the horizon after
+   it run as [Net.run ~until] runs them), reduced to counts and a hash
+   that any change in event order or packet handling moves. *)
+let fig9_fingerprint scheme engine =
+  let params = { Fig9.default_params with Fig9.runs = 1; duration = Time.ms 60 } in
+  let sc = Fig9.scenario params scheme engine ~seed:params.Fig9.seed in
+  let net = sc.Fig9.net in
+  let ev = Net.event net in
+  let stop = ref false in
+  Event.schedule_at ev sc.Fig9.horizon (fun () -> stop := true);
+  let events = ref 0 in
+  while (not !stop) && Event.step ev do
+    incr events
+  done;
+  Event.run ~until:sc.Fig9.horizon ev;
+  let hosts = Net.hosts net in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let host_tx =
+    sum
+      (fun h ->
+        Eden_telemetry.Counter.get
+          (Eden_telemetry.Registry.counter (Host.telemetry h) "eden_host_tx_packets_total"))
+      hosts
+  in
+  let links =
+    List.filter_map Host.uplink hosts
+    @ List.concat_map
+        (fun sw -> List.init (List.length hosts) (Switch.port sw))
+        (Net.switches net)
+  in
+  let link_drops = sum (fun l -> (Link.stats l).Link.dropped_packets) links in
+  let completions = Net.completions net in
+  let retransmits =
+    sum (fun fc -> fc.Tcp.Sender.fc_retransmissions) completions
+    + sum
+        (fun s -> if Tcp.Sender.is_complete s then 0 else Tcp.Sender.retransmissions s)
+        sc.Fig9.background
+  in
+  let mix h x = (h * 0x100000001b3) lxor x in
+  let completions_hash =
+    List.fold_left
+      (fun h fc ->
+        mix
+          (mix (mix h fc.Tcp.Sender.fc_bytes) (Int64.to_int fc.Tcp.Sender.fc_started))
+          (Int64.to_int fc.Tcp.Sender.fc_completed))
+      17 completions
+  in
+  (!events, host_tx, link_drops, retransmits, List.length completions, completions_hash)
+
+(* Pinned when the calendar and links still allocated per event; a
+   faster simulator must replay the same simulation exactly. *)
+let test_fig9_fingerprint scheme engine expected () =
+  let events, host_tx, link_drops, retransmits, completed, hash =
+    fig9_fingerprint scheme engine
+  in
+  let e_events, e_host_tx, e_link_drops, e_retransmits, e_completed, e_hash = expected in
+  check_int "events" e_events events;
+  check_int "host-transmitted packets" e_host_tx host_tx;
+  check_int "link drops" e_link_drops link_drops;
+  check_int "retransmits" e_retransmits retransmits;
+  check_int "completions" e_completed completed;
+  check_int "completions hash" e_hash hash
+
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_netsim"
     [
       ( "event",
@@ -639,6 +883,7 @@ let () =
           Alcotest.test_case "until" `Quick test_event_until;
           Alcotest.test_case "max events" `Quick test_event_max_events;
           Alcotest.test_case "cascade" `Quick test_event_cascade;
+          Qcheck_seed.qcheck prop_event_matches_model;
         ] );
       ( "link",
         [
@@ -658,6 +903,8 @@ let () =
           Alcotest.test_case "message receive callback" `Quick test_message_receive_callback;
           Alcotest.test_case "message completion order" `Quick
             test_message_completion_callbacks_in_order;
+          Alcotest.test_case "message completion out of order" `Quick
+            test_message_completion_out_of_order;
           Alcotest.test_case "throughput accounting" `Quick test_throughput_accounting;
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
         ] );
@@ -688,5 +935,14 @@ let () =
           Alcotest.test_case "both spines used" `Quick test_leaf_spine_uses_both_spines;
           Alcotest.test_case "label pinning" `Quick test_leaf_spine_label_pinning;
           Alcotest.test_case "star" `Quick test_fabric_star;
+        ] );
+      ( "fingerprint",
+        [
+          Alcotest.test_case "fig9 pias eden" `Quick
+            (test_fig9_fingerprint Fig9.Pias Fig9.Eden
+               (234659, 43789, 659, 1258, 5, -176788678634025069));
+          Alcotest.test_case "fig9 baseline native" `Quick
+            (test_fig9_fingerprint Fig9.Baseline Fig9.Native
+               (234908, 43540, 514, 711, 6, 4235896414316180345));
         ] );
     ]
