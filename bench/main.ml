@@ -200,28 +200,28 @@ let program_steps p =
 (* Steady-state allocation of the cached compiled data path: after the
    flow cache and marshal plans are warm, [process] must not allocate for
    marshalling or table lookup.  What remains above the no-policy
-   baseline is the int64 boxing of scalar copy-in plus the cost
-   accumulator's boxed floats — a small constant, asserted here so a
-   regression (a stray [Array.map], option, or closure on the per-packet
-   path) fails the bench loudly. *)
+   baseline is the int64 boxing of scalar copy-in — a small constant,
+   asserted here so a regression (a stray [Array.map], option, or closure
+   on the per-packet path) fails the bench loudly. *)
 let allocation_words_budget = 64.0
 
 (* The no-policy path itself has an absolute bound: flow classification
    runs once per flow and the merged metadata once per message, so a
-   packet that repeats its predecessor's flow and metadata allocates only
-   the cost accumulator's boxed floats and the decision (20 words).
-   Classifying every packet again costs about 200, so a regression fails
-   on any machine. *)
-let no_policy_words_budget = 24.0
+   packet that repeats its predecessor's flow and metadata allocates 10
+   words, the decision and the loop's boxed timestamp among them: the cost
+   model only bumps int cells.  The budget has ~20% headroom; classifying
+   every packet again costs about 200, so a regression fails on any
+   machine. *)
+let no_policy_words_budget = 12.0
 
 (* A packet that opens a new flow pays for its flow-table entry, its
    flow-stage classification (compiled rule-sets over the five-tuple's
    row), the interning of its class vectors and its merged metadata.
    Over churn-like flow-stage rules (32 source-port and 8
-   destination-port buckets) that is about 103 words.  The budget has the
-   ~20% headroom of [no_policy_words_budget]; building and interpreting a
-   descriptor per flow costs about 310 and fails it on any machine. *)
-let new_flow_words_budget = 124.0
+   destination-port buckets) that is about 93 words.  The budget has
+   ~20% headroom; building and interpreting a descriptor per flow costs
+   about 300 and fails it on any machine. *)
+let new_flow_words_budget = 112.0
 
 let new_flow_enclave () =
   let e = Enclave.create ~host:1 () in
@@ -769,8 +769,7 @@ let ablation_batching () =
       ignore (Enclave.process_batch e ~now:(Time.us !i) batch_pkts);
       i := !i + batch
     done;
-    Eden_enclave.Cost.Accum.overhead_pct (Enclave.cost e) ~api:true ~enclave:true
-      ~interp:true
+    Eden_enclave.Cost.overhead_pct (Enclave.cost_model e) (Enclave.cost e)
   in
   List.iter
     (fun b -> Printf.printf "  batch %3d: total overhead %5.2f%%\n" b (overhead b))

@@ -12,11 +12,11 @@ type t = {
 
 let of_program (p : P.t) =
   let wcet_steps = Eden_bytecode.Wcet.worst_case_steps p in
-  let admission_steps =
-    match wcet_steps with Some n -> min n p.P.step_limit | None -> p.P.step_limit
-  in
+  let admission_steps = Ecost.admission_steps p in
   let est placement (m : Ecost.model) =
-    let est_ns = Ecost.admission_ns m ~steps:admission_steps in
+    let est_ns =
+      Ecost.admission_ns m ~per_step_ns:m.Ecost.per_step_ns ~steps:admission_steps
+    in
     { placement; est_ns; budget_ns = m.Ecost.budget_ns; fits = est_ns <= m.Ecost.budget_ns }
   in
   {

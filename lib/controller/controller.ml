@@ -690,8 +690,7 @@ let collect_reports t =
               er_interp_steps = c.Enclave.interp_steps;
               er_actions = Enclave.action_names e;
               er_overhead_pct =
-                Eden_enclave.Cost.Accum.overhead_pct (Enclave.cost e) ~api:true ~enclave:true
-                  ~interp:true;
+                Eden_enclave.Cost.overhead_pct (Enclave.cost_model e) (Enclave.cost e);
               er_generation = Channel.acked_generation ch;
               er_restarts = Enclave.restarts e;
               er_quarantined = c.Enclave.quarantined;

@@ -40,64 +40,50 @@ let nic_model =
     budget_ns = 700_000.0;
   }
 
-let admission_ns m ~steps =
-  m.classify_ns +. m.marshal_ns +. (float_of_int steps *. m.per_step_ns)
+(* Admission control (§3.4 trust boundary): the engines fault an
+   invocation at [step_limit] steps, so that bounds every program. *)
+let admission_steps (p : Eden_bytecode.Program.t) =
+  let limit = p.Eden_bytecode.Program.step_limit in
+  match Eden_bytecode.Wcet.worst_case_steps p with Some n -> min n limit | None -> limit
 
-module Accum = struct
-  type t = {
-    mutable vanilla : float;
-    mutable api : float;
-    mutable classify : float;
-    mutable marshal : float;
-    mutable interp : float;
-    mutable native : float;
-    mutable packets : int;
+let admission_ns m ~per_step_ns ~steps =
+  m.classify_ns +. m.marshal_ns +. (float_of_int steps *. per_step_ns)
+
+type counts = {
+  packets : int;
+  api_handoffs : int;
+  classifications : int;
+  marshals : int;
+  interp_steps : int;
+  compiled_steps : int;
+  native_calls : int;
+}
+
+let sub a b =
+  {
+    packets = a.packets - b.packets;
+    api_handoffs = a.api_handoffs - b.api_handoffs;
+    classifications = a.classifications - b.classifications;
+    marshals = a.marshals - b.marshals;
+    interp_steps = a.interp_steps - b.interp_steps;
+    compiled_steps = a.compiled_steps - b.compiled_steps;
+    native_calls = a.native_calls - b.native_calls;
   }
 
-  let create () =
-    { vanilla = 0.0; api = 0.0; classify = 0.0; marshal = 0.0; interp = 0.0;
-      native = 0.0; packets = 0 }
+let vanilla_ns m c = float_of_int c.packets *. m.vanilla_ns
+let api_ns m c = float_of_int c.api_handoffs *. m.api_ns
 
-  let add_vanilla t m =
-    t.vanilla <- t.vanilla +. m.vanilla_ns;
-    t.packets <- t.packets + 1
+let enclave_ns m c =
+  (float_of_int c.classifications *. m.classify_ns) +. (float_of_int c.marshals *. m.marshal_ns)
 
-  let add_api t m = t.api <- t.api +. m.api_ns
-  let add_classify t m = t.classify <- t.classify +. m.classify_ns
-  let add_marshal t m = t.marshal <- t.marshal +. m.marshal_ns
-  let add_interp t m ~steps = t.interp <- t.interp +. (float_of_int steps *. m.per_step_ns)
+let interp_ns m c =
+  (float_of_int c.interp_steps *. m.per_step_ns)
+  +. (float_of_int c.compiled_steps *. m.compiled_step_ns)
 
-  let add_compiled t m ~steps =
-    t.interp <- t.interp +. (float_of_int steps *. m.compiled_step_ns)
-  let add_native t m = t.native <- t.native +. m.native_ns
-  let packets t = t.packets
+let overhead_ns m c =
+  api_ns m c +. enclave_ns m c +. interp_ns m c +. (float_of_int c.native_calls *. m.native_ns)
 
-  let overhead_total_ns t = t.api +. t.classify +. t.marshal +. t.interp +. t.native
-
-  let vanilla_ns t = t.vanilla
-  let api_ns t = t.api
-  let enclave_ns t = t.classify +. t.marshal
-  let interp_ns t = t.interp
-  let native_ns t = t.native
-
-  let overhead_pct t ~api ~enclave ~interp =
-    if t.vanilla <= 0.0 then 0.0
-    else begin
-      let sel = ref 0.0 in
-      if api then sel := !sel +. t.api;
-      if enclave then sel := !sel +. t.classify +. t.marshal;
-      if interp then sel := !sel +. t.interp;
-      !sel /. t.vanilla *. 100.0
-    end
-
-  let merge a b =
-    {
-      vanilla = a.vanilla +. b.vanilla;
-      api = a.api +. b.api;
-      classify = a.classify +. b.classify;
-      marshal = a.marshal +. b.marshal;
-      interp = a.interp +. b.interp;
-      native = a.native +. b.native;
-      packets = a.packets + b.packets;
-    }
-end
+let overhead_pct m c =
+  let vanilla = vanilla_ns m c in
+  if vanilla <= 0.0 then 0.0
+  else (api_ns m c +. enclave_ns m c +. interp_ns m c) /. vanilla *. 100.0

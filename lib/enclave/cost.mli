@@ -1,11 +1,11 @@
-(** Per-packet CPU cost accounting (paper §5.4, Fig. 12).
+(** The CPU cost model (paper §5.4, Fig. 12).
 
     The paper breaks Eden's overhead over a vanilla stack into three
     parts: the API (passing metadata into the enclave), the enclave
     itself (classification, table lookup, state marshalling), and the
-    interpreter.  The simulator charges each packet according to this
-    model so Fig. 12 can be regenerated; the bench harness also measures
-    the real interpreter's wall-clock cost on this machine to calibrate
+    interpreter.  Each part is a count ({!counts}) times a constant of a
+    {!model}, computed when read.  The bench harness also measures the
+    real interpreter's wall-clock cost on this machine to calibrate
     [per_step_ns]. *)
 
 type model = {
@@ -32,44 +32,47 @@ val nic_model : model
 (** The programmable-NIC enclave: slower single-thread cores, but the
     model only matters relatively. *)
 
-val admission_ns : model -> steps:int -> float
-(** Worst-case Eden-added cost of one invocation retiring at most
-    [steps] instructions: classification + marshalling + interpretation.
-    Compared against [budget_ns] at install time. *)
+val admission_steps : Eden_bytecode.Program.t -> int
+(** The steps admission control charges: the static worst case
+    ({!Eden_bytecode.Wcet}) capped by [step_limit], or [step_limit]
+    when the control-flow graph has a cycle. *)
 
-(** Accumulates busy-time per component over a run. *)
-module Accum : sig
-  type t
+val admission_ns : model -> per_step_ns:float -> steps:int -> float
+(** Worst-case Eden-added cost of one invocation of [steps] steps at
+    [per_step_ns] (the engine's step cost): classification + marshalling
+    + execution.  Both install-time admission and the static analyzer
+    use it. *)
 
-  val create : unit -> t
-  val add_vanilla : t -> model -> unit
-  val add_api : t -> model -> unit
-  val add_classify : t -> model -> unit
-  val add_marshal : t -> model -> unit
-  val add_interp : t -> model -> steps:int -> unit
+(** What the model charges for, counted.  The enclave keeps these in
+    integer registry cells; every figure below is computed from them. *)
+type counts = {
+  packets : int;
+  api_handoffs : int;  (** Stage metadata handoffs (one per batch run). *)
+  classifications : int;  (** One per packet, or per batch run. *)
+  marshals : int;  (** Environment copy-ins, one per bytecode invocation run. *)
+  interp_steps : int;  (** Retired by the interpreter. *)
+  compiled_steps : int;  (** Retired by the closure-compiled engine. *)
+  native_calls : int;
+}
 
-  val add_compiled : t -> model -> steps:int -> unit
-  (** Charged into the interpreter bucket at [compiled_step_ns]. *)
+val sub : counts -> counts -> counts
+(** Field-wise difference: [sub later earlier] counts one window. *)
 
-  val add_native : t -> model -> unit
+val vanilla_ns : model -> counts -> float
+val api_ns : model -> counts -> float
 
-  val packets : t -> int
-  (** Number of vanilla charges, i.e. packets seen. *)
+val enclave_ns : model -> counts -> float
+(** Classification + marshalling. *)
 
-  val overhead_total_ns : t -> float
-  (** Total Eden-added busy time (everything except the vanilla base). *)
+val interp_ns : model -> counts -> float
+(** Both engines, each at its own step cost. *)
 
-  val vanilla_ns : t -> float
-  val api_ns : t -> float
-  val enclave_ns : t -> float
-  (** classify + marshal. *)
+val overhead_ns : model -> counts -> float
+(** Eden-added busy time: API + enclave + engines + native calls.  Exact
+    for the built-in models: their constants are multiples of 0.5, so
+    every product and partial sum below 2{^52} ns is exactly
+    representable, in any order of addition. *)
 
-  val interp_ns : t -> float
-  val native_ns : t -> float
-
-  val overhead_pct : t -> api:bool -> enclave:bool -> interp:bool -> float
-  (** Selected components' busy time as a percentage of the vanilla base
-      (the quantity Fig. 12 plots). *)
-
-  val merge : t -> t -> t
-end
+val overhead_pct : model -> counts -> float
+(** API + enclave + interpreter as a percentage of the vanilla base
+    (Fig. 12's total); 0 before any packet. *)

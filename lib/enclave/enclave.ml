@@ -448,6 +448,10 @@ end)
 
 let fault_ring_capacity = 100
 
+(* The model's running total when the current packet began.  The only
+   field is a float, so the record stores it unboxed. *)
+type packet_start = { mutable start_ns : float }
+
 type t = {
   e_host : Addr.host;
   e_placement : placement;
@@ -485,19 +489,22 @@ type t = {
   m_cache_misses : Tel.Counter.t;
   m_cache_evictions : Tel.Counter.t;
   m_restarts : Tel.Counter.t;
-  h_process : Tel.Histogram.t;  (* Eden-added ns per processed packet *)
-  h_exec : Tel.Histogram.t;  (* engine execution ns per invocation *)
-  h_marshal : Tel.Histogram.t;  (* copy-in/copy-out ns per invocation *)
+  (* What the cost model charges for, beyond the cells above. *)
+  m_api_handoffs : Tel.Counter.t;
+  m_classifications : Tel.Counter.t;
+  m_marshals : Tel.Counter.t;
+  m_compiled_steps : Tel.Counter.t;
+  h_process : Tel.Histogram.t;  (* model ns per processed packet *)
+  h_exec : Tel.Histogram.t;  (* model engine ns per invocation *)
   mutable e_timing : bool;
   mutable e_trace : Tel.Trace.t option;
   mutable e_trace_armed : bool;  (* current packet is sampled *)
   e_faults : fault_record Tel.Ring.t;  (* newest-first fault log *)
   e_out : outputs;  (* reused across process_one calls *)
-  mutable e_cost : Cost.Accum.t;
   e_cost_model : Cost.model;
+  e_packet : packet_start;
   mutable e_budget_ns : float;
   mutable e_enforce : bool;
-  mutable e_last_cost_ns : float;
   mutable e_breaker : breaker_config option;
 }
 
@@ -559,11 +566,20 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
         counter ~help:"Match-action cache entries evicted on reset"
           "eden_enclave_flow_cache_evictions_total";
       m_restarts = counter ~help:"Enclave restarts" "eden_enclave_restarts_total";
+      m_api_handoffs =
+        counter ~help:"Stage metadata handed to the enclave" "eden_enclave_api_handoffs_total";
+      m_classifications =
+        counter ~help:"Enclave classifications charged" "eden_enclave_classifications_total";
+      m_marshals =
+        counter ~help:"Bytecode environment copy-ins" "eden_enclave_marshals_total";
+      m_compiled_steps =
+        counter ~help:"Bytecode steps retired by the compiled engine"
+          "eden_enclave_compiled_steps_total";
       h_process =
-        histogram ~help:"Eden-added ns per processed packet" "eden_enclave_process_ns";
-      h_exec = histogram ~help:"Engine execution ns per invocation" "eden_enclave_exec_ns";
-      h_marshal =
-        histogram ~help:"Marshalling ns per invocation" "eden_enclave_marshal_ns";
+        histogram ~help:"Cost-model Eden-added ns per processed packet"
+          "eden_enclave_process_model_ns";
+      h_exec =
+        histogram ~help:"Cost-model engine ns per invocation" "eden_enclave_exec_model_ns";
       e_timing = true;
       e_trace = None;
       e_trace_armed = false;
@@ -577,12 +593,11 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
           o_charge = -1;
           o_goto = -1;
         };
-      e_cost = Cost.Accum.create ();
       e_cost_model = (match placement with Os -> Cost.os_model | Nic -> Cost.nic_model);
+      e_packet = { start_ns = 0.0 };
       e_budget_ns =
         (match placement with Os -> Cost.os_model | Nic -> Cost.nic_model).Cost.budget_ns;
       e_enforce = true;
-      e_last_cost_ns = 0.0;
       e_breaker = None;
     }
   in
@@ -632,9 +647,30 @@ let timing t = t.e_timing
 let set_trace t tr = t.e_trace <- tr
 let trace t = t.e_trace
 
-let cost t = t.e_cost
+let cost t =
+  let get = Tel.Counter.get and compiled_steps = Tel.Counter.get t.m_compiled_steps in
+  { Cost.packets = get t.m_packets; api_handoffs = get t.m_api_handoffs;
+    classifications = get t.m_classifications; marshals = get t.m_marshals;
+    interp_steps = get t.m_interp_steps - compiled_steps; compiled_steps;
+    native_calls = get t.m_native_invocations }
+
 let cost_model t = t.e_cost_model
-let last_process_cost_ns t = t.e_last_cost_ns
+
+(* The model's running total, [Cost.overhead_ns] of {!cost}, written
+   over the cells so that its per-packet callers, which inline it, build
+   no [counts] record and box no float.  [test_enclave] checks that the
+   per-packet figures sum exactly to [Cost.overhead_ns]. *)
+let[@inline] model_total_ns t =
+  let m = t.e_cost_model and get = Tel.Counter.get in
+  let compiled = get t.m_compiled_steps in
+  (float_of_int (get t.m_api_handoffs) *. m.Cost.api_ns)
+  +. ((float_of_int (get t.m_classifications) *. m.Cost.classify_ns)
+      +. (float_of_int (get t.m_marshals) *. m.Cost.marshal_ns))
+  +. ((float_of_int (get t.m_interp_steps - compiled) *. m.Cost.per_step_ns)
+      +. (float_of_int compiled *. m.Cost.compiled_step_ns))
+  +. (float_of_int (get t.m_native_invocations) *. m.Cost.native_ns)
+
+let[@inline] last_process_cost_ns t = model_total_ns t -. t.e_packet.start_ns
 let budget_ns t = t.e_budget_ns
 
 let set_budget_ns t ns =
@@ -669,15 +705,6 @@ let install_error_to_string = function
   | Bad_contract problems -> String.concat "; " problems
 
 let pp_install_error fmt e = Format.pp_print_string fmt (install_error_to_string e)
-
-(* Admission control (§3.4 trust boundary): the worst case an invocation
-   can cost is bounded by the static longest path when the control-flow
-   graph is acyclic, and by [step_limit] always — the interpreter faults
-   the invocation at that many steps regardless. *)
-let admission_steps (p : P.t) =
-  match Eden_bytecode.Wcet.worst_case_steps p with
-  | Some n -> min n p.P.step_limit
-  | None -> p.P.step_limit
 
 (* Contract and budget validation shared by both bytecode engines. *)
 let validate_bytecode t sources ~per_step_ns (p : P.t) =
@@ -717,11 +744,8 @@ let validate_bytecode t sources ~per_step_ns (p : P.t) =
     (match !problems with
     | _ :: _ as ps -> Error (Bad_contract ps)
     | [] ->
-      let steps = admission_steps p in
-      let m = t.e_cost_model in
-      let est_ns =
-        m.Cost.classify_ns +. m.Cost.marshal_ns +. (float_of_int steps *. per_step_ns)
-      in
+      let steps = Cost.admission_steps p in
+      let est_ns = Cost.admission_ns t.e_cost_model ~per_step_ns ~steps in
       if est_ns > t.e_budget_ns then
         Error (Over_budget { est_ns; budget_ns = t.e_budget_ns; steps })
       else Ok ())
@@ -975,8 +999,7 @@ let restart t =
   Tel.Ring.clear t.e_faults;
   (match t.e_trace with Some tr -> Tel.Trace.clear tr | None -> ());
   t.e_trace_armed <- false;
-  t.e_cost <- Cost.Accum.create ();
-  t.e_last_cost_ns <- 0.0
+  t.e_packet.start_ns <- 0.0
 
 let restore t sn =
   restart t;
@@ -1159,16 +1182,13 @@ let enter t a plan pkt md msg_id ~now =
     false
   | None ->
     marshal_in a plan pkt md msg_id ~now;
-    Cost.Accum.add_marshal t.e_cost t.e_cost_model;
-    if t.e_timing then
-      Tel.Histogram.observe t.h_marshal (int_of_float t.e_cost_model.Cost.marshal_ns);
+    Tel.Counter.inc t.m_marshals;
     true
 
 let leave t a plan out msg_id ~now ~compiled ~steps fault =
   let m = t.e_cost_model in
   Tel.Counter.add t.m_interp_steps steps;
-  if compiled then Cost.Accum.add_compiled t.e_cost m ~steps
-  else Cost.Accum.add_interp t.e_cost m ~steps;
+  if compiled then Tel.Counter.add t.m_compiled_steps steps;
   if t.e_timing then
     Tel.Histogram.observe t.h_exec
       (int_of_float
@@ -1194,7 +1214,6 @@ let run_compiled t a c plan pkt md msg_id out ~now =
 
 let run_native t a f pkt md msg_id out ~now =
   Tel.Counter.inc t.m_native_invocations;
-  Cost.Accum.add_native t.e_cost t.e_cost_model;
   if t.e_timing then
     Tel.Histogram.observe t.h_exec (int_of_float t.e_cost_model.Cost.native_ns);
   let ctx =
@@ -1230,15 +1249,14 @@ let invoke_engine t a pkt md msg_id out ~now =
     Mutex.unlock m
 
 (* When the current packet is sampled by the flight recorder, bracket the
-   engine with cost-accumulator reads to attribute the action stage. *)
+   engine with model-total reads to attribute the action stage. *)
 let invoke_traced t a pkt md msg_id out ~now =
   if not t.e_trace_armed then invoke_engine t a pkt md msg_id out ~now
   else begin
-    let before = Cost.Accum.overhead_total_ns t.e_cost in
+    let before = model_total_ns t in
     invoke_engine t a pkt md msg_id out ~now;
     match t.e_trace with
-    | Some tr ->
-      Tel.Trace.set_action tr a.a_name (Cost.Accum.overhead_total_ns t.e_cost -. before)
+    | Some tr -> Tel.Trace.set_action tr a.a_name (model_total_ns t -. before)
     | None -> ()
   end
 
@@ -1318,19 +1336,19 @@ let rec walk t ~now pkt md msg_id classes vec out table_id hops =
    message group: batching amortizes classification and the metadata
    handoff (paper 6, "Cycle budget"), not the action function itself. *)
 let process_one t ~now ~charge_classify (pkt : Packet.t) =
-  let cost_before = Cost.Accum.overhead_total_ns t.e_cost in
+  let start = t.e_packet in
+  start.start_ns <- model_total_ns t;
   Tel.Counter.inc t.m_packets;
   (match t.e_trace with
   | Some tr -> t.e_trace_armed <- Tel.Trace.begin_packet tr ~now ~pkt_id:pkt.Packet.id
   | None -> ());
-  Cost.Accum.add_vanilla t.e_cost t.e_cost_model;
   let stage_md = pkt.Packet.metadata in
   (match Metadata.msg_id stage_md with
-  | Some _ when charge_classify -> Cost.Accum.add_api t.e_cost t.e_cost_model
+  | Some _ when charge_classify -> Tel.Counter.inc t.m_api_handoffs
   | Some _ | None -> ());
   (* Enclave's own classification: the five-tuple stage, memoised per
      flow. *)
-  if charge_classify then Cost.Accum.add_classify t.e_cost t.e_cost_model;
+  if charge_classify then Tel.Counter.inc t.m_classifications;
   let flow = flow_entry t pkt.Packet.flow in
   let flow_classes = flow_classes t pkt.Packet.flow flow in
   let slot = t.e_slot in
@@ -1353,30 +1371,26 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   pkt.Packet.metadata <- md;
   (if t.e_trace_armed then
      match t.e_trace with
-     | Some tr ->
-       Tel.Trace.set_classify tr (Cost.Accum.overhead_total_ns t.e_cost -. cost_before)
+     | Some tr -> Tel.Trace.set_classify tr (model_total_ns t -. start.start_ns)
      | None -> ());
   let out = t.e_out in
   reset_outputs out pkt;
-  let walk_before =
-    if t.e_trace_armed then Cost.Accum.overhead_total_ns t.e_cost else 0.0
-  in
+  let walk_before = if t.e_trace_armed then model_total_ns t else 0.0 in
   walk t ~now pkt md msg_id (Metadata.classes_rev md) slot.s_vec out 0 0;
-  t.e_last_cost_ns <- Cost.Accum.overhead_total_ns t.e_cost -. cost_before;
-  if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float t.e_last_cost_ns);
+  if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float (last_process_cost_ns t));
   (if t.e_trace_armed then
      match t.e_trace with
      | Some tr ->
        (* Match stage: walk time not attributed to the action engine
           (table/cache resolution plus per-packet bookkeeping). *)
-       let walk_ns = Cost.Accum.overhead_total_ns t.e_cost -. walk_before in
+       let walk_ns = model_total_ns t -. walk_before in
        let residual = walk_ns -. Tel.Trace.current_action_ns tr in
        Tel.Trace.set_match tr (if residual > 0.0 then residual else 0.0)
      | None -> ());
   let finish_trace verdict =
     if t.e_trace_armed then begin
       (match t.e_trace with
-      | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:t.e_last_cost_ns
+      | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:(last_process_cost_ns t)
       | None -> ());
       t.e_trace_armed <- false
     end

@@ -6,7 +6,7 @@
     - installed action functions, interpreted bytecode or native closures,
     - per-action state stores with copy-in / copy-out semantics ({!State}),
     - its own five-tuple flow stage for packets with no stage metadata,
-    - per-packet cost accounting ({!Cost}).
+    - the counts its CPU cost model charges for ({!Cost}).
 
     The controller programs the enclave through the [install_*] /
     [add_*] / [set_global*] functions — the paper's enclave API
@@ -209,19 +209,24 @@ val counters : t -> counters
 (** {2 Telemetry}
 
     Every enclave owns a {!Eden_telemetry.Registry.t} holding its
-    data-path counters ([eden_enclave_*_total]) and, when timing is on
-    (the default), cost-model stage histograms ([eden_enclave_process_ns],
-    [eden_enclave_exec_ns], [eden_enclave_marshal_ns]).  Cells are plain
-    int fields touched inline by the hot path; the registry is only
-    walked at {!scrape} time.  Sharded replicas each keep their own
-    registry and {!Eden_telemetry.Registry.merge} combines the scrapes. *)
+    data-path counters ([eden_enclave_*_total]).  They include every
+    count the cost model charges for, so the counters are the enclave's
+    only cost accounting: {!cost} and {!last_process_cost_ns} compute
+    model figures from them when read.  When timing is on (the default)
+    two histograms also record per-event model figures
+    ([eden_enclave_process_model_ns] per packet,
+    [eden_enclave_exec_model_ns] per invocation); they are derived from
+    the model, not measured.  Cells are plain int fields touched inline
+    by the hot path; the registry is only walked at {!scrape} time.
+    Sharded replicas each keep their own registry and
+    {!Eden_telemetry.Registry.merge} combines the scrapes. *)
 
 val telemetry : t -> Eden_telemetry.Registry.t
 val scrape : t -> Eden_telemetry.Registry.sample list
 
 val set_timing : t -> bool -> unit
-(** Toggle the stage-timing histograms (counters are always on).  Used
-    by the bench harness to measure the instrumentation's own cost. *)
+(** Toggle the two model histograms (counters are always on).  Used by
+    the bench harness to measure the instrumentation's own cost. *)
 
 val timing : t -> bool
 
@@ -336,14 +341,24 @@ val faults : t -> fault_record list
     for reading the telemetry fault log; the fault {e count} lives in
     the registry as [eden_enclave_faults_total]. *)
 
-val cost : t -> Cost.Accum.t
+val cost : t -> Cost.counts
+(** Snapshot of what the cost model charges for, read from the registry
+    cells ([eden_enclave_packets_total], [_api_handoffs_total],
+    [_classifications_total], [_marshals_total], [_interp_steps_total]
+    minus [_compiled_steps_total], [_compiled_steps_total],
+    [_native_invocations_total]).  Apply {!Cost.overhead_pct} and
+    friends with {!cost_model} to get nanoseconds. *)
+
 val cost_model : t -> Cost.model
 
 val last_process_cost_ns : t -> float
-(** Eden-added CPU nanoseconds charged by the most recent {!process}
-    call (classification, marshalling, interpretation/native execution).
-    The simulated host turns this into data-path latency, so interpreted
-    and native configurations genuinely differ on the wire. *)
+(** Eden-added CPU nanoseconds the cost model charges for the most
+    recent {!process} call (classification, marshalling,
+    interpretation/native execution): the growth of
+    [Cost.overhead_ns (cost_model t) (cost t)] since that packet began.
+    0 after {!restart}.  The simulated host turns this into data-path
+    latency, so interpreted and native configurations genuinely differ
+    on the wire. *)
 
 (** {2 Data path} *)
 

@@ -45,16 +45,6 @@ type run_output = {
   windows : int;
 }
 
-type snapshot = { s_vanilla : float; s_api : float; s_enclave : float; s_interp : float }
-
-let snapshot acc =
-  {
-    s_vanilla = Cost.Accum.vanilla_ns acc;
-    s_api = Cost.Accum.api_ns acc;
-    s_enclave = Cost.Accum.enclave_ns acc;
-    s_interp = Cost.Accum.interp_ns acc;
-  }
-
 let run ?(params = default_params) () =
   let net = Net.create ~seed:params.seed () in
   let sw = Net.add_switch net in
@@ -83,26 +73,28 @@ let run ?(params = default_params) () =
     Tcp.Sender.send_message flow.Net.f_sender ~metadata:md bytes_per_flow;
     Tcp.Sender.close flow.Net.f_sender
   done;
-  (* Sample the cost accumulator every window. *)
-  let acc = Enclave.cost enclave in
+  (* Snapshot the enclave's counts every window; each window's shares are
+     the model applied to the counts it added. *)
+  let m = Enclave.cost_model enclave in
   let api_s = Stats.Samples.create () in
   let enc_s = Stats.Samples.create () in
   let int_s = Stats.Samples.create () in
-  let last = ref (snapshot acc) in
+  let last = ref (Enclave.cost enclave) in
   let rec sample at =
     if Time.( <= ) at (Time.add params.warmup params.duration) then
       Event.schedule_at (Net.event net) at (fun () ->
-          let s = snapshot acc in
-          let dv = s.s_vanilla -. !last.s_vanilla in
+          let s = Enclave.cost enclave in
+          let d = Cost.sub s !last in
+          let dv = Cost.vanilla_ns m d in
           if dv > 0.0 then begin
-            Stats.Samples.add api_s ((s.s_api -. !last.s_api) /. dv *. 100.0);
-            Stats.Samples.add enc_s ((s.s_enclave -. !last.s_enclave) /. dv *. 100.0);
-            Stats.Samples.add int_s ((s.s_interp -. !last.s_interp) /. dv *. 100.0)
+            Stats.Samples.add api_s (Cost.api_ns m d /. dv *. 100.0);
+            Stats.Samples.add enc_s (Cost.enclave_ns m d /. dv *. 100.0);
+            Stats.Samples.add int_s (Cost.interp_ns m d /. dv *. 100.0)
           end;
           last := s;
           sample (Time.add at params.window))
   in
-  Event.schedule_at (Net.event net) params.warmup (fun () -> last := snapshot acc);
+  Event.schedule_at (Net.event net) params.warmup (fun () -> last := Enclave.cost enclave);
   sample (Time.add params.warmup params.window);
   Net.run ~until:(Time.add params.warmup params.duration) net;
   let result component samples =
@@ -116,7 +108,7 @@ let run ?(params = default_params) () =
     results = [ result Api api_s; result Enclave_mech enc_s; result Interpreter int_s ];
     total_avg_pct =
       Stats.Samples.mean api_s +. Stats.Samples.mean enc_s +. Stats.Samples.mean int_s;
-    packets = Cost.Accum.packets acc;
+    packets = (Enclave.cost enclave).Cost.packets;
     windows = Stats.Samples.count api_s;
   }
 

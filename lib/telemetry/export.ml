@@ -27,30 +27,7 @@ let to_table samples =
               if h.count = 0 then 0.0
               else float_of_int h.sum /. float_of_int h.count
             in
-            let pct p =
-              (* Percentile over the sampled bucket list. *)
-              if h.count = 0 then 0
-              else begin
-                let rank =
-                  let r =
-                    int_of_float (ceil (p /. 100.0 *. float_of_int h.count))
-                  in
-                  if r < 1 then 1 else r
-                in
-                let acc = ref 0 and res = ref 0 in
-                (try
-                   List.iter
-                     (fun (ub, c) ->
-                       acc := !acc + c;
-                       if !acc >= rank then begin
-                         res := ub;
-                         raise Exit
-                       end)
-                     h.buckets
-                 with Exit -> ());
-                !res
-              end
-            in
+            let pct = Histogram.bucket_percentile h.buckets ~count:h.count ~max:h.max in
             ( "histogram",
               Printf.sprintf "count=%d mean=%.1f p50=%d p99=%d max=%d" h.count
                 mean (pct 50.0) (pct 99.0) h.max )

@@ -44,30 +44,27 @@ let sum t = t.sum
 let max_value t = t.max
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
-let percentile t p =
-  if t.count = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.count)) in
-    let rank = if rank < 1 then 1 else rank in
-    let acc = ref 0 and res = ref (n_buckets - 1) in
-    (try
-       for i = 0 to n_buckets - 1 do
-         acc := !acc + t.b.(i);
-         if !acc >= rank then begin
-           res := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    lower_bound (!res + 1)
-  end
-
 let buckets t =
   let out = ref [] in
   for i = n_buckets - 1 downto 0 do
     if t.b.(i) > 0 then out := (lower_bound (i + 1), t.b.(i)) :: !out
   done;
   !out
+
+let bucket_percentile buckets ~count ~max p =
+  if count = 0 then 0
+  else begin
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int count)) in
+    let rank = if rank < 1 then 1 else rank in
+    let rec walk acc = function
+      | [] -> max
+      | (ub, c) :: rest ->
+        if acc + c >= rank then Int.min ub max else walk (acc + c) rest
+    in
+    walk 0 buckets
+  end
+
+let percentile t p = bucket_percentile (buckets t) ~count:t.count ~max:t.max p
 
 let merge_into dst src =
   for i = 0 to n_buckets - 1 do

@@ -39,12 +39,18 @@ val count : t -> int
 val sum : t -> int
 val max_value : t -> int
 val mean : t -> float
-val percentile : t -> float -> int
-(** [percentile t p] with [p] in [\[0, 100\]]: upper bound of the bucket
-    holding the p-th percentile observation (0 when empty). *)
-
 val buckets : t -> (int * int) list
 (** Non-empty buckets as [(upper_bound_exclusive, count)], ascending. *)
+
+val bucket_percentile : (int * int) list -> count:int -> max:int -> float -> int
+(** [bucket_percentile buckets ~count ~max p] with [p] in [\[0, 100\]],
+    over a {!buckets} list (or a scraped one) holding [count]
+    observations whose largest is [max]: the upper bound of the bucket
+    holding the p-th percentile observation, clamped to [max] so a
+    percentile never exceeds the largest observation (0 when empty). *)
+
+val percentile : t -> float -> int
+(** [bucket_percentile] over this histogram's buckets. *)
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] adds [src]'s buckets, count, sum and max into

@@ -278,6 +278,35 @@ let test_over_budget_install_rejected () =
         est.Cost.fits)
     c.Cost.estimates
 
+(* The analyzer's estimate is the figure admission control computes: on
+   each placement, an interpreted install under a budget too tight for it
+   reports exactly the analyzer's [est_ns] and steps. *)
+let test_estimate_equals_admission () =
+  List.iter
+    (fun (name, p) ->
+      let c = Cost.of_program p in
+      List.iter
+        (fun (est : Cost.estimate) ->
+          let placement =
+            List.find
+              (fun pl -> Enclave.placement_to_string pl = est.Cost.placement)
+              [ Enclave.Os; Enclave.Nic ]
+          in
+          let e = Enclave.create ~placement ~host:1 () in
+          Enclave.set_budget_ns e 1.0;
+          match
+            Enclave.install_action_full e
+              { Enclave.i_name = name; i_impl = Enclave.Interpreted p; i_msg_sources = [] }
+          with
+          | Error (Enclave.Over_budget { est_ns; steps; _ }) ->
+            let what = Printf.sprintf "%s on %s" name est.Cost.placement in
+            check_bool (what ^ ": est_ns") true (est_ns = est.Cost.est_ns);
+            check_int (what ^ ": steps") c.Cost.admission_steps steps
+          | Error e -> Alcotest.failf "wrong error: %s" (Enclave.install_error_to_string e)
+          | Ok () -> Alcotest.failf "%s admitted under a 1 ns budget" name)
+        c.Cost.estimates)
+    [ ("pias", Eden_functions.Pias.program ()); ("scan", compile_exn scan_schema scan_action) ]
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer *)
 
@@ -435,6 +464,8 @@ let () =
             test_cost_loop_uses_step_limit;
           Alcotest.test_case "over budget rejected" `Quick
             test_over_budget_install_rejected;
+          Alcotest.test_case "estimate equals admission" `Quick
+            test_estimate_equals_admission;
         ] );
       ( "optimizer",
         [

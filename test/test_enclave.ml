@@ -11,6 +11,7 @@ module Packet = Eden_base.Packet
 module Metadata = Eden_base.Metadata
 module Class_name = Eden_base.Class_name
 module Time = Eden_base.Time
+module Trace = Eden_telemetry.Trace
 open Eden_lang
 
 let check_bool = Alcotest.(check bool)
@@ -486,8 +487,8 @@ let test_batch_processing_equivalent () =
   List.iter2
     (fun p1 p2 -> check_int "same priority" p1.Packet.priority p2.Packet.priority)
     s1 s2;
-  let c1 = Cost.Accum.enclave_ns (Enclave.cost e1) in
-  let c2 = Cost.Accum.enclave_ns (Enclave.cost e2) in
+  let enclave_ns e = Cost.enclave_ns (Enclave.cost_model e) (Enclave.cost e) in
+  let c1 = enclave_ns e1 and c2 = enclave_ns e2 in
   check_bool (Printf.sprintf "batching cheaper (%.0f < %.0f)" c2 c1) true (c2 < c1)
 
 let test_batch_multi_message_split () =
@@ -557,13 +558,89 @@ let test_cost_accounting () =
   for i = 0 to 9 do
     ignore (Enclave.process e ~now:(Time.us i) (data_packet ~payload:1000 f))
   done;
-  let c = Enclave.cost e in
-  check_int "10 packets" 10 (Cost.Accum.packets c);
-  check_bool "interp time accrued" true (Cost.Accum.interp_ns c > 0.0);
-  check_bool "enclave time accrued" true (Cost.Accum.enclave_ns c > 0.0);
-  let pct = Cost.Accum.overhead_pct c ~api:true ~enclave:true ~interp:true in
+  let c = Enclave.cost e and m = Enclave.cost_model e in
+  check_int "10 packets" 10 c.Cost.packets;
+  check_bool "interp time accrued" true (Cost.interp_ns m c > 0.0);
+  check_bool "enclave time accrued" true (Cost.enclave_ns m c > 0.0);
+  let pct = Cost.overhead_pct m c in
   check_bool "overhead positive" true (pct > 0.0);
   check_bool "overhead sane (<100%)" true (pct < 100.0)
+
+(* The per-packet figures are increments of the model's running total, so
+   over any traffic they add up to the total exactly — the model's
+   constants are multiples of 0.5, so no sum here rounds.  Batched
+   packets' figures are read back from a flight recorder sampling every
+   packet. *)
+let test_per_packet_costs_sum_to_total () =
+  let e = Enclave.create ~host:1 () in
+  let compile_dsl schema a =
+    get_ok (Result.map_error Compile.error_to_string (Compile.compile schema a))
+  in
+  let install name impl sources =
+    get_ok
+      (Enclave.install_action e
+         { Enclave.i_name = name; i_impl = impl; i_msg_sources = sources })
+  in
+  let size = [ ("Size", Enclave.Stateful 0L) ] in
+  install "interp" (Enclave.Interpreted (compiled_pias ())) size;
+  install "compiled" (Enclave.Compiled (compiled_pias ())) size;
+  install "native" (Enclave.Native (fun ctx -> Enclave.Native_ctx.set_priority ctx 3)) [];
+  let schema = Schema.with_standard_packet () in
+  let jump = compile_dsl schema Dsl.(action "jump" (set_pkt "GotoTable" (int 1))) in
+  let mark = compile_dsl schema Dsl.(action "mark" (set_pkt "Priority" (int 5))) in
+  install "jump" (Enclave.Interpreted jump) [];
+  install "mark" (Enclave.Compiled mark) [];
+  List.iter
+    (fun a -> get_ok (Enclave.set_global_array e ~action:a "Limits" [| 10_000L; 1_000_000L |]))
+    [ "interp"; "compiled" ];
+  let t1 = Enclave.add_table e in
+  List.iter
+    (fun (cls, action) ->
+      ignore (get_ok (Enclave.add_table_rule e ~pattern:(pat ("test.r." ^ cls)) ~action ())))
+    [ ("I", "interp"); ("C", "compiled"); ("N", "native"); ("G", "jump") ];
+  ignore (get_ok (Enclave.add_table_rule e ~table:t1 ~pattern:(pat "*.*.*") ~action:"mark" ()));
+  (* Classes cycle through every engine, the goto chain and no match;
+     message ids change every other packet, so batches have runs. *)
+  let packet i =
+    let metadata =
+      match i mod 6 with
+      | 5 -> Metadata.empty
+      | k ->
+        tagged_metadata ~msg_id:(Int64.of_int (1 + (i / 2)))
+          [ [| "I"; "C"; "N"; "G"; "X" |].(k) ]
+    in
+    data_packet ~id:(Int64.of_int i) ~payload:(100 * i) ~metadata
+      (flow ~src_port:(1000 + (i mod 4)) ())
+  in
+  let singles = ref 0.0 in
+  for i = 0 to 59 do
+    ignore (Enclave.process e ~now:(Time.us i) (packet i));
+    singles := !singles +. Enclave.last_process_cost_ns e
+  done;
+  let tr = Trace.create ~every:1 ~capacity:256 () in
+  Enclave.set_trace e (Some tr);
+  for b = 0 to 5 do
+    ignore
+      (Enclave.process_batch e ~now:(Time.us (100 + b))
+         (List.init 10 (fun k -> packet (60 + (10 * b) + k))))
+  done;
+  let batched =
+    List.fold_left (fun acc ev -> acc +. ev.Trace.ev_total_ns) 0.0 (Trace.events tr)
+  in
+  check_int "every batched packet traced" 60 (List.length (Trace.events tr));
+  let c = Enclave.cost e and m = Enclave.cost_model e in
+  check_int "packets" 120 c.Cost.packets;
+  check_bool "every engine ran" true
+    (c.Cost.interp_steps > 0 && c.Cost.compiled_steps > 0 && c.Cost.native_calls > 0);
+  check_bool "batches amortized classification" true (c.Cost.classifications < 120);
+  let total = Cost.overhead_ns m c in
+  check_bool
+    (Printf.sprintf "per-packet sum %.1f + %.1f = overhead %.1f" !singles batched total)
+    true
+    (!singles +. batched = total);
+  Enclave.restart e;
+  check_bool "no cost after restart" true
+    (Enclave.last_process_cost_ns e = 0.0 && Cost.overhead_ns m (Enclave.cost e) = 0.0)
 
 let test_nic_placement_costs_more () =
   let run placement =
@@ -581,7 +658,7 @@ let test_nic_placement_costs_more () =
     for i = 0 to 9 do
       ignore (Enclave.process e ~now:(Time.us i) (data_packet ~payload:1000 f))
     done;
-    Cost.Accum.overhead_pct (Enclave.cost e) ~api:true ~enclave:true ~interp:true
+    Cost.overhead_pct (Enclave.cost_model e) (Enclave.cost e)
   in
   check_bool "nic interp dearer than os" true (run Enclave.Nic > run Enclave.Os)
 
@@ -638,5 +715,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_cost_accounting;
           Alcotest.test_case "nic dearer" `Quick test_nic_placement_costs_more;
+          Alcotest.test_case "per-packet costs sum to the total" `Quick
+            test_per_packet_costs_sum_to_total;
         ] );
     ]

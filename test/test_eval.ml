@@ -1,10 +1,11 @@
-(* Differential testing: the reference AST evaluator vs the compiled
-   bytecode must agree on every observable effect, over thousands of
-   randomly generated programs. *)
+(* Differential testing: the reference AST evaluator, the bytecode
+   interpreter and the closure-compiled engine must agree on every
+   observable effect, over thousands of randomly generated programs. *)
 
 open Eden_lang
 module P = Eden_bytecode.Program
 module Interp = Eden_bytecode.Interp
+module Compiled = Eden_bytecode.Compiled
 
 let now = Eden_base.Time.us 77
 
@@ -70,7 +71,7 @@ let test_eval_matches_paper_function () =
     (Eval.State.field st Ast.Packet "Priority")
 
 (* ------------------------------------------------------------------ *)
-(* Differential property: eval vs compile+interpret *)
+(* Differential property: eval vs interpreter vs compiled engine *)
 
 (* Random programs over: packet.Size (ro), packet.Priority (rw),
    msg.A/msg.B (rw), global.C (rw), global array Tbl (rw, length 4). *)
@@ -97,7 +98,10 @@ let gen_program =
             let* a = int_expr (n / 2) in
             let* b = int_expr (n / 2) in
             return (Ast.Binop (op, a, b)) );
-          (1, map (fun e -> Ast.Unop (Ast.Neg, e)) (int_expr (n - 1)));
+          (* Under [fun st]: built eagerly, the sub-generator chain below
+             would be constructed on every call, drawn or not, which
+             dominates generation time. *)
+          (1, fun st -> map (fun e -> Ast.Unop (Ast.Neg, e)) (int_expr (n - 1)) st);
           ( 1,
             let* i = int_expr (n / 2) in
             return (Ast.Arr_get (Ast.Global, "Tbl", Ast.Binop (Ast.Rem, i, Ast.Int 4L))) );
@@ -161,8 +165,8 @@ let schema =
     ~global_arrays:[ Schema.array "Tbl" ~access:Schema.Read_write ]
     ()
 
-(* Negative Rem indices still fault on bounds in both engines: the AST
-   wraps indices with [i % 4] which can be negative — both engines treat
+(* Negative Rem indices still fault on bounds in every engine: the AST
+   wraps indices with [i % 4] which can be negative — all of them treat
    that as out of bounds, which is exactly the agreement we test. *)
 let run_differential body =
   let action = { Ast.af_name = "diff"; af_funs = []; af_body = body } in
@@ -187,49 +191,69 @@ let run_differential body =
     Eval.State.set_field st Ast.Global "C" 1000L;
     Eval.State.set_array st Ast.Global "Tbl" (Array.copy tbl0);
     let eval_result = Eval.run ~now ~rng:(Eden_base.Rng.create 5L) action st in
-    (* Compiled execution. *)
-    let scalars =
-      Array.map (fun (s : P.scalar_slot) -> init_scalar s.P.s_entity s.P.s_name)
-        program.P.scalar_slots
+    let fresh_env () =
+      let scalars =
+        Array.map (fun (s : P.scalar_slot) -> init_scalar s.P.s_entity s.P.s_name)
+          program.P.scalar_slots
+      in
+      let arrays =
+        Array.map
+          (fun (a : P.array_slot) ->
+            match a.P.a_name with "Tbl" -> Array.copy tbl0 | _ -> [||])
+          program.P.array_slots
+      in
+      Interp.make_env program ~scalars ~arrays
     in
-    let arrays =
-      Array.map
-        (fun (a : P.array_slot) ->
-          match a.P.a_name with "Tbl" -> Array.copy tbl0 | _ -> [||])
-        program.P.array_slots
-    in
-    let env = Interp.make_env program ~scalars ~arrays in
-    let interp_result = Interp.run program ~env ~now ~rng:(Eden_base.Rng.create 5L) in
-    (match (eval_result, interp_result) with
-    | Error _, Error _ -> true (* both faulted: agreement *)
-    | Ok (), Ok _ ->
-      (* Compare every scalar slot and the array. *)
-      let scalars_agree = ref true in
-      Array.iteri
-        (fun i (s : P.scalar_slot) ->
-          let expected = Eval.State.field st (Ast.entity_of_program s.P.s_entity) s.P.s_name in
-          (* Read-only slots are not written back by the interpreter. *)
-          let got = if s.P.s_access = P.Read_write then env.Interp.scalars.(i) else expected in
-          if not (Int64.equal expected got) then scalars_agree := false)
-        program.P.scalar_slots;
-      let arrays_agree = ref true in
-      Array.iteri
-        (fun i (a : P.array_slot) ->
-          if a.P.a_name = "Tbl" && env.Interp.arrays.(i) <> Eval.State.array st Ast.Global "Tbl"
-          then arrays_agree := false)
-        program.P.array_slots;
-      if not (!scalars_agree && !arrays_agree) then
-        QCheck.Test.fail_reportf "state divergence on:\n%s"
+    (* Each bytecode engine against the reference evaluation. *)
+    let agrees engine (env : Interp.env) result =
+      match (eval_result, result) with
+      | Error _, Error _ -> true (* both faulted: agreement *)
+      | Ok (), Ok _ ->
+        (* Compare every scalar slot and the array. *)
+        let scalars_agree = ref true in
+        Array.iteri
+          (fun i (s : P.scalar_slot) ->
+            let expected =
+              Eval.State.field st (Ast.entity_of_program s.P.s_entity) s.P.s_name
+            in
+            (* Read-only slots are not written back by the engines. *)
+            let got = if s.P.s_access = P.Read_write then env.Interp.scalars.(i) else expected in
+            if not (Int64.equal expected got) then scalars_agree := false)
+          program.P.scalar_slots;
+        let arrays_agree = ref true in
+        Array.iteri
+          (fun i (a : P.array_slot) ->
+            if a.P.a_name = "Tbl" && env.Interp.arrays.(i) <> Eval.State.array st Ast.Global "Tbl"
+            then arrays_agree := false)
+          program.P.array_slots;
+        if not (!scalars_agree && !arrays_agree) then
+          QCheck.Test.fail_reportf "%s state divergence on:\n%s" engine
+            (Pretty.action_to_string action)
+        else true
+      | Ok (), Error (f, _) ->
+        QCheck.Test.fail_reportf "%s faulted (%s), eval did not:\n%s" engine
+          (Interp.fault_to_string f)
           (Pretty.action_to_string action)
-      else true
-    | Ok (), Error (f, _) ->
-      QCheck.Test.fail_reportf "interp faulted (%s), eval did not:\n%s"
-        (Eden_bytecode.Interp.fault_to_string f)
-        (Pretty.action_to_string action)
-    | Error e, Ok _ ->
-      QCheck.Test.fail_reportf "eval faulted (%s), interp did not:\n%s"
-        (Eval.error_to_string e)
-        (Pretty.action_to_string action))
+      | Error e, Ok _ ->
+        QCheck.Test.fail_reportf "eval faulted (%s), %s did not:\n%s"
+          (Eval.error_to_string e) engine
+          (Pretty.action_to_string action)
+    in
+    let interp_env = fresh_env () in
+    let interp_result =
+      Interp.run program ~env:interp_env ~now ~rng:(Eden_base.Rng.create 5L)
+    in
+    let compiled_env = fresh_env () in
+    let compiled_result =
+      match Compiled.compile program with
+      | Error e ->
+        QCheck.Test.fail_reportf "closure compilation refused (%s):\n%s"
+          (Eden_bytecode.Verifier.error_to_string e)
+          (Pretty.action_to_string action)
+      | Ok c -> Compiled.run c ~env:compiled_env ~now ~rng:(Eden_base.Rng.create 5L)
+    in
+    agrees "interpreter" interp_env interp_result
+    && agrees "compiled engine" compiled_env compiled_result
 
 let prop_differential =
   QCheck.Test.make ~name:"eval and compiled bytecode agree" ~count:2000

@@ -81,6 +81,21 @@ let test_histogram_stats () =
   check_int "reset count" 0 (Histogram.count h);
   check_int "reset sum" 0 (Histogram.sum h)
 
+(* A bucket's exclusive upper bound can exceed every observation in it;
+   a reported percentile is clamped to the max, in the histogram and in
+   the table rendering of a scrape alike. *)
+let test_histogram_percentile_clamped () =
+  let r = Registry.create () in
+  let h = Registry.histogram r "same_ns" in
+  for _ = 1 to 10 do
+    Histogram.observe h 69
+  done;
+  check_int "p50" 69 (Histogram.percentile h 50.0);
+  check_int "p99" 69 (Histogram.percentile h 99.0);
+  let table = Export.to_table (Registry.scrape r) in
+  check_bool table true
+    (contains table "count=10 mean=69.0 p50=69 p99=69 max=69")
+
 let test_histogram_merge () =
   (* Merging N instances is exactly the one-instance run: boundaries are
      a pure function of the index, so bucket-wise addition loses
@@ -474,6 +489,7 @@ let () =
         [
           Alcotest.test_case "pinned boundaries" `Quick test_histogram_boundaries;
           Alcotest.test_case "stats" `Quick test_histogram_stats;
+          Alcotest.test_case "percentile clamped to max" `Quick test_histogram_percentile_clamped;
           Alcotest.test_case "merge equals sequential" `Quick test_histogram_merge;
         ] );
       ( "registry",
