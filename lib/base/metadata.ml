@@ -36,7 +36,11 @@ let find_str field t =
   match find field t with Some (Str s) -> Some s | Some (Int _) | None -> None
 
 (* Allocation-free variants for the enclave data path: [Smap.find] plus
-   [Not_found] avoids materialising an option per packet. *)
+   [Not_found] allocates no option on a hit.  A miss raises, and a raise
+   is not cheap: ~30 ns on OCaml 5.1, against ~5 ns for a non-raising
+   miss.  The enclave's marshal plans copy metadata fields only when the
+   merged metadata object changes, so an absent field pays the raise
+   once per message run, not once per packet. *)
 let int_field field ~default t =
   match Smap.find field t.fields with
   | Int i -> i

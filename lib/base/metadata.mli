@@ -33,11 +33,15 @@ val find_str : string -> t -> string option
 
 val int_field : string -> default:int64 -> t -> int64
 (** [find_int] without the option allocation, for per-packet paths.
-    Returns [default] when the field is absent or not an integer. *)
+    Returns [default] when the field is absent or not an integer.  An
+    absent field costs a [Not_found] raise inside (~30 ns on OCaml 5.1,
+    where a non-raising miss would cost ~5 ns), so callers that read the
+    same metadata repeatedly should remember the result. *)
 
 val str_field_is : string -> expected:string -> t -> bool
 (** True when the (string) field is present and equals [expected];
-    allocation-free. *)
+    allocation-free, with the same raise on an absent field as
+    {!int_field}. *)
 
 val mem : string -> t -> bool
 val fields : t -> (string * value) list

@@ -46,7 +46,6 @@ module Rng = Eden_base.Rng
 type state = {
   stack : Bytes.t; (* stack_limit unboxed int64 slots, 8 bytes each *)
   locals : Bytes.t; (* n_locals unboxed int64 slots *)
-  mutable env_scalars : int64 array;
   mutable env_arrays : int64 array array;
   mutable heap : int64 array array;
   mutable n_heap : int;
@@ -631,7 +630,6 @@ let compile ?strict (p : P.t) =
       {
         stack = Bytes.make (8 * max p.P.stack_limit 1) '\000';
         locals = Bytes.make (8 * max p.P.n_locals 1) '\000';
-        env_scalars = [||];
         env_arrays = [||];
         heap = Array.make 16 [||];
         n_heap = 0;
@@ -644,6 +642,12 @@ let compile ?strict (p : P.t) =
     in
     Ok { cp_program = p; cp_entry = build p; cp_state = st }
 
+(* Entry work is per call, so it is kept to what a call changes: the
+   env and rng fields are re-stored (a write barrier each) only when the
+   caller passes different objects, the heap is reset only if the last
+   run allocated, and the locals are zeroed by an inline loop rather
+   than a C call.  Scalars are copied into locals here, so the machine
+   state keeps no reference to [env.scalars]. *)
 let exec t ~(env : Interp.env) ~now ~rng =
   let p = t.cp_program in
   let st = t.cp_state in
@@ -651,19 +655,24 @@ let exec t ~(env : Interp.env) ~now ~rng =
     Array.length env.Interp.scalars <> Array.length p.P.scalar_slots
     || Array.length env.Interp.arrays <> Array.length p.P.array_slots
   then invalid_arg "Compiled.exec: env does not match the program's slot tables";
-  st.env_scalars <- env.Interp.scalars;
-  st.env_arrays <- env.Interp.arrays;
-  st.now_ns <- Eden_base.Time.to_ns now;
-  st.rng <- rng;
-  Array.fill st.heap 0 st.n_heap [||];
-  st.n_heap <- 0;
+  if not (st.env_arrays == env.Interp.arrays) then st.env_arrays <- env.Interp.arrays;
+  if not (st.rng == rng) then st.rng <- rng;
+  let now_ns = Eden_base.Time.to_ns now in
+  if not (st.now_ns == now_ns) then st.now_ns <- now_ns;
+  if st.n_heap > 0 then begin
+    Array.fill st.heap 0 st.n_heap [||];
+    st.n_heap <- 0
+  end;
   st.heap_cells <- 0;
   st.steps <- 0;
   st.max_sp <- 0;
-  Bytes.fill st.locals 0 (Bytes.length st.locals) '\000';
+  let locals = st.locals in
+  for i = 0 to (Bytes.length locals lsr 3) - 1 do
+    b64set locals (i lsl 3) 0L
+  done;
   let scalar_slots = p.P.scalar_slots in
   for i = 0 to Array.length scalar_slots - 1 do
-    b64set st.locals ((Array.unsafe_get scalar_slots i).P.s_local lsl 3)
+    b64set locals ((Array.unsafe_get scalar_slots i).P.s_local lsl 3)
       (Array.unsafe_get env.Interp.scalars i)
   done;
   match t.cp_entry st with

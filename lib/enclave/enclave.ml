@@ -264,16 +264,16 @@ let apply_packet_field_code (out : outputs) code v =
 type scalar_in =
   | In_zero  (** Never read by the program: skip the copy-in. *)
   | In_pkt of int
-  | In_msg_state of string * int64  (** field, default *)
+  | In_msg_state of { field : string; default : int64; mutable fslot : int }
   | In_msg_meta_int of string
   | In_msg_meta_flag of string * string
-  | In_global of string
+  | In_global of { name : string; mutable gslot : int }
 
 type scalar_out =
   | Out_none
   | Out_pkt of int
-  | Out_msg of string
-  | Out_global of string
+  | Out_msg of { field : string; mutable fslot : int }
+  | Out_global of { name : string; mutable gslot : int }
 
 type array_kind =
   | A_alias  (** Read-only (or never written): share the live array. *)
@@ -289,9 +289,16 @@ type plan = {
   pl_arrays : int64 array array;  (* preallocated env.arrays *)
   pl_live : int64 array array;  (* live aliases for scratch blits *)
   pl_env : Interp.env;
+  pl_msg_in : bool;  (* some [In_msg_state] slot *)
+  pl_msg_out : bool;  (* some [Out_msg] slot *)
+  mutable pl_entry : State.entry;  (* the invocation's message, if [pl_msg_in] *)
+  mutable pl_md : Metadata.t;  (* metadata the [In_msg_meta_*] slots hold *)
   mutable pl_version : int;  (* State.array_version at last rebind *)
   mutable pl_undersized : Interp.fault option;  (* checked at rebind *)
 }
+
+(* Made here, so no packet carries it: the first copy-in always misses. *)
+let no_metadata = Metadata.with_msg_id 0L Metadata.empty
 
 let msg_source_of sources name =
   match Hashtbl.find_opt sources name with Some s -> s | None -> Stateful 0L
@@ -314,10 +321,10 @@ let make_plan (p : P.t) sources =
         else
           match s.P.s_entity with
           | P.Packet -> In_pkt (packet_field_code s.P.s_name)
-          | P.Global -> In_global s.P.s_name
+          | P.Global -> In_global { name = s.P.s_name; gslot = -1 }
           | P.Message -> (
             match msg_source_of sources s.P.s_name with
-            | Stateful default -> In_msg_state (s.P.s_name, default)
+            | Stateful default -> In_msg_state { field = s.P.s_name; default; fslot = -1 }
             | Metadata_int field -> In_msg_meta_int field
             | Metadata_flag (field, expected) -> In_msg_meta_flag (field, expected)))
       p.P.scalar_slots
@@ -331,8 +338,8 @@ let make_plan (p : P.t) sources =
         else
           match s.P.s_entity with
           | P.Packet -> Out_pkt (packet_field_code s.P.s_name)
-          | P.Message -> Out_msg s.P.s_name
-          | P.Global -> Out_global s.P.s_name)
+          | P.Message -> Out_msg { field = s.P.s_name; fslot = -1 }
+          | P.Global -> Out_global { name = s.P.s_name; gslot = -1 })
       p.P.scalar_slots
   in
   let fault_free = lazy (Eden_bytecode.Wcet.fault_free p) in
@@ -360,18 +367,37 @@ let make_plan (p : P.t) sources =
     pl_arrays;
     pl_live = Array.make n_arrays [||];
     pl_env = { Interp.scalars = pl_scalars; arrays = pl_arrays };
+    pl_msg_in = Array.exists (function In_msg_state _ -> true | _ -> false) pl_in;
+    pl_msg_out = Array.exists (function Out_msg _ -> true | _ -> false) pl_out;
+    pl_entry = State.no_entry;
+    pl_md = no_metadata;
     pl_version = -1;  (* force a rebind before the first invocation *)
     pl_undersized = None;
   }
 
-(* Re-alias live arrays (and resize scratch buffers) after the
+(* Resolve every state name the plan touches to its slot in [state];
+   re-alias live arrays (and resize scratch buffers) after the
    controller rebinds one via [set_global_array]; also re-check the
-   [a_min_len] promises the program's bounds proofs rely on. *)
+   [a_min_len] promises the program's bounds proofs rely on.  Runs
+   before the first invocation and again after every array swap or
+   store swap, so the slots always belong to the store in use. *)
 let rebind_plan plan state =
   let v = State.array_version state in
   if plan.pl_version <> v then begin
     plan.pl_version <- v;
     plan.pl_undersized <- None;
+    Array.iter
+      (function
+        | In_msg_state r -> r.fslot <- State.field_slot state r.field
+        | In_global r -> r.gslot <- State.global_slot state r.name
+        | In_zero | In_pkt _ | In_msg_meta_int _ | In_msg_meta_flag _ -> ())
+      plan.pl_in;
+    Array.iter
+      (function
+        | Out_msg r -> r.fslot <- State.field_slot state r.field
+        | Out_global r -> r.gslot <- State.global_slot state r.name
+        | Out_none | Out_pkt _ -> ())
+      plan.pl_out;
     Array.iteri
       (fun i (a : P.array_slot) ->
         let live = State.global_array state a.P.a_name in
@@ -1127,19 +1153,27 @@ let record_fault t action fault now =
 
 (* Copy-in per the plan; elided slots keep whatever the buffer holds
    (the program provably never reads them, and the plan never publishes
-   them). *)
+   them).  The message entry is looked up once and kept for copy-out.
+   Metadata-sourced slots are copied only when [md] is not the object
+   they were copied from: [Metadata.t] is immutable, those slots are
+   read-only (install rejects writable ones), and neither engine
+   publishes a read-only slot, so the buffer still holds their values. *)
 let marshal_in a plan pkt md msg_id ~now =
   let s = plan.pl_scalars in
+  let st = a.a_state in
+  if plan.pl_msg_in then plan.pl_entry <- State.msg_entry st ~msg:msg_id ~now;
+  let e = plan.pl_entry in
+  let md_fresh = not (md == plan.pl_md) in
+  if md_fresh then plan.pl_md <- md;
   for i = 0 to Array.length plan.pl_in - 1 do
-    match plan.pl_in.(i) with
+    match Array.unsafe_get plan.pl_in i with
     | In_zero -> ()
     | In_pkt code -> s.(i) <- packet_field_by_code pkt code
-    | In_msg_state (field, default) ->
-      s.(i) <- State.msg_get a.a_state ~msg:msg_id ~field ~default ~now
-    | In_msg_meta_int field -> s.(i) <- Metadata.int_field field ~default:0L md
+    | In_msg_state r -> s.(i) <- State.entry_get e r.fslot ~default:r.default
+    | In_msg_meta_int field -> if md_fresh then s.(i) <- Metadata.int_field field ~default:0L md
     | In_msg_meta_flag (field, expected) ->
-      s.(i) <- (if Metadata.str_field_is field ~expected md then 1L else 0L)
-    | In_global name -> s.(i) <- State.global_get a.a_state name
+      if md_fresh then s.(i) <- (if Metadata.str_field_is field ~expected md then 1L else 0L)
+    | In_global r -> s.(i) <- State.global_get_slot st r.gslot
   done;
   for i = 0 to Array.length plan.pl_abind - 1 do
     match plan.pl_abind.(i) with
@@ -1151,15 +1185,22 @@ let marshal_in a plan pkt md msg_id ~now =
 
 (* Publish on success only: writable scalars the program stored, plus
    scratch arrays blitted back over the live binding (the binding itself
-   is unchanged, so dependent plans need not rebind). *)
+   is unchanged, so dependent plans need not rebind).  The values are
+   stored as the engine published them, boxes included. *)
 let marshal_out a plan out msg_id ~now =
   let s = plan.pl_scalars in
+  let st = a.a_state in
+  let e =
+    if not plan.pl_msg_out then State.no_entry
+    else if plan.pl_msg_in then plan.pl_entry
+    else State.msg_entry st ~msg:msg_id ~now
+  in
   for i = 0 to Array.length plan.pl_out - 1 do
-    match plan.pl_out.(i) with
+    match Array.unsafe_get plan.pl_out i with
     | Out_none -> ()
     | Out_pkt code -> apply_packet_field_code out code s.(i)
-    | Out_msg field -> State.msg_set a.a_state ~msg:msg_id ~field s.(i) ~now
-    | Out_global name -> State.global_set a.a_state name s.(i)
+    | Out_msg r -> State.entry_set e r.fslot s.(i)
+    | Out_global r -> State.global_set_slot st r.gslot s.(i)
   done;
   for i = 0 to Array.length plan.pl_abind - 1 do
     match plan.pl_abind.(i) with

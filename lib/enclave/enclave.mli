@@ -254,7 +254,8 @@ val action_state : t -> string -> State.t option
 
 val set_action_state : t -> string -> State.t -> (unit, string) result
 (** Point the action at a (possibly shared) state store; its marshal
-    plan rebinds before the next invocation. *)
+    plan rebinds before the next invocation, resolving its state names
+    to the new store's slots. *)
 
 val set_action_lock : t -> string -> Mutex.t option -> (unit, string) result
 (** When set, every invocation of the action runs under the mutex. *)
@@ -365,7 +366,15 @@ val last_process_cost_ns : t -> float
 val process : t -> now:Eden_base.Time.t -> Eden_base.Packet.t -> decision
 (** Classify, match, execute, apply.  A faulting action function leaves
     the packet unmodified and forwarded (fail-open), with the fault
-    recorded; the rest of the system is unaffected (§3.4.3). *)
+    recorded; the rest of the system is unaffected (§3.4.3).
+
+    A bytecode action's copy-in and copy-out run by the marshal plan
+    built at install: state names are resolved to {!State} slots when
+    the plan binds to a store, the message entry is looked up once per
+    invocation, and metadata-sourced fields are copied only when the
+    packet's merged metadata is not the object they were last copied
+    from.  Metadata is immutable and such fields are read-only, so this
+    is exact. *)
 
 val process_batch :
   t -> now:Eden_base.Time.t -> Eden_base.Packet.t list -> decision list

@@ -6,6 +6,16 @@
     around every invocation: the interpreter works on a snapshot, and a
     faulting program publishes nothing (paper §3.4.3–3.4.4).
 
+    Names are resolved to slots.  A global scalar or message field name
+    gets a dense slot the first time anything names it, and keeps it for
+    the store's lifetime.  Global scalars live in one array indexed by
+    global slot; each message entry holds an array indexed by field slot.
+    Messages are found through an [int64]-keyed table with a
+    multiplicative hash and [Int64.equal].  The enclave's marshal plans
+    resolve their names once, when bound to a store, and then read and
+    write by slot; the by-name functions below are thin wrappers over the
+    same store, for native actions, tests and tools.
+
     Message entries record their last-touch time so idle messages can be
     expired, and are dropped eagerly when the transport signals message
     end. *)
@@ -29,7 +39,8 @@ val global_array_set : t -> string -> int64 array -> unit
 
 val global_bindings : t -> (string * int64) list
 (** Every written global scalar, sorted by name — the reconciliation
-    plane's view of the store. *)
+    plane's view of the store.  A name that was only resolved to a slot
+    is not listed. *)
 
 val global_array_bindings : t -> (string * int64 array) list
 (** Every bound global array (live, not copied), sorted by name. *)
@@ -44,7 +55,9 @@ val array_version : t -> int
 (** {2 Per-message state} *)
 
 val msg_get : t -> msg:int64 -> field:string -> default:int64 -> now:Eden_base.Time.t -> int64
-(** Reads a message field, creating the entry (and touching it) as needed. *)
+(** Reads a message field, creating the entry (and touching it) as
+    needed.  A field never written for this message returns [default]
+    and stores it. *)
 
 val msg_set : t -> msg:int64 -> field:string -> int64 -> now:Eden_base.Time.t -> unit
 
@@ -56,3 +69,42 @@ val msg_end : t -> msg:int64 -> unit
 
 val expire : t -> now:Eden_base.Time.t -> idle:Eden_base.Time.t -> int
 (** Drop messages idle longer than [idle]; returns how many were dropped. *)
+
+(** {2 Slot-resolved access}
+
+    What the by-name functions do, split so that the name lookups happen
+    once.  A slot is valid for the store that issued it, for as long as
+    that store lives.  Nothing here hashes a string or raises on a
+    present message. *)
+
+val global_slot : t -> string -> int
+(** The slot of a global scalar, registering the name if new.  A new
+    slot reads as never written. *)
+
+val global_get_slot : t -> int -> int64
+(** 0 for a never-written slot, like {!global_get}. *)
+
+val global_set_slot : t -> int -> int64 -> unit
+
+val field_slot : t -> string -> int
+(** The slot of a message field, registering the name if new.  Entries
+    created before the name was registered grow on their first write. *)
+
+type entry
+(** One message's fields.  Only valid while the message is in the store:
+    {!msg_end} and {!expire} unlink it. *)
+
+val no_entry : entry
+(** The "no such message" sentinel, compared with [==]; reading or
+    writing a field through it raises [Invalid_argument]. *)
+
+val msg_entry : t -> msg:int64 -> now:Eden_base.Time.t -> entry
+(** The message's entry, created if absent, touched at [now]. *)
+
+val entry_get : entry -> int -> default:int64 -> int64
+(** [msg_get] by slot: a never-written field returns [default] and
+    stores it. *)
+
+val entry_set : entry -> int -> int64 -> unit
+(** [msg_set] by slot.  The value is stored as given (the same box), so
+    a value read back is the one written. *)

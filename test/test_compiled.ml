@@ -204,6 +204,63 @@ let test_exec_accessors () =
   check_int "heap" 0 (Compiled.last_heap_cells cp);
   Alcotest.(check int64) "published" 3L env.Interp.scalars.(0)
 
+(* [Compiled.exec] keeps its machine state between calls and only redoes
+   the entry work a call changes.  A run must still start from zeroed
+   locals and an empty heap, and must read the env it is given.  The
+   program below counts in a local it reads before writing
+   ([Out = A[0] + (local 3 + 1)]), allocates when [Mode] is set, and
+   otherwise dereferences the heap reference [Ref], which must then be
+   stale. *)
+let entry_program =
+  let slot name access local =
+    { Program.s_name = name; s_entity = Program.Packet; s_access = access; s_local = local }
+  in
+  Program.make ~name:"entry"
+    ~code:
+      [|
+        Op.Load 3; Op.Push 1L; Op.Add; Op.Store 3;
+        Op.Push 0L; Op.Gaload 0; Op.Load 3; Op.Add; Op.Store 2;
+        Op.Load 0; Op.Jz 17;
+        Op.Push 4L; Op.Newarr; Op.Push 0L; Op.Push 9L; Op.Astore; Op.Halt;
+        Op.Load 1; Op.Push 0L; Op.Aload; Op.Load 2; Op.Add; Op.Store 2; Op.Halt;
+      |]
+    ~scalar_slots:
+      [| slot "Mode" Program.Read_only 0; slot "Ref" Program.Read_only 1;
+         slot "Out" Program.Read_write 2 |]
+    ~array_slots:
+      [| { Program.a_name = "A"; a_entity = Program.Global; a_access = Program.Read_only;
+           a_min_len = 1 } |]
+    ~n_locals:4 ~stack_limit:8 ~heap_limit:64 ~step_limit:100 ()
+
+let test_exec_entry_invariants () =
+  let p = entry_program in
+  let cp = Result.get_ok (Compiled.compile p) in
+  let env_a = Interp.make_env p ~scalars:[| 1L; 0L; 0L |] ~arrays:[| [| 10L |] |] in
+  let env_c = Interp.make_env p ~scalars:[| 1L; 0L; 0L |] ~arrays:[| [| 20L |] |] in
+  let run what env ~mode ~expect =
+    env.Interp.scalars.(0) <- mode;
+    let env_i = copy_env env in
+    let now = Eden_base.Time.us 1 in
+    let ri = Interp.run p ~env:env_i ~now ~rng:(Eden_base.Rng.create 1L) in
+    let rc = Compiled.run cp ~env ~now ~rng:(Eden_base.Rng.create 1L) in
+    let show = function
+      | Ok s -> "ok " ^ stats_str s
+      | Error (f, s) -> fault_str f ^ " " ^ stats_str s
+    in
+    Alcotest.(check string) (what ^ ": same result as Interp.run") (show ri) (show rc);
+    Alcotest.(check (array int64))
+      (what ^ ": same published scalars as Interp.run")
+      env_i.Interp.scalars env.Interp.scalars;
+    match (expect, rc) with
+    | `Out v, Ok _ -> Alcotest.(check int64) (what ^ ": Out") v env.Interp.scalars.(2)
+    | `Stale, Error (Interp.Invalid_reference { pc = 19 }, _) -> ()
+    | _, _ -> Alcotest.failf "%s: unexpected %s" what (show rc)
+  in
+  run "allocating run" env_a ~mode:1L ~expect:(`Out 11L);
+  run "stale heap reference" env_a ~mode:0L ~expect:`Stale;
+  run "another env" env_c ~mode:1L ~expect:(`Out 21L);
+  run "the first env again" env_a ~mode:1L ~expect:(`Out 11L)
+
 let qcheck = Qcheck_seed.qcheck
 
 (* ------------------------------------------------------------------ *)
@@ -432,6 +489,7 @@ let engine_suites =
         Alcotest.test_case "compile rejects unverifiable" `Quick
           test_compile_rejects_like_verifier;
         Alcotest.test_case "exec accessors" `Quick test_exec_accessors;
+        Alcotest.test_case "exec entry invariants" `Quick test_exec_entry_invariants;
         qcheck prop_differential_fuzz;
       ] );
     ( "enclave-engines",

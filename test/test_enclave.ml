@@ -70,6 +70,189 @@ let test_state_expiry () =
   check_int "one expired" 1 dropped;
   check_bool "recent kept" true (State.msg_known s ~msg:2L)
 
+(* The store as it was when every message held a string-keyed
+   [Hashtbl]: the reference the slot-indexed store is checked against. *)
+module Model = struct
+  type msg_entry = { fields : (string, int64) Hashtbl.t; mutable last_touch : Time.t }
+
+  type t = {
+    globals : (string, int64) Hashtbl.t;
+    messages : (int64, msg_entry) Hashtbl.t;
+  }
+
+  let create () = { globals = Hashtbl.create 16; messages = Hashtbl.create 256 }
+
+  let global_get t name =
+    match Hashtbl.find_opt t.globals name with Some v -> v | None -> 0L
+
+  let global_set t name v = Hashtbl.replace t.globals name v
+
+  let global_bindings t =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.globals []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let msg_entry t msg now =
+    match Hashtbl.find_opt t.messages msg with
+    | Some e ->
+      e.last_touch <- now;
+      e
+    | None ->
+      let e = { fields = Hashtbl.create 4; last_touch = now } in
+      Hashtbl.replace t.messages msg e;
+      e
+
+  let msg_get t ~msg ~field ~default ~now =
+    let e = msg_entry t msg now in
+    match Hashtbl.find_opt e.fields field with
+    | Some v -> v
+    | None ->
+      Hashtbl.replace e.fields field default;
+      default
+
+  let msg_set t ~msg ~field v ~now = Hashtbl.replace (msg_entry t msg now).fields field v
+  let msg_known t ~msg = Hashtbl.mem t.messages msg
+  let msg_count t = Hashtbl.length t.messages
+  let msg_end t ~msg = Hashtbl.remove t.messages msg
+
+  let expire t ~now ~idle =
+    let cutoff = Time.sub now idle in
+    let stale =
+      Hashtbl.fold
+        (fun id e acc -> if Time.( < ) e.last_touch cutoff then id :: acc else acc)
+        t.messages []
+    in
+    List.iter (Hashtbl.remove t.messages) stale;
+    List.length stale
+end
+
+type state_op =
+  | Get of { by_slot : bool; msg : int64; field : string; default : int64 }
+  | Set of { by_slot : bool; msg : int64; field : string; v : int64 }
+  | End of int64
+  | Expire of int  (* idle, µs *)
+  | Known of int64
+  | Count
+  | Gget of { by_slot : bool; name : string }
+  | Gset of { by_slot : bool; name : string; v : int64 }
+  | Gbindings
+
+let show_op = function
+  | Get { by_slot; msg; field; default } ->
+    Printf.sprintf "get%s %Ld.%s ~default:%Ld" (if by_slot then "@" else "") msg field default
+  | Set { by_slot; msg; field; v } ->
+    Printf.sprintf "set%s %Ld.%s %Ld" (if by_slot then "@" else "") msg field v
+  | End m -> Printf.sprintf "end %Ld" m
+  | Expire idle -> Printf.sprintf "expire ~idle:%dus" idle
+  | Known m -> Printf.sprintf "known %Ld" m
+  | Count -> "count"
+  | Gget { by_slot; name } -> Printf.sprintf "gget%s %s" (if by_slot then "@" else "") name
+  | Gset { by_slot; name; v } ->
+    Printf.sprintf "gset%s %s %Ld" (if by_slot then "@" else "") name v
+  | Gbindings -> "gbindings"
+
+(* Small pools, so ops collide on messages and names; [f3]/[g3] are
+   never named by the up-front bind, so they are first named after
+   entries exist. *)
+let gen_state_op =
+  let open QCheck.Gen in
+  let msg = map Int64.of_int (int_range 0 5) in
+  let field = oneofl [ "f0"; "f1"; "f2"; "f3" ] in
+  let name = oneofl [ "g0"; "g1"; "g2"; "g3" ] in
+  let v = map Int64.of_int (int_range (-3) 40) in
+  frequency
+    [
+      (5, map4 (fun by_slot msg field default -> Get { by_slot; msg; field; default })
+            bool msg field v);
+      (5, map4 (fun by_slot msg field v -> Set { by_slot; msg; field; v }) bool msg field v);
+      (2, map (fun m -> End m) msg);
+      (1, map (fun i -> Expire i) (int_range 0 12));
+      (1, map (fun m -> Known m) msg);
+      (1, return Count);
+      (2, map2 (fun by_slot name -> Gget { by_slot; name }) bool name);
+      (2, map3 (fun by_slot name v -> Gset { by_slot; name; v }) bool name v);
+      (1, return Gbindings);
+    ]
+
+(* Runs one op on both stores (time advancing by [dt] µs first);
+   returns a description of any disagreement. *)
+let run_state_op st model now (dt, op) =
+  now := Time.add !now (Time.us dt);
+  let now = !now in
+  let same show a b = if a = b then None else Some (show a ^ " vs model " ^ show b) in
+  let i64 = Int64.to_string in
+  match op with
+  | Get { by_slot; msg; field; default } ->
+    let got =
+      if by_slot then
+        State.entry_get (State.msg_entry st ~msg ~now) (State.field_slot st field) ~default
+      else State.msg_get st ~msg ~field ~default ~now
+    in
+    same i64 got (Model.msg_get model ~msg ~field ~default ~now)
+  | Set { by_slot; msg; field; v } ->
+    if by_slot then State.entry_set (State.msg_entry st ~msg ~now) (State.field_slot st field) v
+    else State.msg_set st ~msg ~field v ~now;
+    Model.msg_set model ~msg ~field v ~now;
+    None
+  | End msg ->
+    State.msg_end st ~msg;
+    Model.msg_end model ~msg;
+    None
+  | Expire idle ->
+    let idle = Time.us idle in
+    same string_of_int (State.expire st ~now ~idle) (Model.expire model ~now ~idle)
+  | Known msg ->
+    same string_of_bool (State.msg_known st ~msg) (Model.msg_known model ~msg)
+  | Count -> same string_of_int (State.msg_count st) (Model.msg_count model)
+  | Gget { by_slot; name } ->
+    let got =
+      if by_slot then State.global_get_slot st (State.global_slot st name)
+      else State.global_get st name
+    in
+    same i64 got (Model.global_get model name)
+  | Gset { by_slot; name; v } ->
+    if by_slot then State.global_set_slot st (State.global_slot st name) v
+    else State.global_set st name v;
+    Model.global_set model name v;
+    None
+  | Gbindings ->
+    let show l = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ i64 v) l) in
+    same show (State.global_bindings st) (Model.global_bindings model)
+
+let prop_state_model =
+  let gen = QCheck.Gen.(list_size (int_range 1 120) (pair (int_range 0 3) gen_state_op)) in
+  let print ops =
+    String.concat "; " (List.map (fun (dt, op) -> Printf.sprintf "+%d %s" dt (show_op op)) ops)
+  in
+  QCheck.Test.make ~name:"slot store agrees with the Hashtbl model" ~count:300
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let st = State.create () and model = Model.create () in
+      (* A marshal plan binds its names before any message exists. *)
+      List.iter (fun f -> ignore (State.field_slot st f)) [ "f0"; "f1" ];
+      List.iter (fun g -> ignore (State.global_slot st g)) [ "g0"; "g1" ];
+      let now = ref Time.zero in
+      List.iteri
+        (fun i op ->
+          match run_state_op st model now op with
+          | None -> ()
+          | Some why -> QCheck.Test.fail_reportf "op %d (%s): %s" i (show_op (snd op)) why)
+        ops;
+      (* Every message the model holds, field for field, and nothing else. *)
+      for m = 0 to 5 do
+        let msg = Int64.of_int m in
+        if State.msg_known st ~msg <> Model.msg_known model ~msg then
+          QCheck.Test.fail_reportf "final: message %d known differs" m;
+        if Model.msg_known model ~msg then
+          List.iter
+            (fun field ->
+              let got = State.msg_get st ~msg ~field ~default:(-7L) ~now:!now in
+              let want = Model.msg_get model ~msg ~field ~default:(-7L) ~now:!now in
+              if got <> want then
+                QCheck.Test.fail_reportf "final: %d.%s = %Ld, model %Ld" m field got want)
+            [ "f0"; "f1"; "f2"; "f3" ]
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Tables *)
 
@@ -333,6 +516,74 @@ let test_metadata_flag_source () =
   let pkt2 = data_packet ~metadata:md_write (flow ~src_port:2000 ()) in
   ignore (Enclave.process e ~now:Time.zero pkt2);
   check_int "write" 1 pkt2.Packet.priority
+
+(* The marshal plan copies metadata-sourced inputs only when a packet's
+   merged metadata is not the object it copied from last.  One enclave
+   sees repeated, changed, missing and interleaved metadata; each packet
+   must get the priority a fresh enclave gives it. *)
+let test_metadata_copied_once_per_run () =
+  let schema =
+    Schema.with_standard_packet ~message:[ Schema.field "Hint"; Schema.field "IsRead" ] ()
+  in
+  let act =
+    let open Dsl in
+    action "hint" (set_pkt "Priority" (msg "Hint" + (int 4 * msg "IsRead")))
+  in
+  let p = get_ok (Result.map_error Compile.error_to_string (Compile.compile schema act)) in
+  let native ctx =
+    let md = Enclave.Native_ctx.metadata ctx in
+    let read = Metadata.str_field_is "operation" ~expected:"READ" md in
+    Enclave.Native_ctx.set_priority ctx
+      (Int64.to_int (Metadata.int_field "hint" ~default:0L md) + if read then 4 else 0)
+  in
+  let build impl =
+    let e = Enclave.create ~host:1 () in
+    get_ok
+      (Enclave.install_action e
+         {
+           Enclave.i_name = "hint";
+           i_impl = impl;
+           i_msg_sources =
+             [
+               ("Hint", Enclave.Metadata_int "hint");
+               ("IsRead", Enclave.Metadata_flag ("operation", "READ"));
+             ];
+         });
+    ignore (get_ok (Enclave.add_table_rule e ~pattern:(pat "*.*.*") ~action:"hint" ()));
+    e
+  in
+  let md msg_id extra = tagged_metadata ~msg_id ~extra [] in
+  let read = ("operation", Metadata.str "READ") in
+  let m1a = md 1L [ ("hint", Metadata.int 1); read ] in
+  let m1b = md 1L [ ("hint", Metadata.int 2) ] in
+  let m1c = md 1L [ read ] in
+  let m2 = md 2L [ ("hint", Metadata.int 3) ] in
+  let m3 = md 3L [ ("hint", Metadata.int 1); read ] in
+  (* (flow source port, stage metadata) per packet, in order *)
+  let stream =
+    [ (1, m1a); (1, m1a); (1, m1a); (1, m1b); (1, m1b); (1, m1c); (1, m1a); (2, m2);
+      (3, m3); (2, m2); (3, m3); (2, m2); (1, m1c); (3, m3) ]
+  in
+  let priority e (port, md) i =
+    let pkt = data_packet ~id:(Int64.of_int i) ~metadata:md (flow ~src_port:(1000 + port) ()) in
+    ignore (Enclave.process e ~now:(Time.us (i + 1)) pkt);
+    pkt.Packet.priority
+  in
+  List.iter
+    (fun (name, impl) ->
+      let e = build impl in
+      List.iteri
+        (fun i pm ->
+          check_int
+            (Printf.sprintf "%s packet %d" name i)
+            (priority (build impl) pm i) (priority e pm i))
+        stream)
+    [ ("interpreted", Enclave.Interpreted p); ("compiled", Enclave.Compiled p);
+      ("native", Enclave.Native native) ];
+  (* The expected values themselves, so a shared mistake cannot pass. *)
+  let e = build (Enclave.Compiled p) in
+  Alcotest.(check (list int)) "priorities" [ 5; 5; 5; 2; 2; 4; 5; 3; 5; 3; 5; 3; 4; 5 ]
+    (List.mapi (fun i pm -> priority e pm i) stream)
 
 let test_enforce_off_leaves_packet_untouched () =
   let e = installed_enclave () in
@@ -663,6 +914,7 @@ let test_nic_placement_costs_more () =
   check_bool "nic interp dearer than os" true (run Enclave.Nic > run Enclave.Os)
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_enclave"
     [
       ( "state",
@@ -670,6 +922,7 @@ let () =
           Alcotest.test_case "globals" `Quick test_state_globals;
           Alcotest.test_case "messages" `Quick test_state_messages;
           Alcotest.test_case "expiry" `Quick test_state_expiry;
+          Qcheck_seed.qcheck prop_state_model;
         ] );
       ( "table",
         [
@@ -696,6 +949,8 @@ let () =
           Alcotest.test_case "drop output" `Quick test_drop_action;
           Alcotest.test_case "queue/charge outputs" `Quick test_queue_and_charge_outputs;
           Alcotest.test_case "metadata flag" `Quick test_metadata_flag_source;
+          Alcotest.test_case "metadata copied once per run" `Quick
+            test_metadata_copied_once_per_run;
           Alcotest.test_case "enforce off" `Quick test_enforce_off_leaves_packet_untouched;
           Alcotest.test_case "fault isolation" `Quick test_fault_isolation_and_fail_open;
           Alcotest.test_case "goto table" `Quick test_goto_table_chain;
