@@ -4,7 +4,7 @@ module Rng = Eden_base.Rng
 module Pattern = Eden_base.Class_name.Pattern
 module Tel = Eden_telemetry
 
-type op =
+type op = Enclave.op =
   | Install_action of Enclave.install_spec
   | Remove_action of string
   | Add_table
@@ -13,16 +13,6 @@ type op =
   | Set_global of { action : string; name : string; value : int64 }
   | Set_global_array of { action : string; name : string; value : int64 array }
   | Commit_generation
-
-let op_to_string = function
-  | Install_action s -> "install_action " ^ s.Enclave.i_name
-  | Remove_action n -> "remove_action " ^ n
-  | Add_table -> "add_table"
-  | Add_rule r -> Printf.sprintf "add_rule %s -> %s @%d" (Pattern.to_string r.pattern) r.action r.table
-  | Remove_rule r -> Printf.sprintf "remove_rule #%d @%d" r.rule_id r.table
-  | Set_global g -> Printf.sprintf "set_global %s.%s" g.action g.name
-  | Set_global_array g -> Printf.sprintf "set_global_array %s.%s" g.action g.name
-  | Commit_generation -> "commit_generation"
 
 type fault =
   | Drop
@@ -147,38 +137,11 @@ let set_fault_rate t p =
 (* ------------------------------------------------------------------ *)
 (* Receiver side *)
 
-let apply t op : (int64, string) result =
-  let e = t.ch_enclave in
-  match op with
-  | Install_action spec -> (
-    match Enclave.install_action e spec with Ok () -> Ok 0L | Error m -> Error m)
-  | Remove_action name -> (
-    (* Removing an absent action is success: removes must stay idempotent
-       so rollback and reconciliation can repeat them safely. *)
-    match Enclave.remove_action e name with
-    | Some dropped -> Ok (Int64.of_int dropped)
-    | None -> Ok 0L)
-  | Add_table -> Ok (Int64.of_int (Enclave.add_table e))
-  | Add_rule { table; pattern; action } -> (
-    match Enclave.add_table_rule e ~table ~pattern ~action () with
-    | Ok rule_id -> Ok (Int64.of_int rule_id)
-    | Error m -> Error m)
-  | Remove_rule { table; rule_id } ->
-    ignore (Enclave.remove_table_rule e ~table rule_id);
-    Ok 0L
-  | Set_global { action; name; value } -> (
-    match Enclave.set_global e ~action name value with Ok () -> Ok 0L | Error m -> Error m)
-  | Set_global_array { action; name; value } -> (
-    match Enclave.set_global_array e ~action name (Array.copy value) with
-    | Ok () -> Ok 0L
-    | Error m -> Error m)
-  | Commit_generation -> Ok 0L
-
 let deliver t ~op_id ~gen op =
   match Hashtbl.find_opt t.ch_applied op_id with
   | Some outcome -> outcome
   | None ->
-    let outcome = apply t op in
+    let outcome = Enclave.apply t.ch_enclave op in
     if Hashtbl.length t.ch_applied >= memo_cap then Hashtbl.reset t.ch_applied;
     Hashtbl.replace t.ch_applied op_id outcome;
     (match outcome with

@@ -17,7 +17,7 @@
     controller's desired store — not the channel — is the source of
     truth, and reconciliation the repair mechanism. *)
 
-type op =
+type op = Eden_enclave.Enclave.op =
   | Install_action of Eden_enclave.Enclave.install_spec
   | Remove_action of string
   | Add_table
@@ -30,10 +30,10 @@ type op =
   | Set_global of { action : string; name : string; value : int64 }
   | Set_global_array of { action : string; name : string; value : int64 array }
   | Commit_generation
-      (** No-op at the enclave; advances the acked generation watermark.
-          Closes a reconciliation round. *)
-
-val op_to_string : op -> string
+(** The enclave's configuration op, re-exported: the receiver applies it
+    with {!Eden_enclave.Enclave.apply}.  [Commit_generation] changes no
+    configuration; on delivery it advances the acked generation
+    watermark. *)
 
 type fault =
   | Drop  (** The op never reaches the enclave; the sender sees [Lost]. *)
@@ -104,8 +104,8 @@ val send : t -> op_id:int64 -> gen:int -> op -> (int64, error) result
 (** One delivery attempt.  [op_id] must be globally unique per logical
     op and reused verbatim on retry; [gen] is the generation the op
     belongs to, acknowledged monotonically on successful application.
-    The [int64] payload is op-specific (rule id for [Add_rule], table id
-    for [Add_table], dropped-rule count for [Remove_action], else 0). *)
+    The [int64] payload is {!Eden_enclave.Enclave.apply}'s (the enclave's
+    rule id for [Add_rule], which is what undoes it). *)
 
 val flush_delayed : t -> unit
 (** Deliver every delayed op now (e.g. when a chaos scenario heals). *)

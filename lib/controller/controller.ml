@@ -1,9 +1,7 @@
 module Enclave = Eden_enclave.Enclave
-module Table = Eden_enclave.Table
 module Stage = Eden_stage.Stage
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
-module Pattern = Eden_base.Class_name.Pattern
 module Tel = Eden_telemetry
 
 type retry_policy = {
@@ -174,78 +172,96 @@ let send_with_retry t ch ~gen op : (int64, push_error) result =
 
 let hosts_to_string hosts = String.concat "," (List.map string_of_int hosts)
 
-(* Failure-tolerant undo: try [op] on every channel in [applied]; a
-   failing undo must not abort the remaining undos.  Returns the hosts
-   left divergent (marked as such, so reconciliation picks them up). *)
-let undo_on t applied op =
+(* The op that takes back [op] on an enclave that applied it and acked
+   [payload].  An added rule goes by the id that enclave returned; a
+   state write puts back the desired value, or the reading of an unset
+   key (0, the empty array) when the desired state holds none.  Tables
+   cannot be removed; a spare table is harmless. *)
+let undo_of t op payload =
+  match op with
+  | Enclave.Install_action spec -> Enclave.Remove_action spec.Enclave.i_name
+  | Add_rule { table; _ } -> Remove_rule { table; rule_id = Int64.to_int payload }
+  | Set_global { action; name; _ } ->
+    let value = Option.value ~default:0L (Desired.global t.desired ~action name) in
+    Set_global { action; name; value }
+  | Set_global_array { action; name; _ } ->
+    let value = Option.value ~default:[||] (Desired.global_array t.desired ~action name) in
+    Set_global_array { action; name; value }
+  | Add_table | Remove_action _ | Remove_rule _ | Commit_generation -> Commit_generation
+
+(* Failure-tolerant undo: send each applied enclave the undo of its own
+   ack; a failing undo must not abort the remaining undos.  Returns the
+   hosts left divergent (marked as such, so reconciliation picks them
+   up). *)
+let undo_on t op applied =
   List.filter_map
-    (fun ch ->
-      match send_with_retry t ch ~gen:(Desired.generation t.desired) op with
+    (fun (ch, payload) ->
+      match send_with_retry t ch ~gen:(Desired.generation t.desired) (undo_of t op payload) with
       | Ok _ -> None
       | Error _ ->
         Channel.mark_divergent ch;
         Some (Channel.host ch))
     applied
 
+(* Send [op] to every enclave in registration order.  [`Applied] lists
+   the enclaves that applied it with their acks; the unreachable ones
+   are marked divergent. *)
 let broadcast t ~gen op =
-  let rec go applied unreachable = function
-    | [] -> `Applied (List.rev applied, List.rev unreachable)
+  let rec go applied = function
+    | [] -> `Applied (List.rev applied)
     | ch :: rest -> (
       match send_with_retry t ch ~gen op with
-      | Ok _ -> go (ch :: applied) unreachable rest
+      | Ok payload -> go ((ch, payload) :: applied) rest
       | Error (`Unreachable _) ->
         Channel.mark_divergent ch;
-        go applied (ch :: unreachable) rest
+        go applied rest
       | Error (`Rejected msg) -> `Rejected (Channel.host ch, msg, List.rev applied))
   in
-  go [] [] (channels t)
+  go [] (channels t)
 
 (* After a change commits, advance the applied enclaves' watermarks to
    the new generation.  [Commit_generation] cannot be rejected; a channel
    it cannot reach is left divergent for reconciliation. *)
-let commit_watermark t chans =
+let commit_watermark t applied =
   let gen = Desired.generation t.desired in
   List.iter
-    (fun ch ->
-      match send_with_retry t ch ~gen Channel.Commit_generation with
+    (fun (ch, _) ->
+      match send_with_retry t ch ~gen Enclave.Commit_generation with
       | Ok _ -> ()
       | Error _ -> Channel.mark_divergent ch)
-    chans
+    applied
 
-(* Shared push driver, two-phase so that no enclave ever acknowledges a
-   generation that did not commit: broadcast [op] at the *current*
-   generation; on acceptance run [commit] (record the change in the
-   desired state and bump the generation) and only then advance the
-   watermarks; on rejection undo with [undo_op] everywhere the op landed
-   — the aborted change never touched any watermark, preserving
-   acked <= desired. *)
-let push t op ~undo_op ~commit =
-  let gen = Desired.generation t.desired in
-  match broadcast t ~gen op with
-  | `Applied (applied, _) ->
-    commit ();
-    Desired.bump t.desired;
-    commit_watermark t applied;
-    Ok ()
-  | `Rejected (host, msg, applied) -> (
-    match undo_on t applied undo_op with
-    | [] -> Error (Printf.sprintf "host %d rejected %s: %s" host (Channel.op_to_string op) msg)
-    | divergent ->
-      Error
-        (Printf.sprintf
-           "host %d rejected %s: %s; rollback failed on hosts [%s], left divergent pending \
-            reconciliation"
-           host (Channel.op_to_string op) msg (hosts_to_string divergent)))
+(* The push driver, two-phase so that no enclave ever acknowledges a
+   generation that did not commit.  An op the desired state refuses is
+   not sent.  Otherwise broadcast [op] at the *current* generation; on
+   acceptance apply it to the desired state, bump the generation and
+   only then advance the watermarks; on rejection undo it everywhere it
+   landed — the aborted change never touched any watermark, preserving
+   acked <= desired.  Returns the desired state's payload. *)
+let push t op =
+  match Desired.check t.desired op with
+  | Error msg -> Error msg
+  | Ok () -> (
+    let gen = Desired.generation t.desired in
+    match broadcast t ~gen op with
+    | `Applied applied ->
+      let payload = Result.get_ok (Desired.apply t.desired op) in
+      Desired.bump t.desired;
+      commit_watermark t applied;
+      Ok payload
+    | `Rejected (host, msg, applied) -> (
+      let refusal =
+        Printf.sprintf "host %d rejected %s: %s" host (Enclave.op_to_string op) msg
+      in
+      match undo_on t op applied with
+      | [] -> Error refusal
+      | divergent ->
+        Error
+          (Printf.sprintf
+             "%s; rollback failed on hosts [%s], left divergent pending reconciliation" refusal
+             (hosts_to_string divergent))))
 
-let install_action_everywhere t spec =
-  if Desired.has_action t.desired spec.Enclave.i_name then
-    Error (Printf.sprintf "action %S is already in the desired state" spec.Enclave.i_name)
-  else
-    push t
-      (Channel.Install_action spec)
-      ~undo_op:(Channel.Remove_action spec.Enclave.i_name)
-      ~commit:(fun () ->
-        match Desired.add_action t.desired spec with Ok () -> () | Error _ -> assert false)
+let install_action_everywhere t spec = Result.map ignore (push t (Enclave.Install_action spec))
 
 let remove_action_everywhere t name =
   if not (Desired.has_action t.desired name) then
@@ -254,102 +270,23 @@ let remove_action_everywhere t name =
     (* Removal is idempotent at the enclave, so there is no rejection to
        roll back from: commit the desired change, push best-effort, and
        let reconciliation catch stragglers. *)
-    ignore (Desired.remove_action t.desired name);
+    let op = Enclave.Remove_action name in
+    ignore (Desired.apply t.desired op);
     Desired.bump t.desired;
-    let gen = Desired.generation t.desired in
-    ignore (broadcast t ~gen (Channel.Remove_action name));
+    ignore (broadcast t ~gen:(Desired.generation t.desired) op);
     Ok ()
   end
 
-let add_table_everywhere t =
-  let id = Desired.tables t.desired in
-  match
-    push t Channel.Add_table
-      ~undo_op:Channel.Commit_generation (* tables cannot be removed; a spare table is harmless *)
-      ~commit:(fun () -> ignore (Desired.add_table t.desired))
-  with
-  | Ok () -> Ok id
-  | Error msg -> Error msg
+let add_table_everywhere t = Result.map Int64.to_int (push t Enclave.Add_table)
 
 let add_rule_everywhere t ?(table = 0) ~pattern ~action () =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else if table < 0 || table >= Desired.tables t.desired then
-    Error (Printf.sprintf "table %d is not in the desired state" table)
-  else begin
-    (* Undo needs per-enclave rule ids, which the generic driver does not
-       carry, so rules get their own loop (same two-phase watermark
-       protocol as [push]). *)
-    let gen = Desired.generation t.desired in
-    let rec go applied = function
-      | [] -> (
-        match Desired.add_rule t.desired ~table ~pattern ~action with
-        | Ok _ ->
-          Desired.bump t.desired;
-          commit_watermark t (List.rev_map fst applied);
-          Ok ()
-        | Error _ -> assert false)
-      | ch :: rest -> (
-        match send_with_retry t ch ~gen (Channel.Add_rule { table; pattern; action }) with
-        | Ok rule_id -> go ((ch, Int64.to_int rule_id) :: applied) rest
-        | Error (`Unreachable _) ->
-          Channel.mark_divergent ch;
-          go applied rest
-        | Error (`Rejected msg) ->
-          let divergent =
-            List.filter_map
-              (fun (ch, rule_id) ->
-                match
-                  send_with_retry t ch ~gen:(Desired.generation t.desired)
-                    (Channel.Remove_rule { table; rule_id })
-                with
-                | Ok _ -> None
-                | Error _ ->
-                  Channel.mark_divergent ch;
-                  Some (Channel.host ch))
-              applied
-          in
-          Error
-            (match divergent with
-            | [] -> Printf.sprintf "host %d rejected add_rule: %s" (Channel.host ch) msg
-            | hs ->
-              Printf.sprintf
-                "host %d rejected add_rule: %s; rollback failed on hosts [%s], left divergent \
-                 pending reconciliation"
-                (Channel.host ch) msg (hosts_to_string hs)))
-    in
-    go [] (channels t)
-  end
+  Result.map ignore (push t (Enclave.Add_rule { table; pattern; action }))
 
-let set_global_everywhere t ~action name v =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else begin
-    let undo_op =
-      match Desired.global t.desired ~action name with
-      | Some prev -> Channel.Set_global { action; name; value = prev }
-      | None -> Channel.Commit_generation  (* nothing to restore; scalars default to 0 *)
-    in
-    push t
-      (Channel.Set_global { action; name; value = v })
-      ~undo_op
-      ~commit:(fun () -> ignore (Desired.set_global t.desired ~action name v))
-  end
+let set_global_everywhere t ~action name value =
+  Result.map ignore (push t (Enclave.Set_global { action; name; value }))
 
-let set_global_array_everywhere t ~action name arr =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else begin
-    let undo_op =
-      match Desired.global_array t.desired ~action name with
-      | Some prev -> Channel.Set_global_array { action; name; value = prev }
-      | None -> Channel.Commit_generation
-    in
-    push t
-      (Channel.Set_global_array { action; name; value = arr })
-      ~undo_op
-      ~commit:(fun () -> ignore (Desired.set_global_array t.desired ~action name arr))
-  end
+let set_global_array_everywhere t ~action name value =
+  Result.map ignore (push t (Enclave.Set_global_array { action; name; value }))
 
 (* ------------------------------------------------------------------ *)
 (* Stage programming (stages are in-process; the fault model covers the
@@ -376,135 +313,8 @@ let program_stage t ~stage ~ruleset ~rules =
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy reconciliation *)
 
-type drift = {
-  df_missing_actions : string list;
-  df_extra_actions : string list;
-  df_missing_rules : Desired.rule list;
-  df_extra_rules : (int * int) list;  (* table, enclave rule id *)
-  df_stale_globals : (string * string) list;
-  df_stale_arrays : (string * string) list;
-  df_desired_generation : int;
-  df_acked_generation : int;
-}
-
-let drift_in_sync d =
-  d.df_missing_actions = [] && d.df_extra_actions = [] && d.df_missing_rules = []
-  && d.df_extra_rules = [] && d.df_stale_globals = [] && d.df_stale_arrays = []
-  && d.df_desired_generation = d.df_acked_generation
-
-let spec_key (s : Enclave.install_spec) =
-  let impl =
-    match s.Enclave.i_impl with
-    | Enclave.Interpreted p -> "interpreted:" ^ p.Eden_bytecode.Program.name
-    | Enclave.Compiled p -> "compiled:" ^ p.Eden_bytecode.Program.name
-    | Enclave.Native _ -> "native"
-  in
-  (s.Enclave.i_name, impl, List.sort compare s.Enclave.i_msg_sources)
-
-let rule_key table pattern action = (table, Pattern.to_string pattern, action)
-
-(* Multiset difference of [xs] over [ys] by [key]: every occurrence in
-   [xs] not matched one-for-one by an occurrence in [ys]. *)
-let multiset_diff key xs ys =
-  let remaining = Hashtbl.create 16 in
-  List.iter
-    (fun y ->
-      let k = key y in
-      Hashtbl.replace remaining k (1 + Option.value ~default:0 (Hashtbl.find_opt remaining k)))
-    ys;
-  List.filter
-    (fun x ->
-      let k = key x in
-      match Hashtbl.find_opt remaining k with
-      | Some n when n > 0 ->
-        Hashtbl.replace remaining k (n - 1);
-        false
-      | _ -> true)
-    xs
-
-let diff_against_desired t (sn : Enclave.snapshot) ~acked =
-  let d = t.desired in
-  let desired_specs = Desired.actions d in
-  let actual_keys = List.map spec_key sn.Enclave.sn_actions in
-  let desired_keys = List.map spec_key desired_specs in
-  let missing_actions =
-    List.filter_map
-      (fun s -> if List.mem (spec_key s) actual_keys then None else Some s.Enclave.i_name)
-      desired_specs
-  in
-  let extra_actions =
-    List.filter_map
-      (fun s -> if List.mem (spec_key s) desired_keys then None else Some s.Enclave.i_name)
-      sn.Enclave.sn_actions
-  in
-  let actual_rules =
-    List.concat_map
-      (fun (table, rs) ->
-        List.map (fun (r : Table.rule) -> (table, r.Table.rule_id, r.Table.pattern, r.Table.action)) rs)
-      sn.Enclave.sn_rules
-  in
-  let desired_rules = Desired.rules d in
-  let missing_rules =
-    multiset_diff
-      (fun (r : Desired.rule) -> rule_key r.dr_table r.dr_pattern r.dr_action)
-      desired_rules
-      (List.map
-         (fun (tb, _, p, a) -> { Desired.dr_id = 0; dr_table = tb; dr_pattern = p; dr_action = a })
-         actual_rules)
-  in
-  let extra_rules =
-    multiset_diff
-      (fun (tb, _, p, a) -> rule_key tb p a)
-      actual_rules
-      (List.map
-         (fun (r : Desired.rule) -> (r.dr_table, 0, r.dr_pattern, r.dr_action))
-         desired_rules)
-    |> List.map (fun (tb, id, _, _) -> (tb, id))
-  in
-  let actual_globals action =
-    match List.assoc_opt action sn.Enclave.sn_globals with Some bs -> bs | None -> []
-  in
-  let actual_arrays action =
-    match List.assoc_opt action sn.Enclave.sn_arrays with Some bs -> bs | None -> []
-  in
-  let stale_globals =
-    List.concat_map
-      (fun name ->
-        List.filter_map
-          (fun (k, v) ->
-            if List.assoc_opt k (actual_globals name) = Some v then None else Some (name, k))
-          (Desired.globals_of d name))
-      (Desired.action_names d)
-  in
-  let stale_arrays =
-    List.concat_map
-      (fun name ->
-        List.filter_map
-          (fun (k, v) ->
-            if List.assoc_opt k (actual_arrays name) = Some v then None else Some (name, k))
-          (Desired.arrays_of d name))
-      (Desired.action_names d)
-  in
-  {
-    df_missing_actions = missing_actions;
-    df_extra_actions = extra_actions;
-    df_missing_rules = missing_rules;
-    df_extra_rules = extra_rules;
-    df_stale_globals = stale_globals;
-    df_stale_arrays = stale_arrays;
-    df_desired_generation = Desired.generation d;
-    df_acked_generation = acked;
-  }
-
-let pp_drift fmt d =
-  Format.fprintf fmt
-    "@[<v>missing actions: [%s]@,extra actions: [%s]@,missing rules: %d@,extra rules: %d@,\
-     stale globals: %d@,stale arrays: %d@,generation: desired %d, acked %d@]"
-    (String.concat "," d.df_missing_actions)
-    (String.concat "," d.df_extra_actions)
-    (List.length d.df_missing_rules) (List.length d.df_extra_rules)
-    (List.length d.df_stale_globals) (List.length d.df_stale_arrays)
-    d.df_desired_generation d.df_acked_generation
+(* The ops that take a pulled configuration to the desired one. *)
+let drift t sn = Enclave.diff ~desired:(Desired.snapshot t.desired) ~actual:sn
 
 type reconcile_outcome =
   | In_sync
@@ -519,109 +329,45 @@ let reconcile_outcome_to_string = function
   | Repair_failed msg -> "repair failed: " ^ msg
 
 (* One anti-entropy round for one enclave: pull its configuration and
-   generation watermark, diff against desired, replay the delta, commit
-   the generation.  Repair order matters: extra rules go before extra
-   actions (removing an action drops its rules at the enclave), missing
-   actions before their state and rules (the enclave refuses rules and
-   state for unknown actions — which is also why a packet can never
-   match a half-installed action: the rule that would route to it cannot
-   exist before the install has fully succeeded). *)
+   generation watermark, diff against desired, send the diff's ops in
+   order and commit the generation, stopping at the first failure. *)
 let reconcile_enclave t ch =
   Tel.Counter.inc t.cm_reconcile_rounds;
-  let d = t.desired in
-  let gen = Desired.generation d in
+  let gen = Desired.generation t.desired in
   match Channel.pull_state ch with
   | Error e -> Unreachable (Channel.error_to_string e)
   | Ok (sn, acked) -> (
-    let drift = diff_against_desired t sn ~acked in
-    if drift_in_sync drift then begin
+    match drift t sn with
+    | [] when acked = gen ->
       Channel.clear_divergent ch;
       In_sync
-    end
-    else begin
-      let ops = ref 0 in
-      let step op =
-        incr ops;
-        match send_with_retry t ch ~gen op with
-        | Ok _ -> Ok ()
-        | Error (`Rejected msg) -> Error (Channel.op_to_string op ^ ": rejected: " ^ msg)
-        | Error (`Unreachable msg) -> Error (Channel.op_to_string op ^ ": " ^ msg)
+    | repair -> (
+      let rec replay n = function
+        | [] -> Ok n
+        | op :: rest -> (
+          match send_with_retry t ch ~gen op with
+          | Ok _ -> replay (n + 1) rest
+          | Error (`Rejected msg) -> Error (Enclave.op_to_string op ^ ": rejected: " ^ msg)
+          | Error (`Unreachable msg) -> Error (Enclave.op_to_string op ^ ": " ^ msg))
       in
-      let ( let* ) = Result.bind in
-      let rec each f = function
-        | [] -> Ok ()
-        | x :: rest ->
-          let* () = f x in
-          each f rest
-      in
-      let specs_by_name = List.map (fun s -> (s.Enclave.i_name, s)) (Desired.actions d) in
-      let repair =
-        let* () =
-          each (fun (table, rule_id) -> step (Channel.Remove_rule { table; rule_id }))
-            drift.df_extra_rules
-        in
-        let* () =
-          each (fun name -> step (Channel.Remove_action name)) drift.df_extra_actions
-        in
-        let* () =
-          (* Bring the table count up; spare tables at the enclave are
-             harmless (empty tables match nothing). *)
-          let have = List.length sn.Enclave.sn_rules in
-          let want = Desired.tables d in
-          let rec mk n = if n <= 0 then Ok () else
-            let* () = step Channel.Add_table in
-            mk (n - 1)
-          in
-          mk (want - have)
-        in
-        let* () =
-          each
-            (fun name ->
-              match List.assoc_opt name specs_by_name with
-              | Some spec -> step (Channel.Install_action spec)
-              | None -> Ok ())
-            drift.df_missing_actions
-        in
-        let* () =
-          each
-            (fun (action, name) ->
-              match Desired.global d ~action name with
-              | Some value -> step (Channel.Set_global { action; name; value })
-              | None -> Ok ())
-            drift.df_stale_globals
-        in
-        let* () =
-          each
-            (fun (action, name) ->
-              match Desired.global_array d ~action name with
-              | Some value -> step (Channel.Set_global_array { action; name; value })
-              | None -> Ok ())
-            drift.df_stale_arrays
-        in
-        let* () =
-          each
-            (fun (r : Desired.rule) ->
-              step (Channel.Add_rule { table = r.dr_table; pattern = r.dr_pattern; action = r.dr_action }))
-            drift.df_missing_rules
-        in
-        step Channel.Commit_generation
-      in
-      match repair with
+      match replay 0 (repair @ [ Enclave.Commit_generation ]) with
       | Error msg -> Repair_failed msg
-      | Ok () -> (
+      | Ok n -> (
         (* Verify: the proof of convergence is the re-pulled config, not
            the ops having been acked. *)
         match Channel.pull_state ch with
         | Error e -> Unreachable (Channel.error_to_string e)
-        | Ok (sn, acked) ->
-          let drift = diff_against_desired t sn ~acked in
-          if drift_in_sync drift then begin
+        | Ok (sn, acked) -> (
+          match drift t sn with
+          | [] when acked = gen ->
             Channel.clear_divergent ch;
-            Tel.Counter.add t.cm_reconcile_replayed !ops;
-            Repaired !ops
-          end
-          else Repair_failed (Format.asprintf "residual drift: %a" pp_drift drift))
-    end)
+            Tel.Counter.add t.cm_reconcile_replayed n;
+            Repaired n
+          | residual ->
+            Repair_failed
+              (Printf.sprintf "residual drift: [%s]; generation: desired %d, acked %d"
+                 (String.concat "; " (List.map Enclave.op_to_string residual))
+                 gen acked)))))
 
 let reconcile t =
   List.map (fun ch -> (Channel.host ch, reconcile_enclave t ch)) (channels t)
@@ -631,7 +377,7 @@ let converged t =
     (fun ch ->
       match Channel.pull_state ch with
       | Error _ -> false
-      | Ok (sn, acked) -> drift_in_sync (diff_against_desired t sn ~acked))
+      | Ok (sn, acked) -> drift t sn = [] && acked = Desired.generation t.desired)
     (channels t)
 
 (* ------------------------------------------------------------------ *)

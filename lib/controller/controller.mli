@@ -70,13 +70,20 @@ val divergent_hosts : t -> Eden_base.Addr.host list
 
 (** {2 Enclave programming (broadcast)}
 
-    A push is accepted or refused at the desired-state level: a permanent
-    rejection by any enclave abandons the change and undoes it
-    failure-tolerantly wherever it landed (a failed undo does not abort
-    the remaining undos; the error names the hosts left divergent).
-    Transient failures do {e not} abandon the change — the desired state
-    commits, the unreachable enclaves are marked divergent, and
-    {!reconcile} converges them later.
+    Every broadcast below is one {!Eden_enclave.Enclave.op} sent through
+    one push driver.  An op the desired state refuses ({!Desired.check}:
+    a duplicate install, a rule or state write for an action or table it
+    does not hold) fails without a send.  A push is accepted or refused
+    at the desired-state level: a permanent rejection by any enclave
+    abandons the change and undoes it failure-tolerantly wherever it
+    landed (a failed undo does not abort the remaining undos; the error
+    names the hosts left divergent).  The undo is computed from each
+    enclave's own ack: an added rule is removed by the rule id that
+    enclave returned; a state write restores the desired value, or the
+    reading of an unset key (0, the empty array) when the desired state
+    held none.  Transient failures do {e not} abandon the change — the
+    op is applied to the desired state, the unreachable enclaves are
+    marked divergent, and {!reconcile} converges them later.
 
     Pushes are two-phase with respect to the generation counter: the op
     is broadcast at the current generation, and only once the change has
@@ -109,21 +116,6 @@ val set_global_array_everywhere :
 
 (** {2 Reconciliation} *)
 
-(** Desired-vs-actual difference for one enclave. *)
-type drift = {
-  df_missing_actions : string list;
-  df_extra_actions : string list;
-  df_missing_rules : Desired.rule list;
-  df_extra_rules : (int * int) list;  (** (table, enclave rule id) *)
-  df_stale_globals : (string * string) list;  (** (action, name) *)
-  df_stale_arrays : (string * string) list;
-  df_desired_generation : int;
-  df_acked_generation : int;
-}
-
-val drift_in_sync : drift -> bool
-val pp_drift : Format.formatter -> drift -> unit
-
 type reconcile_outcome =
   | In_sync
   | Repaired of int  (** Ops replayed to converge. *)
@@ -134,17 +126,20 @@ val reconcile_outcome_to_string : reconcile_outcome -> string
 
 val reconcile_enclave : t -> Channel.t -> reconcile_outcome
 (** One anti-entropy round: pull the enclave's configuration and acked
-    generation, diff against the desired store, replay the delta (extra
-    rules and actions removed first, then missing actions in install
-    order, then state, then rules), commit the generation, and verify by
-    re-pulling.  Convergence is judged by the configuration diff — the
-    generation watermark alone proves nothing after a restart wiped it. *)
+    generation, take {!Eden_enclave.Enclave.diff} of it against the
+    desired snapshot, send that op list in order (extra rules and
+    actions removed first, then missing tables, actions in install
+    order, state, then rules) followed by [Commit_generation], and verify
+    by re-pulling.  Convergence is judged by the configuration diff —
+    the generation watermark alone proves nothing after a restart wiped
+    it. *)
 
 val reconcile : t -> (Eden_base.Addr.host * reconcile_outcome) list
 
 val converged : t -> bool
-(** Every reachable-and-registered enclave's configuration matches the
-    desired store (false if any enclave is unreachable). *)
+(** Every registered enclave is reachable, its diff against the desired
+    snapshot is empty and its watermark equals the desired
+    generation. *)
 
 (** {2 Telemetry}
 

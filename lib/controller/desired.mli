@@ -3,69 +3,39 @@
     Production SDN controllers do not treat a push as the truth — they
     keep the intended switch configuration and reconcile devices against
     it.  This store holds, per fleet (every enclave is programmed
-    identically by the broadcast API), the intended actions (in install
-    order), tables, rules and controller-owned state bindings, stamped
-    with the generation counter.  The anti-entropy pass in
-    {!Controller.reconcile} diffs an enclave's reported configuration
-    against this and replays the delta.
+    identically by the broadcast API), the intended configuration as an
+    {!Eden_enclave.Enclave.snapshot}, stamped with the generation
+    counter, and changes it with the same {!Eden_enclave.Enclave.op}s
+    the enclaves apply.  The anti-entropy pass in {!Controller.reconcile}
+    takes {!Eden_enclave.Enclave.diff} of an enclave's reported snapshot
+    against this one and replays the resulting ops.
 
     The store only covers controller-owned keys: globals an action
     function writes at run time (counters, caches) are expected to
-    diverge and are not reconciled. *)
-
-type rule = {
-  dr_id : int;  (** Desired-store id; enclave rule ids are per-enclave. *)
-  dr_table : int;
-  dr_pattern : Eden_base.Class_name.Pattern.t;
-  dr_action : string;
-}
+    diverge, and the diff does not compare them. *)
 
 type t
 
 val create : unit -> t
+(** The configuration of a fresh enclave: no actions, table 0 empty. *)
 
 val generation : t -> int
 val bump : t -> unit
 
-val actions : t -> Eden_enclave.Enclave.install_spec list
-(** In install order. *)
+val snapshot : t -> Eden_enclave.Enclave.snapshot
+(** The intended configuration.  Its rule ids are the store's own (they
+    count up across tables, in creation order), not any enclave's. *)
 
-val action_names : t -> string list
+val apply : t -> Eden_enclave.Enclave.op -> (int64, string) result
+(** Apply one op to the intended configuration.  Accepts and refuses
+    what {!Eden_enclave.Enclave.apply} would on an enclave holding this
+    configuration (install-time bytecode checks aside) and answers the
+    same kind of payload: the table id for [Add_table], the store's rule
+    id for [Add_rule]. *)
+
+val check : t -> Eden_enclave.Enclave.op -> (unit, string) result
+(** What {!apply} would answer, without changing the store. *)
+
 val has_action : t -> string -> bool
-
-val add_action : t -> Eden_enclave.Enclave.install_spec -> (unit, string) result
-(** Fails on a duplicate name. *)
-
-val remove_action : t -> string -> bool
-(** Also drops the action's rules and state bindings. *)
-
-val tables : t -> int
-(** Number of tables; ids [0 .. tables - 1]. *)
-
-val add_table : t -> int
-
-val rules : t -> rule list
-(** Oldest first. *)
-
-val add_rule :
-  t ->
-  table:int ->
-  pattern:Eden_base.Class_name.Pattern.t ->
-  action:string ->
-  (rule, string) result
-
-val remove_rule : t -> int -> bool
-
-val set_global : t -> action:string -> string -> int64 -> (unit, string) result
-val set_global_array : t -> action:string -> string -> int64 array -> (unit, string) result
 val global : t -> action:string -> string -> int64 option
 val global_array : t -> action:string -> string -> int64 array option
-
-val globals_of : t -> string -> (string * int64) list
-(** Controller-owned scalars of one action, sorted by name. *)
-
-val arrays_of : t -> string -> (string * int64 array) list
-
-val to_snapshot : t -> Eden_enclave.Enclave.snapshot
-(** The configuration a converged enclave would report, for
-    desired-vs-actual comparison. *)

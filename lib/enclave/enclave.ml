@@ -968,17 +968,69 @@ let breaker_trips t name =
   match Hashtbl.find_opt t.e_actions name with None -> 0 | Some a -> a.a_brk.k_trips
 
 (* ------------------------------------------------------------------ *)
-(* Restart and snapshot/restore.
+(* Configuration ops.
+
+   The one change to an enclave's programmed configuration.  The control
+   channel delivers these, [restore] replays them, and the controller's
+   desired store applies the same ops to its snapshot of the intended
+   configuration. *)
+
+type op =
+  | Install_action of install_spec
+  | Remove_action of string
+  | Add_table
+  | Add_rule of { table : int; pattern : Class_name.Pattern.t; action : string }
+  | Remove_rule of { table : int; rule_id : int }
+  | Set_global of { action : string; name : string; value : int64 }
+  | Set_global_array of { action : string; name : string; value : int64 array }
+  | Commit_generation
+
+let op_to_string = function
+  | Install_action s -> "install_action " ^ s.i_name
+  | Remove_action n -> "remove_action " ^ n
+  | Add_table -> "add_table"
+  | Add_rule r ->
+    let pattern = Class_name.Pattern.to_string r.pattern in
+    Printf.sprintf "add_rule %s -> %s @%d" pattern r.action r.table
+  | Remove_rule r -> Printf.sprintf "remove_rule #%d @%d" r.rule_id r.table
+  | Set_global g -> Printf.sprintf "set_global %s.%s" g.action g.name
+  | Set_global_array g -> Printf.sprintf "set_global_array %s.%s" g.action g.name
+  | Commit_generation -> "commit_generation"
+
+let apply t op : (int64, string) result =
+  match op with
+  | Install_action spec -> Result.map (fun () -> 0L) (install_action t spec)
+  | Remove_action name -> (
+    (* Removing an absent action is success: removes must stay idempotent
+       so rollback and reconciliation can repeat them safely. *)
+    match remove_action t name with
+    | Some dropped -> Ok (Int64.of_int dropped)
+    | None -> Ok 0L)
+  | Add_table -> Ok (Int64.of_int (add_table t))
+  | Add_rule { table; pattern; action } ->
+    Result.map Int64.of_int (add_table_rule t ~table ~pattern ~action ())
+  | Remove_rule { table; rule_id } ->
+    ignore (remove_table_rule t ~table rule_id);
+    Ok 0L
+  | Set_global { action; name; value } ->
+    Result.map (fun () -> 0L) (set_global t ~action name value)
+  | Set_global_array { action; name; value } ->
+    Result.map (fun () -> 0L) (set_global_array t ~action name (Array.copy value))
+  | Commit_generation -> Ok 0L
+
+(* ------------------------------------------------------------------ *)
+(* Restart, snapshot and diff.
 
    Everything the controller pushed — actions, rules, state — plus
    everything the data path accumulated is *soft* state: a host reboot
    loses it all, and the consistency story of §2.2 only holds if the
    controller can re-converge such an enclave.  [restart] models the
-   reboot honestly (wipe, not simulate); [snapshot]/[restore] capture and
-   replay the programmed configuration so tests and the reconciliation
-   plane can compare desired against actual.  The five-tuple flow stage's
-   built-in ALL rule is firmware, not pushed state; it survives restart
-   by reconstruction in [create] and here. *)
+   reboot honestly (wipe, not simulate).  A [snapshot] is the programmed
+   configuration as a value; [diff] is the op list that takes one
+   snapshot's enclave to another's, which is both the controller's
+   reconciliation repair and [restore]'s replay.  The five-tuple flow
+   stage's built-in ALL rule is firmware, not pushed state; it survives
+   restart by reconstruction in [create] and here. *)
 
 type snapshot = {
   sn_actions : install_spec list;  (* install order *)
@@ -1027,70 +1079,113 @@ let restart t =
   t.e_trace_armed <- false;
   t.e_packet.start_ns <- 0.0
 
-let restore t sn =
-  restart t;
-  let ( let* ) r f = Result.bind r f in
-  let rec each f = function
-    | [] -> Ok ()
-    | x :: rest ->
-      let* () = f x in
-      each f rest
-  in
-  let* () = each (fun spec -> install_action t spec) sn.sn_actions in
-  let* () =
-    each
-      (fun (action, bindings) ->
-        each (fun (name, v) -> set_global t ~action name v) bindings)
-      sn.sn_globals
-  in
-  let* () =
-    each
-      (fun (action, bindings) ->
-        each (fun (name, arr) -> set_global_array t ~action name (Array.copy arr)) bindings)
-      sn.sn_arrays
-  in
-  let max_table = List.fold_left (fun acc (id, _) -> max acc id) 0 sn.sn_rules in
-  while t.e_next_table <= max_table do
-    ignore (add_table t)
-  done;
-  each
-    (fun (table, rules) ->
-      each
-        (fun (r : Table.rule) ->
-          let* _ =
-            add_table_rule t ~table ~pattern:r.Table.pattern ~action:r.Table.action ()
-          in
-          Ok ())
-        rules)
-    sn.sn_rules
-
-(* Configuration equality ignores what cannot be compared (native
-   closures) and what is not configuration (rule ids): two enclaves are
-   configured equally when they hold the same actions (by name, engine
-   kind and message sources), the same state bindings and the same
-   (pattern, action) rule sequences per table. *)
-let config_equal a b =
-  let impl_kind = function
+(* What identifies an action: native closures cannot be compared, so an
+   action is its name, engine kind and program name, and message
+   sources. *)
+let action_key s =
+  let impl =
+    match s.i_impl with
     | Interpreted p -> "interpreted:" ^ p.P.name
     | Compiled p -> "compiled:" ^ p.P.name
     | Native _ -> "native"
   in
-  let spec_key (s : install_spec) =
-    (s.i_name, impl_kind s.i_impl, List.sort compare s.i_msg_sources)
-  in
-  let rule_key (r : Table.rule) = (Class_name.Pattern.to_string r.Table.pattern, r.Table.action) in
-  List.map spec_key a.sn_actions = List.map spec_key b.sn_actions
-  && a.sn_globals = b.sn_globals
-  && a.sn_arrays = b.sn_arrays
-  && List.map (fun (id, rs) -> (id, List.map rule_key rs)) a.sn_rules
-     = List.map (fun (id, rs) -> (id, List.map rule_key rs)) b.sn_rules
+  (s.i_name, impl, List.sort compare s.i_msg_sources)
 
-let snapshot_summary sn =
-  Printf.sprintf "%d actions, %d rules, %d globals, %d arrays"
-    (List.length sn.sn_actions)
-    (List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.sn_rules)
-    (List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 sn.sn_globals)
-    (List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 sn.sn_arrays)
+(* What identifies a rule: its table, pattern and action.  Rule ids are
+   allocation artifacts, not configuration. *)
+let rule_key (table, (r : Table.rule)) =
+  (table, Class_name.Pattern.to_string r.Table.pattern, r.Table.action)
+
+(* Multiset difference by [key]: every element of [xs] not matched
+   one-for-one by an element of [ys], earlier occurrences matching
+   first. *)
+let minus key xs ys =
+  let left = Hashtbl.create 16 in
+  List.iter
+    (fun y ->
+      let k = key y in
+      Hashtbl.replace left k (1 + Option.value ~default:0 (Hashtbl.find_opt left k)))
+    ys;
+  List.filter
+    (fun x ->
+      let k = key x in
+      match Hashtbl.find_opt left k with
+      | Some n when n > 0 ->
+        Hashtbl.replace left k (n - 1);
+        false
+      | _ -> true)
+    xs
+
+(* The repair order matters: extra rules go before extra actions
+   (removing an action drops its rules), tables and missing actions
+   before their state and rules (the enclave refuses rules and state for
+   unknown actions, so a rule can never route to a half-installed
+   action).  Missing rules go in rule-id order, which in the desired
+   store is creation order. *)
+let diff ~desired ~actual =
+  let keys sn = List.map action_key sn.sn_actions in
+  let desired_keys = keys desired and actual_keys = keys actual in
+  let missing_actions =
+    List.filter (fun s -> not (List.mem (action_key s) actual_keys)) desired.sn_actions
+  in
+  let extra_actions =
+    List.filter (fun s -> not (List.mem (action_key s) desired_keys)) actual.sn_actions
+  in
+  (* A same-named action held under another key is replaced: removing it
+     drops its rules and state, so those do not count as present. *)
+  let kept name = not (List.exists (fun s -> String.equal s.i_name name) extra_actions) in
+  let rules sn =
+    List.concat_map (fun (table, rs) -> List.map (fun r -> (table, r)) rs) sn.sn_rules
+  in
+  let actual_rules = rules actual and desired_rules = rules desired in
+  let extra_rules = minus rule_key actual_rules desired_rules in
+  let missing_rules =
+    minus rule_key desired_rules (List.filter (fun (_, r) -> kept r.Table.action) actual_rules)
+    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a.Table.rule_id b.Table.rule_id)
+  in
+  (* Only the bindings [desired] holds are compared: state an action
+     writes at run time is not configuration. *)
+  let stale bindings =
+    List.concat_map
+      (fun (action, bs) ->
+        let have =
+          if kept action then Option.value ~default:[] (List.assoc_opt action (bindings actual))
+          else []
+        in
+        List.filter_map
+          (fun (name, v) ->
+            if List.assoc_opt name have = Some v then None else Some (action, name, v))
+          bs)
+      (bindings desired)
+  in
+  List.concat
+    [
+      List.map (fun (table, r) -> Remove_rule { table; rule_id = r.Table.rule_id }) extra_rules;
+      List.map (fun s -> Remove_action s.i_name) extra_actions;
+      List.init (max 0 (List.length desired.sn_rules - List.length actual.sn_rules)) (fun _ ->
+          Add_table);
+      List.map (fun s -> Install_action s) missing_actions;
+      List.map
+        (fun (action, name, value) -> Set_global { action; name; value })
+        (stale (fun sn -> sn.sn_globals));
+      List.map
+        (fun (action, name, value) -> Set_global_array { action; name; value })
+        (stale (fun sn -> sn.sn_arrays));
+      List.map
+        (fun (table, (r : Table.rule)) ->
+          Add_rule { table; pattern = r.Table.pattern; action = r.Table.action })
+        missing_rules;
+    ]
+
+let restore t sn =
+  restart t;
+  let rec replay = function
+    | [] -> Ok ()
+    | op :: rest -> ( match apply t op with Ok _ -> replay rest | Error m -> Error m)
+  in
+  replay (diff ~desired:sn ~actual:(snapshot t))
+
+let config_equal a b = diff ~desired:a ~actual:b = [] && diff ~desired:b ~actual:a = []
 
 (* ------------------------------------------------------------------ *)
 (* Data path *)

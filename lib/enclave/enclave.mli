@@ -298,7 +298,42 @@ val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ] option
 val breaker_trips : t -> string -> int
 (** How many times the named action's breaker has opened. *)
 
-(** {2 Soft state: restart, snapshot, restore} *)
+(** {2 Configuration ops}
+
+    One op is the one change to an enclave's programmed configuration.
+    The control channel delivers ops with {!apply}, {!restore} replays
+    them, {!diff} produces them, and the controller's desired store
+    applies the same ops to its {!snapshot} of the intended
+    configuration. *)
+
+type op =
+  | Install_action of install_spec
+  | Remove_action of string
+  | Add_table
+  | Add_rule of {
+      table : int;
+      pattern : Eden_base.Class_name.Pattern.t;
+      action : string;
+    }
+  | Remove_rule of { table : int; rule_id : int }
+  | Set_global of { action : string; name : string; value : int64 }
+  | Set_global_array of { action : string; name : string; value : int64 array }
+  | Commit_generation
+      (** No-op at the enclave; the control channel advances its acked
+          generation watermark on it.  Closes a reconciliation round. *)
+
+val op_to_string : op -> string
+
+val apply : t -> op -> (int64, string) result
+(** Apply one op.  The payload is op-specific: the rule id for
+    [Add_rule], the table id for [Add_table], the dropped-rule count for
+    [Remove_action], else 0.  Removes are idempotent (removing an absent
+    action or rule succeeds); an installed action with the same name, a
+    rule or state write naming an absent action, a rule for an absent
+    table and a rejected install are errors.  [Set_global_array] binds a
+    copy of the array. *)
+
+(** {2 Soft state: restart, snapshot, diff, restore} *)
 
 val restart : t -> unit
 (** Model a host/enclave reboot honestly: drop every installed action,
@@ -311,30 +346,41 @@ val restarts : t -> int
 (** Read from the restart counter cell, which {!restart} carries across
     its registry reset. *)
 
-(** Programmed configuration, captured for restart injection and for the
-    reconciliation plane's desired-vs-actual diff. *)
+(** Programmed configuration as a value: what an enclave reports to the
+    reconciliation plane, and the form of the controller's desired
+    state. *)
 type snapshot = {
   sn_actions : install_spec list;  (** Install order. *)
   sn_globals : (string * (string * int64) list) list;
       (** Per action: written global scalars, sorted by name. *)
   sn_arrays : (string * (string * int64 array) list) list;
       (** Per action: bound global arrays (copied), sorted by name. *)
-  sn_rules : (int * Table.rule list) list;  (** Per table id, match order. *)
+  sn_rules : (int * Table.rule list) list;
+      (** Every table, by id, with its rules in match order. *)
 }
 
 val snapshot : t -> snapshot
 
+val diff : desired:snapshot -> actual:snapshot -> op list
+(** The ops that take an enclave configured as [actual] to [desired], in
+    the order they must be sent: extra rules and extra actions removed,
+    missing tables added, missing actions installed (in install order),
+    stale scalars then arrays written, missing rules added (in rule-id
+    order).  An action is identified by its name, engine kind, program
+    name and message sources; a rule by its table, pattern and action —
+    rule ids are not configuration.  Rules are compared as a multiset per
+    table.  The comparison is asymmetric on state: only the bindings
+    [desired] holds are compared, so state an action writes at run time
+    never shows as drift.  [[]] means [actual] is in sync with
+    [desired]. *)
+
 val restore : t -> snapshot -> (unit, string) result
-(** [restart] then replay the snapshot (actions, state, tables, rules).
-    Counts as a restart. *)
+(** [restart], then {!apply} [diff ~desired:sn ~actual:(snapshot t)].
+    Counts as a restart.  Rule ids are reassigned. *)
 
 val config_equal : snapshot -> snapshot -> bool
-(** Configuration equivalence: same actions (name, engine kind, message
-    sources) in the same install order, same state bindings, same
-    (pattern, action) rule sequence per table.  Rule ids are ignored —
-    they are allocation artifacts, not configuration. *)
-
-val snapshot_summary : snapshot -> string
+(** [diff] is empty both ways: the same actions, the same state bindings,
+    the same tables holding the same (pattern, action) rules. *)
 
 val faults : t -> fault_record list
 (** Most recent first; bounded (a fixed-size {!Eden_telemetry.Ring}

@@ -21,6 +21,10 @@ val id : t -> int
 val add_rule : t -> pattern:Eden_base.Class_name.Pattern.t -> action:string -> rule
 val remove_rule : t -> int -> bool
 
+val insert_sorted : rule list -> rule -> rule list
+(** [rules] (in match order) with [rule] inserted where {!add_rule}
+    would put it: after every rule at least as specific. *)
+
 val remove_action_rules : t -> string -> int
 (** Drop every rule pointing at the named action; returns how many were
     removed.  Used when an action is uninstalled so the table never

@@ -308,6 +308,32 @@ let test_rejection_rolls_back_and_names_divergent () =
   | o -> Alcotest.failf "expected repair, got %s" (Controller.reconcile_outcome_to_string o));
   check_bool "orphan removed" true (Enclave.action_names enclaves.(0) = [])
 
+(* A first-time state push that one host rejects is undone on the hosts
+   that applied it by writing the unset reading back, so every host
+   reads what the desired state (which holds no binding) implies. *)
+let test_rejected_first_push_undone_to_unset () =
+  let ctl, enclaves = fresh_fleet () in
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  Channel.inject_restart (chan ctl 1);
+  let rejected = function
+    | Ok () -> Alcotest.fail "expected host 1 to reject the push"
+    | Error msg -> check_bool "host 1 rejected" true (contains ~sub:"host 1 rejected" msg)
+  in
+  rejected (Controller.set_global_everywhere ctl ~action:"divider" "D" 7L);
+  rejected (Controller.set_global_array_everywhere ctl ~action:"divider" "A" [| 1L; 2L |]);
+  let d = Controller.desired ctl in
+  check_bool "desired holds no D" true (Desired.global d ~action:"divider" "D" = None);
+  check_bool "desired holds no A" true (Desired.global_array d ~action:"divider" "A" = None);
+  let reads_unset what e =
+    check_bool (what ^ ": D reads 0") true (Enclave.get_global e ~action:"divider" "D" = Some 0L);
+    check_bool (what ^ ": A reads empty") true
+      (Enclave.get_global_array e ~action:"divider" "A" = Some [||])
+  in
+  reads_unset "host 0 after the undo" enclaves.(0);
+  ignore (Controller.reconcile ctl);
+  check_bool "converged" true (Controller.converged ctl);
+  Array.iteri (fun i e -> reads_unset (Printf.sprintf "host %d after reconcile" i) e) enclaves
+
 let test_duplicates_do_not_double_bump () =
   let ctl, enclaves = fresh_fleet () in
   Channel.script (chan ctl 0) (List.init 16 (fun i -> (i, Channel.Duplicate)));
@@ -340,6 +366,38 @@ let test_reconcile_after_restart () =
     (Channel.acked_generation (chan ctl 1));
   check_bool "restored binding" true
     (Enclave.get_global enclaves.(1) ~action:"divider" "D" = Some 4L)
+
+(* An enclave holding a same-named action under another engine is
+   repaired by replacing it, and the replacement gets the desired state
+   and rules back: the removed action's bindings and rules do not count
+   as present. *)
+let test_reconcile_replaces_action_under_other_key () =
+  let ctl, enclaves = fresh_fleet ~hosts:1 () in
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  get_ok (Controller.set_global_everywhere ctl ~action:"divider" "D" 4L);
+  get_ok (Controller.add_rule_everywhere ctl ~pattern:Pattern.any ~action:"divider" ());
+  let e = enclaves.(0) in
+  ignore (Enclave.remove_action e "divider");
+  let compiled =
+    match divider_spec.Enclave.i_impl with
+    | Enclave.Interpreted p -> { divider_spec with Enclave.i_impl = Enclave.Compiled p }
+    | _ -> divider_spec
+  in
+  get_ok (Enclave.install_action e compiled);
+  get_ok (Enclave.set_global e ~action:"divider" "D" 4L);
+  let _ = get_ok (Enclave.add_table_rule e ~pattern:Pattern.any ~action:"divider" ()) in
+  check_bool "drift detected" true (not (Controller.converged ctl));
+  (match Controller.reconcile_enclave ctl (chan ctl 0) with
+  | Controller.Repaired _ -> ()
+  | o -> Alcotest.failf "expected repair, got %s" (Controller.reconcile_outcome_to_string o));
+  check_bool "converged" true (Controller.converged ctl);
+  check_bool "state rebound" true (Enclave.get_global e ~action:"divider" "D" = Some 4L);
+  let sn = Enclave.snapshot e in
+  check_bool "interpreted engine back" true
+    (match sn.Enclave.sn_actions with
+    | [ { Enclave.i_impl = Enclave.Interpreted _; _ } ] -> true
+    | _ -> false);
+  check_int "rule back" 1 (List.fold_left (fun n (_, rs) -> n + List.length rs) 0 sn.Enclave.sn_rules)
 
 let test_partition_heal_convergence () =
   let ctl, enclaves = fresh_fleet () in
@@ -421,6 +479,76 @@ let test_stats_equal_scrape () =
   check_int "host 0 crashed once" 1 (Enclave.restarts enclaves.(0))
 
 (* ------------------------------------------------------------------ *)
+(* One op model: enclave and desired store *)
+
+let op_gen =
+  let open QCheck.Gen in
+  let action = oneofl [ "a"; "b" ] in
+  let name = oneofl [ "D"; "E" ] in
+  let pattern =
+    oneofl
+      (Pattern.any
+      :: List.map
+           (fun s -> Option.get (Pattern.of_string s))
+           [ "memcached.*.*"; "storage.*.*"; "memcached.op.GET" ])
+  in
+  let spec compiled a =
+    let s = { divider_spec with Enclave.i_name = a } in
+    match (compiled, s.Enclave.i_impl) with
+    | true, Enclave.Interpreted p -> { s with Enclave.i_impl = Enclave.Compiled p }
+    | _ -> s
+  in
+  frequency
+    [
+      (3, map2 (fun c a -> Enclave.Install_action (spec c a)) bool action);
+      (1, map (fun a -> Enclave.Remove_action a) action);
+      (1, return Enclave.Add_table);
+      ( 4,
+        map3
+          (fun table pattern action -> Enclave.Add_rule { table; pattern; action })
+          (int_bound 2) pattern action );
+      ( 2,
+        map3
+          (fun action name v -> Enclave.Set_global { action; name; value = Int64.of_int v })
+          action name small_signed_int );
+      ( 2,
+        map3
+          (fun action name n ->
+            Enclave.Set_global_array { action; name; value = Array.init n Int64.of_int })
+          action name (int_bound 3) );
+    ]
+
+let ops_to_string ops = String.concat "; " (List.map Enclave.op_to_string ops)
+
+(* The same op stream through [Enclave.apply] on a fresh enclave and
+   [Desired.apply] on a fresh store: each op is accepted or refused
+   alike, the two configurations stay equal after every op, and
+   restoring the enclave's snapshot reproduces its configuration. *)
+let prop_desired_tracks_enclave =
+  QCheck.Test.make ~count:300 ~name:"desired store and enclave agree op by op"
+    (QCheck.make ~print:ops_to_string QCheck.Gen.(list_size (int_range 1 30) op_gen))
+    (fun ops ->
+      let e = Enclave.create ~host:1 () and d = Desired.create () in
+      let verdict r = if Result.is_ok r then "accepted" else "refused" in
+      List.iteri
+        (fun i op ->
+          let at_enclave = Enclave.apply e op and at_desired = Desired.apply d op in
+          if Result.is_ok at_enclave <> Result.is_ok at_desired then
+            QCheck.Test.fail_reportf "op %d (%s): enclave %s, desired %s" i
+              (Enclave.op_to_string op) (verdict at_enclave) (verdict at_desired);
+          match Enclave.diff ~desired:(Desired.snapshot d) ~actual:(Enclave.snapshot e) with
+          | [] ->
+            if not (Enclave.config_equal (Desired.snapshot d) (Enclave.snapshot e)) then
+              QCheck.Test.fail_reportf "after op %d: configurations differ" i
+          | drift -> QCheck.Test.fail_reportf "after op %d: drift [%s]" i (ops_to_string drift))
+        ops;
+      let e2 = Enclave.create ~host:2 () in
+      (match Enclave.restore e2 (Enclave.snapshot e) with
+      | Ok () -> ()
+      | Error msg -> QCheck.Test.fail_reportf "restore refused: %s" msg);
+      Enclave.config_equal (Enclave.snapshot e) (Enclave.snapshot e2))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos scenarios under the CI seed *)
 
 let test_chaos_scenarios_pass () =
@@ -444,6 +572,7 @@ let test_chaos_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_resilience"
     [
       ( "channel",
@@ -477,15 +606,20 @@ let () =
             test_retry_exhaustion_marks_divergent;
           Alcotest.test_case "rejection rolls back, names divergent" `Quick
             test_rejection_rolls_back_and_names_divergent;
+          Alcotest.test_case "rejected first push undone to unset" `Quick
+            test_rejected_first_push_undone_to_unset;
           Alcotest.test_case "duplicates do not double-bump" `Quick
             test_duplicates_do_not_double_bump;
           Alcotest.test_case "reconcile after restart" `Quick test_reconcile_after_restart;
+          Alcotest.test_case "reconcile replaces an action under another key" `Quick
+            test_reconcile_replaces_action_under_other_key;
           Alcotest.test_case "partition/heal convergence" `Quick
             test_partition_heal_convergence;
           Alcotest.test_case "reports carry resilience columns" `Quick
             test_reports_include_resilience_columns;
           Alcotest.test_case "stats equal the scrape" `Quick test_stats_equal_scrape;
         ] );
+      ("config model", [ Qcheck_seed.qcheck prop_desired_tracks_enclave ]);
       ( "chaos",
         [
           Alcotest.test_case "scenarios pass under CI seed" `Quick test_chaos_scenarios_pass;
