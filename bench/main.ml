@@ -238,6 +238,14 @@ let program_steps p =
    loudly. *)
 let allocation_words_budget = 16.0
 
+(* The interpreter runs on the same machine as the compiled engine, made
+   at install and reset per run, with operands kept unboxed in its slots,
+   so interpreted PIAS allocates over the no-policy baseline about what
+   compiled PIAS does: 12 words.  The budget has ~20% headroom; the
+   interpreter's earlier closure-and-ref machine, rebuilt every run,
+   allocated about 110 words per PIAS run and fails it on any machine. *)
+let interpreted_words_budget = 14.0
+
 (* The no-policy path itself has an absolute bound: flow classification
    runs once per flow and the merged metadata once per message, so a
    packet that repeats its predecessor's flow and metadata allocates 10
@@ -388,6 +396,17 @@ let allocation_check () =
       "ALLOCATION REGRESSION: process_batch allocates %.1f words/packet over the \
        no-policy baseline\n"
       (batched -. base);
+    exit 1
+  end;
+  let interpreted = words_per_packet (pias_process_enclave `Interpreted) in
+  Printf.printf
+    "allocation (minor words/packet): interpreted pias %.1f, delta %.1f (budget %.0f)\n"
+    interpreted (interpreted -. base) interpreted_words_budget;
+  if interpreted -. base > interpreted_words_budget then begin
+    Printf.printf
+      "ALLOCATION REGRESSION: the interpreted data path allocates %.1f words/packet over the \
+       no-policy baseline\n"
+      (interpreted -. base);
     exit 1
   end;
   let new_flow = words_per_new_flow () in

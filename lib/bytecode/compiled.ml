@@ -1,25 +1,20 @@
 (* Install-time closure compilation of verified bytecode (threaded code).
 
-   [Interp.run] pays a per-step tax that has nothing to do with the
-   action function's logic: an opcode [match] dispatch, a heap-allocated
-   [next] ref per retired instruction, pc/sp ref-cell bookkeeping and a
-   step-limit test on every instruction.  Installation is the natural
-   place to spend one-off work removing it (the same trade eBPF makes:
-   verify once, then run native), so this module translates a verified
-   program into nested OCaml closures — one chain per basic block,
-   direct calls between blocks — fixing at compile time everything the
-   verifier proved static:
+   The interpreter ([Interp.resume]) pays a per-step tax that has
+   nothing to do with the action function's logic: an opcode [match]
+   dispatch, operand-stack depth checks and a step-limit test on every
+   instruction.  Installation is the natural place to spend one-off work
+   removing it (the same trade eBPF makes: verify once, then run
+   native), so this module translates a verified program into nested
+   OCaml closures — one chain per basic block, direct calls between
+   blocks — fixing at compile time everything the verifier proved
+   static:
 
    - the verifier guarantees a single consistent operand-stack depth per
-     pc, so the stack becomes direct slot addressing: no sp, no
-     push/pop, every operand read and written at a byte offset known at
-     compile time (and below [stack_limit], so accesses are unchecked);
-   - the operand stack and locals live in a [Bytes.t] of unboxed 8-byte
-     slots accessed through the [%caml_bytes_get64u]/[set64u]
-     primitives.  An [int64 array] would box every arithmetic result
-     and run the write barrier on every store; with raw slots the
-     native compiler keeps whole operand chains unboxed, so straight-
-     line arithmetic neither allocates nor touches the GC;
+     pc, so the stack becomes direct slot addressing: no sp, every
+     operand read and written at a byte offset of the machine's unboxed
+     slots known at compile time (and below [stack_limit], so accesses
+     are unchecked);
    - steps are bulk-charged per basic block (one add + compare instead
      of one per instruction), with the charge corrected at fault sites
      so accounting matches the interpreter exactly;
@@ -30,33 +25,20 @@
    - [Gaload_unsafe]/[Gastore_unsafe] keep the bounds proofs the
      verifier re-derived — no checks on the proved path.
 
-   Faults, stats and published state are bit-identical to [Interp.run]
-   on the same env/now/rng: test/test_compiled.ml enforces this
-   differentially on every example function and on randomized programs.
-
-   When a block's remaining step budget cannot cover the whole block,
-   execution falls back to [slow_run], a per-instruction twin of
-   [Interp.run] over the same machine state, so step-limit faults land
-   on exactly the same instruction with exactly the same partial
-   effects. *)
+   The closures run on the interpreter's machine ([Interp.scratch]),
+   entered and published through its [reset]/[publish], allocating
+   through [Interp.alloc] and faulting with [Interp.Fault].  When a
+   block's remaining step budget cannot cover the whole block, the block
+   hands over to [Interp.resume] at its first instruction and entry
+   depth, so step-limit faults land on exactly the same instruction with
+   exactly the same partial effects.  test/test_compiled.ml checks the
+   two engines differentially on every example function and on
+   randomized programs. *)
 
 module P = Program
 module Rng = Eden_base.Rng
 
-type state = {
-  stack : Bytes.t; (* stack_limit unboxed int64 slots, 8 bytes each *)
-  locals : Bytes.t; (* n_locals unboxed int64 slots *)
-  mutable env_arrays : int64 array array;
-  mutable heap : int64 array array;
-  mutable n_heap : int;
-  mutable heap_cells : int;
-  mutable steps : int;
-  mutable max_sp : int;
-  mutable now_ns : int64;
-  mutable rng : Rng.t;
-}
-
-exception F of Interp.fault
+type state = Interp.scratch
 
 external b64get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external b64set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -67,176 +49,7 @@ external b64set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let aget : int64 array array -> int -> int64 array = Array.unsafe_get
 
 (* ------------------------------------------------------------------ *)
-(* Slow path: per-instruction execution from an arbitrary pc, used when
-   the remaining step budget cannot cover a whole block.  Mirrors
-   [Interp.run] exactly (fault sites, step accounting, stack peaks). *)
-
-let slow_run (p : P.t) (st : state) pc0 sp0 =
-  let code = p.P.code in
-  let len = Array.length code in
-  let stack = st.stack and locals = st.locals in
-  let pc = ref pc0 in
-  let sp = ref sp0 in
-  let push v =
-    b64set stack (!sp lsl 3) v;
-    incr sp;
-    if !sp > st.max_sp then st.max_sp <- !sp
-  in
-  let pop () =
-    decr sp;
-    b64get stack (!sp lsl 3)
-  in
-  let to_bool v = if Int64.equal v 0L then 0L else 1L in
-  let env_array s = st.env_arrays.(s) in
-  let check_index arr i =
-    let n = Array.length arr in
-    if i < 0 || i >= n then raise (F (Interp.Array_bounds { pc = !pc; index = i; length = n }))
-  in
-  let heap_get r =
-    let r = Int64.to_int r in
-    if r < 0 || r >= st.n_heap then raise (F (Interp.Invalid_reference { pc = !pc }));
-    st.heap.(r)
-  in
-  let alloc n =
-    if n < 0 then raise (F (Interp.Negative_array_length { pc = !pc; length = n }));
-    if st.heap_cells + n > p.P.heap_limit then
-      raise (F (Interp.Heap_exhausted { pc = !pc; requested = n; limit = p.P.heap_limit }));
-    if st.n_heap = Array.length st.heap then begin
-      let bigger = Array.make (2 * st.n_heap) [||] in
-      Array.blit st.heap 0 bigger 0 st.n_heap;
-      st.heap <- bigger
-    end;
-    st.heap.(st.n_heap) <- Array.make n 0L;
-    st.heap_cells <- st.heap_cells + n;
-    let r = st.n_heap in
-    st.n_heap <- r + 1;
-    Int64.of_int r
-  in
-  while !pc < len do
-    if st.steps >= p.P.step_limit then
-      raise (F (Interp.Step_limit_exceeded { limit = p.P.step_limit }));
-    st.steps <- st.steps + 1;
-    let op = code.(!pc) in
-    let next = ref (!pc + 1) in
-    (match op with
-    | Opcode.Push v -> push v
-    | Opcode.Pop -> ignore (pop ())
-    | Opcode.Dup ->
-      let v = pop () in
-      push v;
-      push v
-    | Opcode.Swap ->
-      let b = pop () in
-      let a = pop () in
-      push b;
-      push a
-    | Opcode.Load i -> push (b64get locals (i lsl 3))
-    | Opcode.Store i -> b64set locals (i lsl 3) (pop ())
-    | Opcode.Add ->
-      let b = pop () and a = pop () in
-      push (Int64.add a b)
-    | Opcode.Sub ->
-      let b = pop () and a = pop () in
-      push (Int64.sub a b)
-    | Opcode.Mul ->
-      let b = pop () and a = pop () in
-      push (Int64.mul a b)
-    | Opcode.Div ->
-      let b = pop () and a = pop () in
-      if Int64.equal b 0L then raise (F (Interp.Division_by_zero { pc = !pc }));
-      push (Int64.div a b)
-    | Opcode.Rem ->
-      let b = pop () and a = pop () in
-      if Int64.equal b 0L then raise (F (Interp.Division_by_zero { pc = !pc }));
-      push (Int64.rem a b)
-    | Opcode.Neg -> push (Int64.neg (pop ()))
-    | Opcode.Band ->
-      let b = pop () and a = pop () in
-      push (Int64.logand a b)
-    | Opcode.Bor ->
-      let b = pop () and a = pop () in
-      push (Int64.logor a b)
-    | Opcode.Bxor ->
-      let b = pop () and a = pop () in
-      push (Int64.logxor a b)
-    | Opcode.Shl ->
-      let b = pop () and a = pop () in
-      push (Int64.shift_left a (Int64.to_int b land 63))
-    | Opcode.Shr ->
-      let b = pop () and a = pop () in
-      push (Int64.shift_right_logical a (Int64.to_int b land 63))
-    | Opcode.Not -> push (if Int64.equal (pop ()) 0L then 1L else 0L)
-    | Opcode.Eq ->
-      let b = pop () and a = pop () in
-      push (if Int64.equal a b then 1L else 0L)
-    | Opcode.Ne ->
-      let b = pop () and a = pop () in
-      push (if Int64.equal a b then 0L else 1L)
-    | Opcode.Lt ->
-      let b = pop () and a = pop () in
-      push (if Int64.compare a b < 0 then 1L else 0L)
-    | Opcode.Le ->
-      let b = pop () and a = pop () in
-      push (if Int64.compare a b <= 0 then 1L else 0L)
-    | Opcode.Gt ->
-      let b = pop () and a = pop () in
-      push (if Int64.compare a b > 0 then 1L else 0L)
-    | Opcode.Ge ->
-      let b = pop () and a = pop () in
-      push (if Int64.compare a b >= 0 then 1L else 0L)
-    | Opcode.Jmp t -> next := t
-    | Opcode.Jz t -> if Int64.equal (to_bool (pop ())) 0L then next := t
-    | Opcode.Jnz t -> if not (Int64.equal (to_bool (pop ())) 0L) then next := t
-    | Opcode.Gaload s ->
-      let i = Int64.to_int (pop ()) in
-      let arr = env_array s in
-      check_index arr i;
-      push arr.(i)
-    | Opcode.Gastore s ->
-      let v = pop () in
-      let i = Int64.to_int (pop ()) in
-      let arr = env_array s in
-      check_index arr i;
-      arr.(i) <- v
-    | Opcode.Gaload_unsafe s ->
-      let i = Int64.to_int (pop ()) in
-      push (Array.unsafe_get (env_array s) i)
-    | Opcode.Gastore_unsafe s ->
-      let v = pop () in
-      let i = Int64.to_int (pop ()) in
-      Array.unsafe_set (env_array s) i v
-    | Opcode.Galen s -> push (Int64.of_int (Array.length (env_array s)))
-    | Opcode.Newarr -> push (alloc (Int64.to_int (pop ())))
-    | Opcode.Aload ->
-      let i = Int64.to_int (pop ()) in
-      let arr = heap_get (pop ()) in
-      check_index arr i;
-      push arr.(i)
-    | Opcode.Astore ->
-      let v = pop () in
-      let i = Int64.to_int (pop ()) in
-      let arr = heap_get (pop ()) in
-      check_index arr i;
-      arr.(i) <- v
-    | Opcode.Alen -> push (Int64.of_int (Array.length (heap_get (pop ()))))
-    | Opcode.Rand ->
-      let bound = pop () in
-      if Int64.compare bound 0L <= 0 then
-        raise (F (Interp.Bad_random_bound { pc = !pc; bound }));
-      push (Int64.of_int (Rng.int st.rng (Int64.to_int bound)))
-    | Opcode.Clock -> push st.now_ns
-    | Opcode.Hashmix ->
-      let b = pop () and a = pop () in
-      let m =
-        Int64.mul (Int64.logxor (Int64.mul a 0x9E3779B97F4A7C15L) b) 0xBF58476D1CE4E5B9L
-      in
-      push (Int64.logxor m (Int64.shift_right_logical m 31))
-    | Opcode.Halt -> next := len);
-    pc := !next
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Fast path: one closure per instruction, chained within a basic block;
+(* Closure code: one closure per instruction, chained within a basic block;
    blocks linked through patchable refs.  [d] is the statically known
    operand-stack depth before the instruction; [k] the next closure;
    [die] corrects the block's bulk step charge and the deferred stack
@@ -402,23 +215,12 @@ let comp_instr (p : P.t) ~pc ~d ~(k : state -> unit) ~(die : state -> Interp.fau
       b64set st.stack o0 (Int64.of_int (Array.length (aget st.env_arrays s)));
       k st
   | Opcode.Newarr ->
-    fun st ->
-      let n = Int64.to_int (b64get st.stack o1) in
-      if n < 0 then die st (Interp.Negative_array_length { pc; length = n })
-      else if st.heap_cells + n > heap_limit then
-        die st (Interp.Heap_exhausted { pc; requested = n; limit = heap_limit })
-      else begin
-        if st.n_heap = Array.length st.heap then begin
-          let bigger = Array.make (2 * st.n_heap) [||] in
-          Array.blit st.heap 0 bigger 0 st.n_heap;
-          st.heap <- bigger
-        end;
-        st.heap.(st.n_heap) <- Array.make n 0L;
-        st.heap_cells <- st.heap_cells + n;
-        b64set st.stack o1 (Int64.of_int st.n_heap);
-        st.n_heap <- st.n_heap + 1;
+    fun st -> (
+      match Interp.alloc st ~heap_limit ~pc (Int64.to_int (b64get st.stack o1)) with
+      | r ->
+        b64set st.stack o1 (Int64.of_int r);
         k st
-      end
+      | exception Interp.Fault f -> die st f)
   | Opcode.Aload ->
     fun st ->
       let r = Int64.to_int (b64get st.stack o2) in
@@ -553,14 +355,14 @@ let build (p : P.t) : state -> unit =
       pmax.(k) <- max pmax.(k - 1) (dafter (l + k - 1))
     done;
     let bmax = pmax.(n) in
-    let upd st = if bmax > st.max_sp then st.max_sp <- bmax in
+    let upd (st : state) = if bmax > st.max_sp then st.max_sp <- bmax in
     let die_for idx =
       let rollback = n - (idx + 1) in
       let mupto = pmax.(idx) in
-      fun st f ->
+      fun (st : state) f ->
         st.steps <- st.steps - rollback;
         if mupto > st.max_sp then st.max_sp <- mupto;
-        raise (F f)
+        raise (Interp.Fault f)
     in
     let last : state -> unit =
       let d = depth.(e) in
@@ -608,7 +410,7 @@ let build (p : P.t) : state -> unit =
           st.steps <- s;
           body st
         end
-        else slow_run p st l entry_depth
+        else Interp.resume p st ~pc:l ~sp:entry_depth
   in
   for pc = 0 to len - 1 do
     if leader.(pc) && depth.(pc) >= 0 then compile_block pc
@@ -618,85 +420,37 @@ let build (p : P.t) : state -> unit =
 (* ------------------------------------------------------------------ *)
 (* Public interface *)
 
-type t = { cp_program : P.t; cp_entry : state -> unit; cp_state : state }
+type t = { cp_program : P.t; cp_entry : state -> unit; cp_machine : state }
 
 let program t = t.cp_program
+let machine t = t.cp_machine
 
 let compile ?strict (p : P.t) =
   match Verifier.analyse ?strict p with
   | Error e -> Error e
-  | Ok _ ->
-    let st =
-      {
-        stack = Bytes.make (8 * max p.P.stack_limit 1) '\000';
-        locals = Bytes.make (8 * max p.P.n_locals 1) '\000';
-        env_arrays = [||];
-        heap = Array.make 16 [||];
-        n_heap = 0;
-        heap_cells = 0;
-        steps = 0;
-        max_sp = 0;
-        now_ns = 0L;
-        rng = Rng.create 0L;
-      }
-    in
-    Ok { cp_program = p; cp_entry = build p; cp_state = st }
+  | Ok _ -> Ok { cp_program = p; cp_entry = build p; cp_machine = Interp.make_scratch p }
 
-(* Entry work is per call, so it is kept to what a call changes: the
-   env and rng fields are re-stored (a write barrier each) only when the
-   caller passes different objects, the heap is reset only if the last
-   run allocated, and the locals are zeroed by an inline loop rather
-   than a C call.  Scalars are copied into locals here, so the machine
-   state keeps no reference to [env.scalars]. *)
+(* The interpreter's entry and publish, unchecked and inlined: a
+   verified program and a machine made for it need only the env's slot
+   counts checked. *)
 let exec t ~(env : Interp.env) ~now ~rng =
   let p = t.cp_program in
-  let st = t.cp_state in
+  let st = t.cp_machine in
   if
     Array.length env.Interp.scalars <> Array.length p.P.scalar_slots
     || Array.length env.Interp.arrays <> Array.length p.P.array_slots
   then invalid_arg "Compiled.exec: env does not match the program's slot tables";
-  if not (st.env_arrays == env.Interp.arrays) then st.env_arrays <- env.Interp.arrays;
-  if not (st.rng == rng) then st.rng <- rng;
-  let now_ns = Eden_base.Time.to_ns now in
-  if not (st.now_ns == now_ns) then st.now_ns <- now_ns;
-  if st.n_heap > 0 then begin
-    Array.fill st.heap 0 st.n_heap [||];
-    st.n_heap <- 0
-  end;
-  st.heap_cells <- 0;
-  st.steps <- 0;
-  st.max_sp <- 0;
-  let locals = st.locals in
-  for i = 0 to (Bytes.length locals lsr 3) - 1 do
-    b64set locals (i lsl 3) 0L
-  done;
-  let scalar_slots = p.P.scalar_slots in
-  for i = 0 to Array.length scalar_slots - 1 do
-    b64set locals ((Array.unsafe_get scalar_slots i).P.s_local lsl 3)
-      (Array.unsafe_get env.Interp.scalars i)
-  done;
+  Interp.reset p st ~env ~now ~rng;
   match t.cp_entry st with
   | () ->
-    (* Successful completion: publish writable scalar slots, as
-       [Interp.run] does. *)
-    for i = 0 to Array.length scalar_slots - 1 do
-      let s = Array.unsafe_get scalar_slots i in
-      if s.P.s_access = P.Read_write then
-        Array.unsafe_set env.Interp.scalars i (b64get st.locals (s.P.s_local lsl 3))
-    done;
+    Interp.publish p st env;
     None
-  | exception F f -> Some f
+  | exception Interp.Fault f -> Some f
 
-let last_steps t = t.cp_state.steps
-let last_max_stack t = t.cp_state.max_sp
-let last_heap_cells t = t.cp_state.heap_cells
-
-let stats t =
-  {
-    Interp.steps = t.cp_state.steps;
-    max_stack = t.cp_state.max_sp;
-    heap_cells = t.cp_state.heap_cells;
-  }
+let last_steps t = t.cp_machine.steps
+let last_max_stack t = t.cp_machine.max_sp
+let last_heap_cells t = t.cp_machine.heap_cells
+let stats t = Interp.stats t.cp_machine
 
 let run t ~env ~now ~rng =
   match exec t ~env ~now ~rng with

@@ -1,23 +1,26 @@
 (** Install-time closure compilation of verified bytecode.
 
-    A second execution engine alongside {!Interp.run}: [compile]
-    translates a verifier-accepted program into threaded code — one
-    OCaml closure chain per basic block, blocks linked by direct calls —
-    paying the translation cost once at install so the per-packet path
-    carries none of the interpreter's per-step overhead (opcode [match]
-    dispatch, pc/step ref cells, per-instruction step-limit checks,
-    dynamic operand-stack pointer).
+    A second execution engine alongside the interpreter ({!Interp.run}):
+    [compile] translates a verifier-accepted program into threaded code
+    — one OCaml closure chain per basic block, blocks linked by direct
+    calls — paying the translation cost once at install so the
+    per-packet path carries none of the interpreter's per-step overhead
+    (opcode [match] dispatch, operand-stack depth checks,
+    per-instruction step-limit checks).
 
-    The engine is observationally identical to {!Interp.run}: same
-    published state, same faults at the same pc with the same partial
-    effects, same [steps]/[max_stack]/[heap_cells] statistics.
-    [test/test_compiled.ml] enforces this differentially on randomized
-    programs.
+    It is not a second machine: the closures run on an {!Interp.scratch}
+    through the interpreter's own reset, publish, heap allocator and
+    fault exception, and a block whose step budget runs out continues in
+    {!Interp.resume} at that block's first instruction.  So the engine
+    is observationally identical to {!Interp.run}: same published state,
+    same faults at the same pc with the same partial effects, same
+    [steps]/[max_stack]/[heap_cells] statistics.  [test/test_compiled.ml]
+    checks this differentially on randomized programs under every step
+    limit.
 
-    A [t] owns its mutable machine state (like {!Interp.scratch}), so a
-    given [t] must not be run concurrently from multiple domains; wrap
-    it in the enclave's concurrency control as for interpreted
-    actions. *)
+    A [t] owns its machine, so a given [t] must not be run concurrently
+    from multiple domains; wrap it in the enclave's concurrency control
+    as for interpreted actions. *)
 
 type t
 
@@ -29,6 +32,10 @@ val compile : ?strict:bool -> Program.t -> (t, Verifier.error) result
     attempted. *)
 
 val program : t -> Program.t
+
+val machine : t -> Interp.scratch
+(** The machine the compiled code runs on; after {!exec} it holds the
+    run's statistics, as {!Interp.exec}'s machine does. *)
 
 val run :
   t ->

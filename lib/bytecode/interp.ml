@@ -53,212 +53,363 @@ let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
 
 type stats = { steps : int; max_stack : int; heap_cells : int }
 
-(* Reusable per-program buffers: one allocation at install time instead of
-   three per invocation, which matters when the simulator runs an action
-   on every packet. *)
-type scratch = { sc_stack : int64 array; sc_locals : int64 array }
+(* The bytecode machine: one per program, made at install and reset per
+   run, shared by both engines ([Compiled] runs its closure code over it
+   and hands a block it cannot finish back to [resume]).  The operand
+   stack and locals are unboxed 8-byte slots in a [Bytes.t], so operands
+   move between slots without boxing and without the write barrier. *)
+type scratch = {
+  stack : Bytes.t;
+  locals : Bytes.t;
+  mutable env_arrays : int64 array array;
+  mutable heap : int64 array array;
+  mutable n_heap : int;
+  mutable heap_cells : int;
+  mutable steps : int;
+  mutable max_sp : int;
+  mutable now_ns : int64;
+  mutable rng : Eden_base.Rng.t;
+}
 
 let make_scratch (p : Program.t) =
-  { sc_stack = Array.make p.stack_limit 0L; sc_locals = Array.make (max p.n_locals 1) 0L }
+  {
+    stack = Bytes.make (8 * max p.stack_limit 1) '\000';
+    locals = Bytes.make (8 * max p.n_locals 1) '\000';
+    env_arrays = [||];
+    heap = Array.make 16 [||];
+    n_heap = 0;
+    heap_cells = 0;
+    steps = 0;
+    max_sp = 0;
+    now_ns = 0L;
+    rng = Eden_base.Rng.create 0L;
+  }
 
 exception Fault of fault
 
-let run ?scratch (p : Program.t) ~env ~now ~rng =
+external b64get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external b64set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let stats m = { steps = m.steps; max_stack = m.max_sp; heap_cells = m.heap_cells }
+
+(* Entry work is per call, so it is kept to what a call changes: the
+   env and rng fields are re-stored (a write barrier each) only when the
+   caller passes different objects, the heap is reset only if the last
+   run allocated, and the locals are zeroed by an inline loop rather
+   than a C call.  Scalars are copied into locals here, so the machine
+   keeps no reference to [env.scalars].  Unchecked: [exec] validates
+   the machine and env first; [Compiled.exec] runs verified programs
+   only. *)
+let[@inline] reset (p : Program.t) m ~(env : env) ~now ~rng =
+  if not (m.env_arrays == env.arrays) then m.env_arrays <- env.arrays;
+  if not (m.rng == rng) then m.rng <- rng;
+  let now_ns = Eden_base.Time.to_ns now in
+  if not (m.now_ns == now_ns) then m.now_ns <- now_ns;
+  if m.n_heap > 0 then begin
+    Array.fill m.heap 0 m.n_heap [||];
+    m.n_heap <- 0
+  end;
+  m.heap_cells <- 0;
+  m.steps <- 0;
+  m.max_sp <- 0;
+  let locals = m.locals in
+  for i = 0 to (Bytes.length locals lsr 3) - 1 do
+    b64set locals (i lsl 3) 0L
+  done;
+  let scalar_slots = p.scalar_slots in
+  for i = 0 to Array.length scalar_slots - 1 do
+    b64set locals ((Array.unsafe_get scalar_slots i).s_local lsl 3)
+      (Array.unsafe_get env.scalars i)
+  done
+
+(* Successful completion: publish writable scalar slots. *)
+let[@inline] publish (p : Program.t) m (env : env) =
+  let scalar_slots = p.scalar_slots in
+  for i = 0 to Array.length scalar_slots - 1 do
+    let s = Array.unsafe_get scalar_slots i in
+    if s.s_access = Program.Read_write then
+      Array.unsafe_set env.scalars i (b64get m.locals (s.s_local lsl 3))
+  done
+
+(* The one heap allocator; returns the new array's reference. *)
+let alloc m ~heap_limit ~pc n =
+  if n < 0 then raise (Fault (Negative_array_length { pc; length = n }));
+  if m.heap_cells + n > heap_limit then
+    raise (Fault (Heap_exhausted { pc; requested = n; limit = heap_limit }));
+  if m.n_heap = Array.length m.heap then begin
+    let bigger = Array.make (2 * m.n_heap) [||] in
+    Array.blit m.heap 0 bigger 0 m.n_heap;
+    m.heap <- bigger
+  end;
+  m.heap.(m.n_heap) <- Array.make n 0L;
+  m.heap_cells <- m.heap_cells + n;
+  let r = m.n_heap in
+  m.n_heap <- r + 1;
+  r
+
+(* Per-instruction helpers.  [sp] is the operand-stack depth before the
+   instruction; [get m sp k] reads the k-th value from the top (k >= 1)
+   and [set m i v] writes slot [i].  Callers establish [0 <= i < sp] or
+   [sp < stack_limit] with [need]/[room] first, and [exec] checked that
+   the machine holds [stack_limit] slots, so the slot accesses are
+   unchecked. *)
+let[@inline] get m sp k = b64get m.stack ((sp - k) lsl 3)
+let[@inline] set m i v = b64set m.stack (i lsl 3) v
+
+let[@inline] need ~pc sp n = if sp < n then raise (Fault (Operand_stack_underflow { pc }))
+
+let[@inline] room (p : Program.t) ~pc sp =
+  if sp >= p.stack_limit then raise (Fault (Operand_stack_overflow { pc }))
+
+(* Locals are addressed by the opcode's operand, which only the verifier
+   bounds. *)
+let[@inline] local m i =
+  if i < 0 || i >= Bytes.length m.locals lsr 3 then invalid_arg "index out of bounds";
+  i lsl 3
+
+let[@inline] peak m sp = if sp > m.max_sp then m.max_sp <- sp
+
+(* Result writers: [push] one value above [sp], [unary] over the top
+   value, [binary] over the top two. *)
+let[@inline] push m sp v =
+  set m sp v;
+  peak m (sp + 1)
+
+let[@inline] unary m sp v = set m (sp - 1) v
+let[@inline] binary m sp v = set m (sp - 2) v
+let[@inline] bool b = if b then 1L else 0L
+
+let[@inline] check_index ~pc arr i =
+  let n = Array.length arr in
+  if i < 0 || i >= n then raise (Fault (Array_bounds { pc; index = i; length = n }))
+
+let[@inline] heap_get m ~pc r =
+  let r = Int64.to_int r in
+  if r < 0 || r >= m.n_heap then raise (Fault (Invalid_reference { pc }));
+  Array.unsafe_get m.heap r
+
+(* The interpreter: one instruction per iteration from [pc] with [sp]
+   values on the stack, until control leaves the code.  Every access an
+   unverified program controls is checked: stack depth against 0 and
+   [stack_limit], locals, env slots and array indices (the [_unsafe]
+   array ops excepted, whose proofs the verifier re-derives). *)
+let rec resume (p : Program.t) m ~pc ~sp =
   let code = p.code in
-  let len = Array.length code in
-  let stack, locals =
-    match scratch with
-    | Some sc ->
-      if
-        Array.length sc.sc_stack < p.stack_limit
-        || Array.length sc.sc_locals < max p.n_locals 1
-      then invalid_arg "Interp.run: scratch buffers too small for this program";
-      (* Clear locals so hand-written bytecode cannot observe a previous
-         invocation's values through an uninitialized local. *)
-      Array.fill sc.sc_locals 0 (Array.length sc.sc_locals) 0L;
-      (sc.sc_stack, sc.sc_locals)
-    | None -> (Array.make p.stack_limit 0L, Array.make (max p.n_locals 1) 0L)
-  in
-  let sp = ref 0 in
-  let max_sp = ref 0 in
-  (* Pre-load scalar environment slots into locals. *)
-  Array.iteri
-    (fun i (s : Program.scalar_slot) -> locals.(s.s_local) <- env.scalars.(i))
-    p.scalar_slots;
-  let heap : int64 array array = Array.make 16 [||] in
-  let heap = ref heap in
-  let n_heap = ref 0 in
-  let heap_cells = ref 0 in
-  let steps = ref 0 in
-  let pc = ref 0 in
-  let push v =
-    if !sp >= p.stack_limit then raise (Fault (Operand_stack_overflow { pc = !pc }));
-    stack.(!sp) <- v;
-    incr sp;
-    if !sp > !max_sp then max_sp := !sp
-  in
-  let pop () =
-    if !sp <= 0 then raise (Fault (Operand_stack_underflow { pc = !pc }));
-    decr sp;
-    stack.(!sp)
-  in
-  let to_bool v = if Int64.equal v 0L then 0L else 1L in
-  let env_array s = env.arrays.(s) in
-  let check_index arr i =
-    let n = Array.length arr in
-    if i < 0 || i >= n then raise (Fault (Array_bounds { pc = !pc; index = i; length = n }))
-  in
-  let heap_get r =
-    let r = Int64.to_int r in
-    if r < 0 || r >= !n_heap then raise (Fault (Invalid_reference { pc = !pc }));
-    !heap.(r)
-  in
-  let alloc n =
-    if n < 0 then raise (Fault (Negative_array_length { pc = !pc; length = n }));
-    if !heap_cells + n > p.heap_limit then
-      raise (Fault (Heap_exhausted { pc = !pc; requested = n; limit = p.heap_limit }));
-    if !n_heap = Array.length !heap then begin
-      let bigger = Array.make (2 * !n_heap) [||] in
-      Array.blit !heap 0 bigger 0 !n_heap;
-      heap := bigger
-    end;
-    !heap.(!n_heap) <- Array.make n 0L;
-    heap_cells := !heap_cells + n;
-    let r = !n_heap in
-    incr n_heap;
-    Int64.of_int r
-  in
-  let stats () = { steps = !steps; max_stack = !max_sp; heap_cells = !heap_cells } in
-  try
-    while !pc < len do
-      if !steps >= p.step_limit then
-        raise (Fault (Step_limit_exceeded { limit = p.step_limit }));
-      incr steps;
-      let op = code.(!pc) in
-      let next = ref (!pc + 1) in
-      (match op with
-      | Opcode.Push v -> push v
-      | Opcode.Pop -> ignore (pop ())
-      | Opcode.Dup ->
-        let v = pop () in
-        push v;
-        push v
-      | Opcode.Swap ->
-        let b = pop () in
-        let a = pop () in
-        push b;
-        push a
-      | Opcode.Load i -> push locals.(i)
-      | Opcode.Store i -> locals.(i) <- pop ()
-      | Opcode.Add ->
-        let b = pop () and a = pop () in
-        push (Int64.add a b)
-      | Opcode.Sub ->
-        let b = pop () and a = pop () in
-        push (Int64.sub a b)
-      | Opcode.Mul ->
-        let b = pop () and a = pop () in
-        push (Int64.mul a b)
-      | Opcode.Div ->
-        let b = pop () and a = pop () in
-        if Int64.equal b 0L then raise (Fault (Division_by_zero { pc = !pc }));
-        push (Int64.div a b)
-      | Opcode.Rem ->
-        let b = pop () and a = pop () in
-        if Int64.equal b 0L then raise (Fault (Division_by_zero { pc = !pc }));
-        push (Int64.rem a b)
-      | Opcode.Neg -> push (Int64.neg (pop ()))
-      | Opcode.Band ->
-        let b = pop () and a = pop () in
-        push (Int64.logand a b)
-      | Opcode.Bor ->
-        let b = pop () and a = pop () in
-        push (Int64.logor a b)
-      | Opcode.Bxor ->
-        let b = pop () and a = pop () in
-        push (Int64.logxor a b)
-      | Opcode.Shl ->
-        let b = pop () and a = pop () in
-        push (Int64.shift_left a (Int64.to_int b land 63))
-      | Opcode.Shr ->
-        let b = pop () and a = pop () in
-        push (Int64.shift_right_logical a (Int64.to_int b land 63))
-      | Opcode.Not -> push (if Int64.equal (pop ()) 0L then 1L else 0L)
-      | Opcode.Eq ->
-        let b = pop () and a = pop () in
-        push (if Int64.equal a b then 1L else 0L)
-      | Opcode.Ne ->
-        let b = pop () and a = pop () in
-        push (if Int64.equal a b then 0L else 1L)
-      | Opcode.Lt ->
-        let b = pop () and a = pop () in
-        push (if Int64.compare a b < 0 then 1L else 0L)
-      | Opcode.Le ->
-        let b = pop () and a = pop () in
-        push (if Int64.compare a b <= 0 then 1L else 0L)
-      | Opcode.Gt ->
-        let b = pop () and a = pop () in
-        push (if Int64.compare a b > 0 then 1L else 0L)
-      | Opcode.Ge ->
-        let b = pop () and a = pop () in
-        push (if Int64.compare a b >= 0 then 1L else 0L)
-      | Opcode.Jmp t -> next := t
-      | Opcode.Jz t -> if Int64.equal (to_bool (pop ())) 0L then next := t
-      | Opcode.Jnz t -> if not (Int64.equal (to_bool (pop ())) 0L) then next := t
-      | Opcode.Gaload s ->
-        let i = Int64.to_int (pop ()) in
-        let arr = env_array s in
-        check_index arr i;
-        push arr.(i)
-      | Opcode.Gastore s ->
-        let v = pop () in
-        let i = Int64.to_int (pop ()) in
-        let arr = env_array s in
-        check_index arr i;
-        arr.(i) <- v
-      | Opcode.Gaload_unsafe s ->
-        (* Bounds proved statically (verifier re-checks the proof and the
-           runtime enforces [a_min_len]), so skip [check_index]. *)
-        let i = Int64.to_int (pop ()) in
-        push (Array.unsafe_get (env_array s) i)
-      | Opcode.Gastore_unsafe s ->
-        let v = pop () in
-        let i = Int64.to_int (pop ()) in
-        Array.unsafe_set (env_array s) i v
-      | Opcode.Galen s -> push (Int64.of_int (Array.length (env_array s)))
-      | Opcode.Newarr -> push (alloc (Int64.to_int (pop ())))
-      | Opcode.Aload ->
-        let i = Int64.to_int (pop ()) in
-        let arr = heap_get (pop ()) in
-        check_index arr i;
-        push arr.(i)
-      | Opcode.Astore ->
-        let v = pop () in
-        let i = Int64.to_int (pop ()) in
-        let arr = heap_get (pop ()) in
-        check_index arr i;
-        arr.(i) <- v
-      | Opcode.Alen -> push (Int64.of_int (Array.length (heap_get (pop ()))))
-      | Opcode.Rand ->
-        let bound = pop () in
-        if Int64.compare bound 0L <= 0 then
-          raise (Fault (Bad_random_bound { pc = !pc; bound }));
-        (* Bounds beyond [max_int] do not occur in practice; reject via to_int. *)
-        push (Int64.of_int (Eden_base.Rng.int rng (Int64.to_int bound)))
-      | Opcode.Clock -> push (Eden_base.Time.to_ns now)
-      | Opcode.Hashmix ->
-        let b = pop () and a = pop () in
-        let m =
-          Int64.mul (Int64.logxor (Int64.mul a 0x9E3779B97F4A7C15L) b) 0xBF58476D1CE4E5B9L
-        in
-        push (Int64.logxor m (Int64.shift_right_logical m 31))
-      | Opcode.Halt -> next := len);
-      pc := !next
-    done;
-    (* Successful completion: publish writable scalar slots. *)
-    Array.iteri
-      (fun i (s : Program.scalar_slot) ->
-        if s.s_access = Program.Read_write then env.scalars.(i) <- locals.(s.s_local))
-      p.scalar_slots;
-    Ok (stats ())
-  with Fault f -> Error (f, stats ())
+  if pc < Array.length code then begin
+    if m.steps >= p.step_limit then
+      raise (Fault (Step_limit_exceeded { limit = p.step_limit }));
+    m.steps <- m.steps + 1;
+    let next = pc + 1 in
+    match code.(pc) with
+    | Opcode.Push v ->
+      room p ~pc sp;
+      push m sp v;
+      resume p m ~pc:next ~sp:(sp + 1)
+    | Opcode.Pop ->
+      need ~pc sp 1;
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Dup ->
+      need ~pc sp 1;
+      room p ~pc sp;
+      push m sp (get m sp 1);
+      resume p m ~pc:next ~sp:(sp + 1)
+    | Opcode.Swap ->
+      need ~pc sp 2;
+      let b = get m sp 1 in
+      set m (sp - 1) (get m sp 2);
+      set m (sp - 2) b;
+      resume p m ~pc:next ~sp
+    | Opcode.Load i ->
+      let v = b64get m.locals (local m i) in
+      room p ~pc sp;
+      push m sp v;
+      resume p m ~pc:next ~sp:(sp + 1)
+    | Opcode.Store i ->
+      need ~pc sp 1;
+      b64set m.locals (local m i) (get m sp 1);
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Add ->
+      need ~pc sp 2;
+      binary m sp (Int64.add (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Sub ->
+      need ~pc sp 2;
+      binary m sp (Int64.sub (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Mul ->
+      need ~pc sp 2;
+      binary m sp (Int64.mul (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Div ->
+      need ~pc sp 2;
+      let b = get m sp 1 in
+      if Int64.equal b 0L then raise (Fault (Division_by_zero { pc }));
+      binary m sp (Int64.div (get m sp 2) b);
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Rem ->
+      need ~pc sp 2;
+      let b = get m sp 1 in
+      if Int64.equal b 0L then raise (Fault (Division_by_zero { pc }));
+      binary m sp (Int64.rem (get m sp 2) b);
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Neg ->
+      need ~pc sp 1;
+      unary m sp (Int64.neg (get m sp 1));
+      resume p m ~pc:next ~sp
+    | Opcode.Band ->
+      need ~pc sp 2;
+      binary m sp (Int64.logand (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Bor ->
+      need ~pc sp 2;
+      binary m sp (Int64.logor (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Bxor ->
+      need ~pc sp 2;
+      binary m sp (Int64.logxor (get m sp 2) (get m sp 1));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Shl ->
+      need ~pc sp 2;
+      binary m sp
+        (Int64.shift_left (get m sp 2) (Int64.to_int (get m sp 1) land 63));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Shr ->
+      need ~pc sp 2;
+      binary m sp
+        (Int64.shift_right_logical (get m sp 2) (Int64.to_int (get m sp 1) land 63));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Not ->
+      need ~pc sp 1;
+      unary m sp (bool (Int64.equal (get m sp 1) 0L));
+      resume p m ~pc:next ~sp
+    | Opcode.Eq ->
+      need ~pc sp 2;
+      binary m sp (bool (Int64.equal (get m sp 2) (get m sp 1)));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Ne ->
+      need ~pc sp 2;
+      binary m sp (bool (not (Int64.equal (get m sp 2) (get m sp 1))));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Lt ->
+      need ~pc sp 2;
+      binary m sp (bool (Int64.compare (get m sp 2) (get m sp 1) < 0));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Le ->
+      need ~pc sp 2;
+      binary m sp (bool (Int64.compare (get m sp 2) (get m sp 1) <= 0));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Gt ->
+      need ~pc sp 2;
+      binary m sp (bool (Int64.compare (get m sp 2) (get m sp 1) > 0));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Ge ->
+      need ~pc sp 2;
+      binary m sp (bool (Int64.compare (get m sp 2) (get m sp 1) >= 0));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Jmp t -> resume p m ~pc:t ~sp
+    | Opcode.Jz t ->
+      need ~pc sp 1;
+      resume p m ~pc:(if Int64.equal (get m sp 1) 0L then t else next) ~sp:(sp - 1)
+    | Opcode.Jnz t ->
+      need ~pc sp 1;
+      resume p m ~pc:(if Int64.equal (get m sp 1) 0L then next else t) ~sp:(sp - 1)
+    | Opcode.Gaload s ->
+      need ~pc sp 1;
+      let i = Int64.to_int (get m sp 1) in
+      let arr = m.env_arrays.(s) in
+      check_index ~pc arr i;
+      unary m sp (Array.unsafe_get arr i);
+      resume p m ~pc:next ~sp
+    | Opcode.Gastore s ->
+      need ~pc sp 2;
+      let i = Int64.to_int (get m sp 2) in
+      let arr = m.env_arrays.(s) in
+      check_index ~pc arr i;
+      Array.unsafe_set arr i (get m sp 1);
+      resume p m ~pc:next ~sp:(sp - 2)
+    | Opcode.Gaload_unsafe s ->
+      need ~pc sp 1;
+      unary m sp
+        (Array.unsafe_get m.env_arrays.(s) (Int64.to_int (get m sp 1)));
+      resume p m ~pc:next ~sp
+    | Opcode.Gastore_unsafe s ->
+      need ~pc sp 2;
+      Array.unsafe_set m.env_arrays.(s) (Int64.to_int (get m sp 2)) (get m sp 1);
+      resume p m ~pc:next ~sp:(sp - 2)
+    | Opcode.Galen s ->
+      let n = Array.length m.env_arrays.(s) in
+      room p ~pc sp;
+      push m sp (Int64.of_int n);
+      resume p m ~pc:next ~sp:(sp + 1)
+    | Opcode.Newarr ->
+      need ~pc sp 1;
+      let r = alloc m ~heap_limit:p.heap_limit ~pc (Int64.to_int (get m sp 1)) in
+      unary m sp (Int64.of_int r);
+      resume p m ~pc:next ~sp
+    | Opcode.Aload ->
+      need ~pc sp 2;
+      let i = Int64.to_int (get m sp 1) in
+      let arr = heap_get m ~pc (get m sp 2) in
+      check_index ~pc arr i;
+      binary m sp (Array.unsafe_get arr i);
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Astore ->
+      need ~pc sp 3;
+      let i = Int64.to_int (get m sp 2) in
+      let arr = heap_get m ~pc (get m sp 3) in
+      check_index ~pc arr i;
+      Array.unsafe_set arr i (get m sp 1);
+      resume p m ~pc:next ~sp:(sp - 3)
+    | Opcode.Alen ->
+      need ~pc sp 1;
+      unary m sp (Int64.of_int (Array.length (heap_get m ~pc (get m sp 1))));
+      resume p m ~pc:next ~sp
+    | Opcode.Rand ->
+      need ~pc sp 1;
+      let bound = get m sp 1 in
+      if Int64.compare bound 0L <= 0 then raise (Fault (Bad_random_bound { pc; bound }));
+      (* Bounds beyond [max_int] do not occur in practice; reject via to_int. *)
+      unary m sp
+        (Int64.of_int (Eden_base.Rng.int m.rng (Int64.to_int bound)));
+      resume p m ~pc:next ~sp
+    | Opcode.Clock ->
+      room p ~pc sp;
+      push m sp m.now_ns;
+      resume p m ~pc:next ~sp:(sp + 1)
+    | Opcode.Hashmix ->
+      need ~pc sp 2;
+      let mix =
+        Int64.mul
+          (Int64.logxor (Int64.mul (get m sp 2) 0x9E3779B97F4A7C15L) (get m sp 1))
+          0xBF58476D1CE4E5B9L
+      in
+      binary m sp (Int64.logxor mix (Int64.shift_right_logical mix 31));
+      resume p m ~pc:next ~sp:(sp - 1)
+    | Opcode.Halt -> ()
+  end
+
+let check_fits (p : Program.t) m (env : env) =
+  if Bytes.length m.stack lsr 3 < p.stack_limit || Bytes.length m.locals lsr 3 < p.n_locals
+  then invalid_arg "Interp.run: scratch buffers too small for this program";
+  if Array.length env.scalars < Array.length p.scalar_slots then
+    invalid_arg "Interp.run: env has fewer scalars than the program's slot table";
+  for i = 0 to Array.length p.scalar_slots - 1 do
+    let l = p.scalar_slots.(i).s_local in
+    if l < 0 || l >= Bytes.length m.locals lsr 3 then
+      invalid_arg "Interp.run: scalar slot bound to a local outside the machine"
+  done
+
+let exec ~scratch:m p ~env ~now ~rng =
+  check_fits p m env;
+  reset p m ~env ~now ~rng;
+  match resume p m ~pc:0 ~sp:0 with
+  | () ->
+    publish p m env;
+    None
+  | exception Fault f -> Some f
+
+let run ?scratch p ~env ~now ~rng =
+  let m = match scratch with Some m -> m | None -> make_scratch p in
+  match exec ~scratch:m p ~env ~now ~rng with
+  | None -> Ok (stats m)
+  | Some f -> Error (f, stats m)

@@ -1,11 +1,17 @@
-(** The enclave interpreter.
+(** The enclave's bytecode machine and its interpreter.
 
-    Executes a verified program against an environment snapshot.  The
+    Executes a program against an environment snapshot.  The
     environment is whatever copy of packet / message / global state the
     enclave state store prepared (copy-in / copy-out is the store's job;
-    the interpreter mutates the [env] it is handed and writes scalar
-    locals back on successful completion only, so a faulting program
-    never publishes partial scalar updates).
+    the machine mutates the [env] it is handed and writes scalar locals
+    back on successful completion only, so a faulting program never
+    publishes partial scalar updates).
+
+    One machine ({!scratch}) serves both engines: the interpreter here
+    and {!Compiled}, which runs closure code over the same machine state
+    and, when a block's step budget runs out, continues in {!resume} at
+    the block's first instruction.  The interpreter is the reference
+    semantics and checks everything an unverified program controls.
 
     Faults terminate the offending invocation without affecting the rest
     of the system (paper §3.4.3); the caller receives the fault and the
@@ -45,9 +51,21 @@ type stats = {
   heap_cells : int;  (** Heap cells allocated by the run. *)
 }
 
-type scratch
-(** Reusable operand-stack and locals buffers for one program, avoiding
-    per-invocation allocation on the data path. *)
+type scratch = {
+  stack : Bytes.t;  (** Operand stack: unboxed 8-byte slots. *)
+  locals : Bytes.t;  (** Locals: unboxed 8-byte slots. *)
+  mutable env_arrays : int64 array array;  (** The running env's arrays. *)
+  mutable heap : int64 array array;  (** Program-local arrays, [n_heap] live. *)
+  mutable n_heap : int;
+  mutable heap_cells : int;
+  mutable steps : int;
+  mutable max_sp : int;
+  mutable now_ns : int64;  (** What [Clock] pushes. *)
+  mutable rng : Eden_base.Rng.t;  (** What [Rand] draws from. *)
+}
+(** The machine: made once per program and reset by every run, so the
+    data path allocates nothing per invocation.  Its fields are exposed
+    for {!Compiled}; other callers only make and pass it. *)
 
 val make_scratch : Program.t -> scratch
 
@@ -55,8 +73,50 @@ val run :
   ?scratch:scratch ->
   Program.t -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t ->
   (stats, fault * stats) result
-(** Assumes the program passed {!Verifier.verify}; behaviour on unverified
-    programs is safe (all accesses are still bounds-checked) but faults may
-    differ from what the verifier would have reported.  A [scratch] made
-    for this program (or a larger one) removes the per-run allocations;
-    locals are zeroed between runs so no state leaks across invocations. *)
+(** Checked on any program, the [_unsafe] array opcodes excepted (their
+    bounds only the verifier proves): an unverified one faults
+    (operand-stack overflow or underflow, array bounds, ...) or raises
+    [Invalid_argument] (a local, env slot or jump target out of range),
+    though its faults may differ from what the verifier would have
+    reported.  A [scratch] made for this program
+    (or a larger one) removes the per-run allocations; locals are zeroed
+    between runs so no state leaks across invocations. *)
+
+val exec :
+  scratch:scratch ->
+  Program.t -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t ->
+  fault option
+(** [run] without the result: allocation-free on success ([None]); read
+    the statistics off the machine. *)
+
+val stats : scratch -> stats
+(** The statistics of the machine's last run. *)
+
+(** {2 The machine's parts, shared with {!Compiled}}
+
+    [reset] and [publish] are unchecked: they trust that the machine was
+    made for the program and that the env matches its slot tables.
+    {!exec} checks both first. *)
+
+exception Fault of fault
+
+val reset :
+  Program.t -> scratch -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t -> unit
+(** Start a run: bind the env's arrays, the clock and the rng, empty the
+    heap, zero the counters and locals, copy the env's scalars in. *)
+
+val publish : Program.t -> scratch -> env -> unit
+(** Finish a successful run: copy the writable scalar locals out. *)
+
+val alloc : scratch -> heap_limit:int -> pc:int -> int -> int
+(** [alloc m ~heap_limit ~pc n] allocates a zeroed [n]-cell heap array
+    and returns its reference.
+    @raise Fault on a negative length or past [heap_limit] cells. *)
+
+val resume : Program.t -> scratch -> pc:int -> sp:int -> unit
+(** Interpret from [pc] with [sp] values on the operand stack until
+    control leaves the code, charging steps and stack peaks to the
+    machine.  The machine must hold [stack_limit] operand slots, as
+    {!exec} checks.  [exec] starts it at 0 and 0; {!Compiled} enters it
+    at a block leader and that block's entry depth.
+    @raise Fault on a fault. *)

@@ -291,16 +291,16 @@ let set_global_array_everywhere t ~action name value =
 (* ------------------------------------------------------------------ *)
 (* Stage programming (stages are in-process; the fault model covers the
    controller→enclave path, which is the one the paper's consistency
-   story depends on). *)
+   story depends on).  Stage rules are not part of the desired enclave
+   configuration, so programming a stage leaves the generation alone:
+   no enclave has anything to catch up on. *)
 
 let program_stage t ~stage ~ruleset ~rules =
   match find_stage t stage with
   | None -> Error (Printf.sprintf "stage %S not registered" stage)
   | Some s ->
     let rec go = function
-      | [] ->
-        Desired.bump t.desired;
-        Ok ()
+      | [] -> Ok ()
       | (classifier, class_name, metadata_fields) :: rest -> (
         match
           Stage.Api.create_stage_rule s ~ruleset ~classifier ~class_name ~metadata_fields

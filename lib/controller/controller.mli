@@ -166,7 +166,8 @@ val program_stage :
   rules:(Eden_stage.Classifier.t * string * string list) list ->
   (unit, string) result
 (** Install [(classifier, class, metadata fields)] rules on a registered
-    stage. *)
+    stage.  Stage rules are not part of the desired enclave
+    configuration, so the generation does not move. *)
 
 (** {2 Monitoring} *)
 

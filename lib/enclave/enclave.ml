@@ -6,6 +6,7 @@ module Time = Eden_base.Time
 module Rng = Eden_base.Rng
 module P = Eden_bytecode.Program
 module Interp = Eden_bytecode.Interp
+module Compiled = Eden_bytecode.Compiled
 module Verifier = Eden_bytecode.Verifier
 module Opcode = Eden_bytecode.Opcode
 module Stage = Eden_stage.Stage
@@ -416,8 +417,9 @@ let rebind_plan plan state =
   end
 
 type engine =
-  | E_interp of P.t * Interp.scratch * plan
-  | E_compiled of Eden_bytecode.Compiled.t * plan
+  | E_bytecode of { machine : Interp.scratch; compiled : Compiled.t option; plan : plan }
+      (** Interpreted when [compiled] is [None]; either way the run's
+          statistics are read off [machine]. *)
   | E_native of (Native_ctx.t -> unit)
 
 type installed = {
@@ -787,16 +789,20 @@ let install_action_full t spec =
       | Interpreted p -> (
         match validate_bytecode t sources ~per_step_ns:t.e_cost_model.Cost.per_step_ns p with
         | Error _ as e -> e
-        | Ok () -> Ok (E_interp (p, Interp.make_scratch p, make_plan p sources)))
+        | Ok () ->
+          let machine = Interp.make_scratch p in
+          Ok (E_bytecode { machine; compiled = None; plan = make_plan p sources }))
       | Compiled p -> (
         match
           validate_bytecode t sources ~per_step_ns:t.e_cost_model.Cost.compiled_step_ns p
         with
         | Error _ as e -> e
         | Ok () -> (
-          match Eden_bytecode.Compiled.compile p with
+          match Compiled.compile p with
           | Error e -> Error (Rejected_bytecode e)
-          | Ok c -> Ok (E_compiled (c, make_plan p sources))))
+          | Ok c ->
+            let machine = Compiled.machine c in
+            Ok (E_bytecode { machine; compiled = Some c; plan = make_plan p sources })))
     in
     match build () with
     | Error _ as e -> e
@@ -896,7 +902,7 @@ let get_global_array t ~action name =
    the data path stays lock-free. *)
 
 let invalidate_plan = function
-  | E_interp (_, _, plan) | E_compiled (_, plan) -> plan.pl_version <- -1
+  | E_bytecode { plan; _ } -> plan.pl_version <- -1
   | E_native _ -> ()
 
 let action_program t name =
@@ -904,8 +910,7 @@ let action_program t name =
   | None -> None
   | Some a -> (
     match a.a_engine with
-    | E_interp (p, _, _) -> Some p
-    | E_compiled (_, plan) -> Some plan.pl_prog
+    | E_bytecode { plan; _ } -> Some plan.pl_prog
     | E_native _ -> None)
 
 (* Native actions have opaque effects, so they run serially. *)
@@ -1091,37 +1096,25 @@ let action_key s =
   in
   (s.i_name, impl, List.sort compare s.i_msg_sources)
 
-(* What identifies a rule: its table, pattern and action.  Rule ids are
+(* What identifies a rule: its pattern and action.  Rule ids are
    allocation artifacts, not configuration. *)
-let rule_key (table, (r : Table.rule)) =
-  (table, Class_name.Pattern.to_string r.Table.pattern, r.Table.action)
+let same_rule (a : Table.rule) (b : Table.rule) =
+  String.equal a.Table.action b.Table.action
+  && String.equal
+       (Class_name.Pattern.to_string a.Table.pattern)
+       (Class_name.Pattern.to_string b.Table.pattern)
 
-(* Multiset difference by [key]: every element of [xs] not matched
-   one-for-one by an element of [ys], earlier occurrences matching
-   first. *)
-let minus key xs ys =
-  let left = Hashtbl.create 16 in
-  List.iter
-    (fun y ->
-      let k = key y in
-      Hashtbl.replace left k (1 + Option.value ~default:0 (Hashtbl.find_opt left k)))
-    ys;
-  List.filter
-    (fun x ->
-      let k = key x in
-      match Hashtbl.find_opt left k with
-      | Some n when n > 0 ->
-        Hashtbl.replace left k (n - 1);
-        false
-      | _ -> true)
-    xs
+(* The two rule lists past their longest common prefix. *)
+let rec past_common_prefix xs ys =
+  match (xs, ys) with
+  | x :: xs', y :: ys' when same_rule x y -> past_common_prefix xs' ys'
+  | _ -> (xs, ys)
 
 (* The repair order matters: extra rules go before extra actions
    (removing an action drops its rules), tables and missing actions
    before their state and rules (the enclave refuses rules and state for
    unknown actions, so a rule can never route to a half-installed
-   action).  Missing rules go in rule-id order, which in the desired
-   store is creation order. *)
+   action).  Missing rules go table by table, each in match order. *)
 let diff ~desired ~actual =
   let keys sn = List.map action_key sn.sn_actions in
   let desired_keys = keys desired and actual_keys = keys actual in
@@ -1134,15 +1127,27 @@ let diff ~desired ~actual =
   (* A same-named action held under another key is replaced: removing it
      drops its rules and state, so those do not count as present. *)
   let kept name = not (List.exists (fun s -> String.equal s.i_name name) extra_actions) in
-  let rules sn =
-    List.concat_map (fun (table, rs) -> List.map (fun r -> (table, r)) rs) sn.sn_rules
+  (* A table's rules are compared as a sequence in match order:
+     equal-specificity rules match in insertion order, so the same rules
+     in another order route packets differently.  From the first
+     position where the sequences differ, the actual rules are removed
+     and the desired ones re-added in order, which [Table.insert_sorted]
+     puts back in exactly that order. *)
+  let table_rules sn table = Option.value ~default:[] (List.assoc_opt table sn.sn_rules) in
+  let tables = List.sort_uniq Int.compare (List.map fst (actual.sn_rules @ desired.sn_rules)) in
+  let extra_rules, missing_rules =
+    List.split
+      (List.map
+         (fun table ->
+           let extra, missing =
+             past_common_prefix
+               (List.filter (fun r -> kept r.Table.action) (table_rules actual table))
+               (table_rules desired table)
+           in
+           (List.map (fun r -> (table, r)) extra, List.map (fun r -> (table, r)) missing))
+         tables)
   in
-  let actual_rules = rules actual and desired_rules = rules desired in
-  let extra_rules = minus rule_key actual_rules desired_rules in
-  let missing_rules =
-    minus rule_key desired_rules (List.filter (fun (_, r) -> kept r.Table.action) actual_rules)
-    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a.Table.rule_id b.Table.rule_id)
-  in
+  let extra_rules = List.concat extra_rules and missing_rules = List.concat missing_rules in
   (* Only the bindings [desired] holds are compared: state an action
      writes at run time is not configuration. *)
   let stale bindings =
@@ -1305,48 +1310,39 @@ let marshal_out a plan out msg_id ~now =
     | A_alias | A_inplace -> ()
   done
 
-(* Shared by both bytecode engines.  [enter] rebinds and copies in, and
-   says whether the program may run; [leave] does the post-exec
-   accounting and then records the fault or publishes.  [leave] takes the
-   engine kind and reads its per-step cost itself: a [float] argument
-   would be boxed at every call. *)
-let enter t a plan pkt md msg_id ~now =
+(* One runner for both bytecode engines: rebind and copy in, run the
+   machine (through the compiled code when there is one), read the steps
+   off it, then record the fault or publish.  The engine kind picks the
+   per-step cost here: a [float] argument would be boxed at every
+   call. *)
+let run_bytecode t a ~machine ~compiled plan pkt md msg_id out ~now =
   rebind_plan plan a.a_state;
   match plan.pl_undersized with
-  | Some fault ->
-    record_fault t a.a_name fault now;
-    false
-  | None ->
+  | Some fault -> record_fault t a.a_name fault now
+  | None -> (
     marshal_in a plan pkt md msg_id ~now;
     Tel.Counter.inc t.m_marshals;
-    true
-
-let leave t a plan out msg_id ~now ~compiled ~steps fault =
-  let m = t.e_cost_model in
-  Tel.Counter.add t.m_interp_steps steps;
-  if compiled then Tel.Counter.add t.m_compiled_steps steps;
-  if t.e_timing then
-    Tel.Histogram.observe t.h_exec
-      (int_of_float
-         (float_of_int steps *. if compiled then m.Cost.compiled_step_ns else m.Cost.per_step_ns));
-  match fault with
-  | Some fault -> record_fault t a.a_name fault now
-  | None -> marshal_out a plan out msg_id ~now
-
-let run_interpreted t a p scratch plan pkt md msg_id out ~now =
-  if enter t a plan pkt md msg_id ~now then
-    match Interp.run ~scratch p ~env:plan.pl_env ~now ~rng:t.e_rng with
-    | Error (fault, stats) ->
-      leave t a plan out msg_id ~now ~compiled:false ~steps:stats.Interp.steps (Some fault)
-    | Ok stats -> leave t a plan out msg_id ~now ~compiled:false ~steps:stats.Interp.steps None
-
-let run_compiled t a c plan pkt md msg_id out ~now =
-  if enter t a plan pkt md msg_id ~now then begin
-    Tel.Counter.inc t.m_compiled_invocations;
-    let fault = Eden_bytecode.Compiled.exec c ~env:plan.pl_env ~now ~rng:t.e_rng in
-    leave t a plan out msg_id ~now ~compiled:true ~steps:(Eden_bytecode.Compiled.last_steps c)
-      fault
-  end
+    let env = plan.pl_env and rng = t.e_rng in
+    let fault =
+      match compiled with
+      | Some c ->
+        Tel.Counter.inc t.m_compiled_invocations;
+        Compiled.exec c ~env ~now ~rng
+      | None -> Interp.exec ~scratch:machine plan.pl_prog ~env ~now ~rng
+    in
+    let steps = machine.Interp.steps in
+    let is_compiled = Option.is_some compiled in
+    let m = t.e_cost_model in
+    Tel.Counter.add t.m_interp_steps steps;
+    if is_compiled then Tel.Counter.add t.m_compiled_steps steps;
+    if t.e_timing then
+      Tel.Histogram.observe t.h_exec
+        (int_of_float
+           (float_of_int steps
+           *. if is_compiled then m.Cost.compiled_step_ns else m.Cost.per_step_ns));
+    match fault with
+    | Some fault -> record_fault t a.a_name fault now
+    | None -> marshal_out a plan out msg_id ~now)
 
 let run_native t a f pkt md msg_id out ~now =
   Tel.Counter.inc t.m_native_invocations;
@@ -1369,8 +1365,8 @@ let max_table_hops = 8
 
 let dispatch_engine t a pkt md msg_id out ~now =
   match a.a_engine with
-  | E_interp (p, scratch, plan) -> run_interpreted t a p scratch plan pkt md msg_id out ~now
-  | E_compiled (c, plan) -> run_compiled t a c plan pkt md msg_id out ~now
+  | E_bytecode { machine; compiled; plan } ->
+    run_bytecode t a ~machine ~compiled plan pkt md msg_id out ~now
   | E_native f -> run_native t a f pkt md msg_id out ~now
 
 let invoke_engine t a pkt md msg_id out ~now =

@@ -93,10 +93,14 @@ let begin_packet t ~now ~pkt_id =
 let set_classify t ns = if t.cur >= 0 then t.classify_ns.(t.cur) <- ns
 let set_match t ns = if t.cur >= 0 then t.match_ns.(t.cur) <- ns
 
+(* A goto chain invokes several actions for one packet: the stage sums
+   them and names the chain in walk order. *)
 let set_action t name ns =
   if t.cur >= 0 then begin
-    t.action.(t.cur) <- name;
-    t.action_ns.(t.cur) <- ns
+    let i = t.cur in
+    t.action.(i) <-
+      (if String.equal t.action.(i) "" then name else t.action.(i) ^ ">" ^ name);
+    t.action_ns.(i) <- t.action_ns.(i) +. ns
   end
 
 let current_action_ns t = if t.cur >= 0 then t.action_ns.(t.cur) else 0.0

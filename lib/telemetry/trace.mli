@@ -49,6 +49,9 @@ val begin_packet : t -> now:Eden_base.Time.t -> pkt_id:int64 -> bool
 val set_classify : t -> float -> unit
 val set_match : t -> float -> unit
 val set_action : t -> string -> float -> unit
+(** Record one action invocation.  A packet whose table walk invokes
+    several (a goto chain) gets their times summed and their names
+    joined in walk order, as in [jump>pias]. *)
 
 val current_action_ns : t -> float
 (** Action time recorded so far into the open slot (0 when none) — lets

@@ -460,6 +460,48 @@ let test_scratch_too_small_rejected () =
     (fun () -> ignore (Interp.run ~scratch:sc big ~env ~now ~rng:(rng ())))
 
 
+(* The interpreter is safe on programs the verifier never saw: stack
+   depth, locals, env slots and jump targets are checked at run time, so
+   a bad program faults or raises [Invalid_argument] and never reaches
+   past the machine's buffers. *)
+let test_unverified_stays_in_machine () =
+  let unverified ?(stack_limit = 2) code =
+    Program.make ~name:"unverified" ~code ~n_locals:2 ~stack_limit ~heap_limit:8
+      ~step_limit:100 ()
+  in
+  let fault code =
+    match run_prog (unverified code) with
+    | Error (f, s), _ -> (f, s)
+    | Ok _, _ -> Alcotest.fail "expected a fault"
+  in
+  (match fault [| Op.Push 1L; Op.Add |] with
+  | Interp.Operand_stack_underflow { pc = 1 }, _ -> ()
+  | f, _ -> Alcotest.failf "underflow: got %s" (Interp.fault_to_string f));
+  (match fault [| Op.Push 1L; Op.Dup; Op.Dup |] with
+  | Interp.Operand_stack_overflow { pc = 2 }, s ->
+    check_int "peak at the limit" 2 s.Interp.max_stack
+  | f, _ -> Alcotest.failf "overflow: got %s" (Interp.fault_to_string f));
+  let raises what code =
+    check_bool what true
+      (match run_prog (unverified code) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "local past the machine" [| Op.Load 2 |];
+  raises "local index wrapping the byte offset" [| Op.Load (1 lsl 60) |];
+  raises "negative local" [| Op.Push 1L; Op.Store (-1) |];
+  raises "env slot past the env" [| Op.Galen 0 |];
+  raises "jump before the code" [| Op.Jmp (-1) |];
+  let huge = unverified ~stack_limit:(1 lsl 61) [| Op.Push 1L |] in
+  Alcotest.check_raises "stack limit past the machine"
+    (Invalid_argument "Interp.run: scratch buffers too small for this program") (fun () ->
+      ignore
+        (Interp.run
+           ~scratch:(Interp.make_scratch (unverified [| Op.Push 1L |]))
+           huge
+           ~env:(Interp.make_env huge ~scalars:[||] ~arrays:[||])
+           ~now ~rng:(rng ())))
+
 let bytecode_suites =
     [
       ( "interp",
@@ -487,6 +529,8 @@ let bytecode_suites =
         [
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
           Alcotest.test_case "step limit" `Quick test_step_limit;
+          Alcotest.test_case "unverified programs stay in the machine" `Quick
+            test_unverified_stays_in_machine;
           Alcotest.test_case "array bounds" `Quick test_array_bounds_fault;
           Alcotest.test_case "negative index" `Quick test_negative_index_fault;
           Alcotest.test_case "heap exhausted" `Quick test_heap_exhausted;

@@ -3,7 +3,7 @@
    faults (constructor, pc, payload), same steps/max_stack/heap_cells —
    on the paper's example functions and on randomized verifier-accepted
    programs that exercise every fault class, loops (bulk step charging +
-   slow-path fallback) and the heap. *)
+   the handoff to the interpreter) and the heap. *)
 
 open Eden_bytecode
 module Op = Opcode
@@ -137,8 +137,37 @@ let prop_differential_fuzz =
         | Error msg ->
           QCheck.Test.fail_reportf "divergence: %s@.program: %a" msg Program.pp p))
 
+(* The engine handoff on random programs: a block whose step budget
+   runs out continues in the interpreter at its leader, so every step
+   limit from 1 to one past the program's step count moves the handoff
+   to another block or instruction.  The step count is taken under the
+   program's own limit, capped at 200 so looping programs stay cheap. *)
+let prop_handoff_every_step_limit =
+  QCheck.Test.make ~name:"compiled = interpreted under every step limit" ~count:300
+    (QCheck.make gen_structured)
+    (fun (p, scalars, arrays) ->
+      let env = Interp.make_env p ~scalars ~arrays in
+      let capped = { p with Program.step_limit = min p.Program.step_limit 200 } in
+      let steps =
+        match
+          Interp.run capped ~env:(copy_env env) ~now:(Eden_base.Time.us 100)
+            ~rng:(Eden_base.Rng.create 42L)
+        with
+        | Ok s | Error (_, s) -> s.Interp.steps
+        | exception Invalid_argument _ -> 0
+      in
+      let rec from limit =
+        limit > steps + 1
+        ||
+        match differential { p with Program.step_limit = limit } env with
+        | Ok () -> from (limit + 1)
+        | Error msg ->
+          QCheck.Test.fail_reportf "step_limit=%d: %s@.program: %a" limit msg Program.pp p
+      in
+      from 1)
+
 (* ------------------------------------------------------------------ *)
-(* Deterministic slow-path coverage: a loop under every step limit from
+(* Deterministic handoff coverage: a loop under every step limit from
    1 to just past its total cost must fault (or finish) identically. *)
 
 let test_step_limit_boundaries () =
@@ -491,6 +520,7 @@ let engine_suites =
         Alcotest.test_case "exec accessors" `Quick test_exec_accessors;
         Alcotest.test_case "exec entry invariants" `Quick test_exec_entry_invariants;
         qcheck prop_differential_fuzz;
+        qcheck prop_handoff_every_step_limit;
       ] );
     ( "enclave-engines",
       [

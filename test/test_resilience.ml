@@ -422,6 +422,62 @@ let test_partition_heal_convergence () =
     | Some a -> Array.length a > 0 && a.(0) <= 1000L
     | None -> false)
 
+(* Equal-specificity rules match in insertion order, so the order of a
+   table's rules is configuration.  Host 1 misses divider's removal,
+   reinstall and new rule, so its table lists divider's rule first while
+   host 0's lists it last; reconciliation must restore the order, not
+   just the set of rules. *)
+let test_reconcile_restores_rule_order () =
+  let ctl, enclaves = fresh_fleet () in
+  let pat s = Option.get (Pattern.of_string s) in
+  let other_spec = { divider_spec with Enclave.i_name = "other" } in
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  get_ok (Controller.install_action_everywhere ctl other_spec);
+  get_ok
+    (Controller.add_rule_everywhere ctl ~pattern:(pat "memcached.*.*") ~action:"divider" ());
+  get_ok (Controller.add_rule_everywhere ctl ~pattern:(pat "storage.*.*") ~action:"other" ());
+  Channel.set_partitioned (chan ctl 1) true;
+  get_ok (Controller.remove_action_everywhere ctl "divider");
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  get_ok
+    (Controller.add_rule_everywhere ctl ~pattern:(pat "memcached.*.*") ~action:"divider" ());
+  Channel.set_partitioned (chan ctl 1) false;
+  let show (r : Eden_enclave.Table.rule) =
+    Pattern.to_string r.Eden_enclave.Table.pattern ^ " -> " ^ r.Eden_enclave.Table.action
+  in
+  let order e =
+    List.map (fun (t, rs) -> (t, List.map show rs)) (Enclave.snapshot e).Enclave.sn_rules
+  in
+  check_bool "orders differ before the heal" true (order enclaves.(0) <> order enclaves.(1));
+  (match List.assoc 1 (Controller.reconcile ctl) with
+  | Controller.Repaired _ -> ()
+  | o -> Alcotest.failf "expected repair, got %s" (Controller.reconcile_outcome_to_string o));
+  Alcotest.(check (list (pair int (list string))))
+    "host 1 matches in host 0's order" (order enclaves.(0)) (order enclaves.(1));
+  check_bool "converged" true (Controller.converged ctl);
+  check_bool "configurations equal" true
+    (Enclave.config_equal (Enclave.snapshot enclaves.(0)) (Enclave.snapshot enclaves.(1)))
+
+(* Stage rules are not enclave configuration: programming a stage must
+   not leave a converged fleet looking out of date. *)
+let test_program_stage_keeps_generation () =
+  let ctl, _ = fresh_fleet () in
+  Controller.register_stage ctl (Eden_stage.Builtin.memcached ());
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  check_bool "converged before" true (Controller.converged ctl);
+  let gen = Controller.generation ctl in
+  get_ok (Controller.program_stage ctl ~stage:"memcached" ~ruleset:"r" ~rules:[]);
+  check_int "generation unchanged" gen (Controller.generation ctl);
+  check_bool "still converged" true (Controller.converged ctl);
+  List.iter
+    (fun (host, o) ->
+      match o with
+      | Controller.In_sync -> ()
+      | o ->
+        Alcotest.failf "host %d: expected in sync, got %s" host
+          (Controller.reconcile_outcome_to_string o))
+    (Controller.reconcile ctl)
+
 let test_reports_include_resilience_columns () =
   let ctl, _ = fresh_fleet ~hosts:1 () in
   get_ok (Controller.install_action_everywhere ctl divider_spec);
@@ -615,6 +671,10 @@ let () =
             test_reconcile_replaces_action_under_other_key;
           Alcotest.test_case "partition/heal convergence" `Quick
             test_partition_heal_convergence;
+          Alcotest.test_case "reconcile restores rule match order" `Quick
+            test_reconcile_restores_rule_order;
+          Alcotest.test_case "program_stage keeps the generation" `Quick
+            test_program_stage_keeps_generation;
           Alcotest.test_case "reports carry resilience columns" `Quick
             test_reports_include_resilience_columns;
           Alcotest.test_case "stats equal the scrape" `Quick test_stats_equal_scrape;

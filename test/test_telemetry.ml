@@ -260,6 +260,67 @@ let test_trace_on_enclave () =
   let ids t = List.map (fun e -> e.Trace.ev_pkt_id) (Trace.events t) in
   check_bool "deterministic" true (ids tr = ids (run ()))
 
+(* A goto chain: [jump] in table 0 sends the packet to table 1, where
+   PIAS runs, both interpreted.  The action stage carries both
+   invocations, named in walk order; the match stage, which the cost
+   model does not charge, stays 0 as it does for a single action. *)
+let jump_spec ~next =
+  let src =
+    "fun (packet : Packet, msg : Message, _global : Global) ->\n\
+    \  packet.GotoTable <- _global.Next"
+  in
+  let ast =
+    match Eden_lang.Parser.parse_action ~name:"jump" src with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "parse: %s" (Eden_lang.Parser.error_to_string e)
+  in
+  let schema =
+    Eden_lang.Schema.with_standard_packet ~global:[ Eden_lang.Schema.field "Next" ] ()
+  in
+  match Eden_lang.Compile.compile schema ast with
+  | Ok p ->
+    ( { Enclave.i_name = "jump"; i_impl = Enclave.Interpreted p; i_msg_sources = [] },
+      Int64.of_int next )
+  | Error e -> Alcotest.failf "compile: %s" (Eden_lang.Compile.error_to_string e)
+
+let test_trace_goto_chain () =
+  let traced_event ~chain =
+    let e = Enclave.create ~host:1 ~seed:11L () in
+    get_ok (Enclave.install_action e (Eden_functions.Pias.spec ~name:"pias" ()));
+    get_ok (Enclave.set_global_array e ~action:"pias" "Thresholds" [| 4000L |]);
+    let any = Eden_base.Class_name.Pattern.any in
+    (if chain then begin
+       let t1 = Enclave.add_table e in
+       ignore (get_ok (Enclave.add_table_rule e ~table:t1 ~pattern:any ~action:"pias" ()));
+       let spec, next = jump_spec ~next:t1 in
+       get_ok (Enclave.install_action e spec);
+       get_ok (Enclave.set_global e ~action:"jump" "Next" next);
+       ignore (get_ok (Enclave.add_table_rule e ~pattern:any ~action:"jump" ()))
+     end
+     else ignore (get_ok (Enclave.add_table_rule e ~pattern:any ~action:"pias" ())));
+    Enclave.set_trace e (Some (Trace.create ~every:1 ~capacity:4 ()));
+    let flow =
+      Addr.five_tuple ~src:(Addr.endpoint 1 1000) ~dst:(Addr.endpoint 2 80) ~proto:Addr.Tcp
+    in
+    ignore
+      (Enclave.process e ~now:(Time.us 1)
+         (Packet.make ~id:1L ~flow ~kind:Packet.Data ~payload:1000 ()));
+    match Trace.events (Option.get (Enclave.trace e)) with
+    | [ ev ] -> ev
+    | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
+  in
+  let single = traced_event ~chain:false and chained = traced_event ~chain:true in
+  check_string "single action named" "pias" single.Trace.ev_action;
+  check_bool "single action: no match time" true (single.Trace.ev_match_ns = 0.0);
+  check_string "chain named in walk order" "jump>pias" chained.Trace.ev_action;
+  check_bool "chain: no match time" true (chained.Trace.ev_match_ns = 0.0);
+  check_bool "chain: both invocations in the action stage" true
+    (chained.Trace.ev_action_ns > single.Trace.ev_action_ns);
+  check_bool "chain: stages within the total" true
+    (chained.Trace.ev_total_ns
+    >= chained.Trace.ev_classify_ns +. chained.Trace.ev_match_ns
+       +. chained.Trace.ev_action_ns -. 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Per-shard merge vs sequential totals (Progen differential) *)
 
@@ -502,6 +563,7 @@ let () =
           Alcotest.test_case "sampling determinism" `Quick test_trace_sampling_deterministic;
           Alcotest.test_case "ring and events" `Quick test_trace_ring_and_events;
           Alcotest.test_case "enclave integration" `Quick test_trace_on_enclave;
+          Alcotest.test_case "goto chain" `Quick test_trace_goto_chain;
         ] );
       ( "shard-merge",
         [ Alcotest.test_case "progen totals" `Quick test_shard_merge_totals ] );
