@@ -578,12 +578,13 @@ let micro () =
   allocation_check ()
 
 (* ------------------------------------------------------------------ *)
-(* Install-time analysis: analyzer cost and the unchecked-path payoff *)
+(* Install-time analysis: analyzer cost, and the interpreter on the
+   analysed subjects *)
 
-(* A synthetic subject where proved array loads dominate: a 64-entry
-   table scan.  The paper functions touch their arrays a handful of times
-   per packet, so the per-access saving drowns in interpreter dispatch;
-   this one makes it visible. *)
+(* A synthetic subject where array loads dominate: a 64-entry table
+   scan.  The paper functions touch their arrays a handful of times per
+   packet, so the per-access bounds check drowns in interpreter
+   dispatch; this one makes it visible. *)
 let table_scan_program () =
   let a =
     let open Eden_lang.Dsl in
@@ -603,24 +604,19 @@ let table_scan_program () =
   | Error e -> invalid_arg (Eden_lang.Compile.error_to_string e)
 
 let analysis () =
-  section_header
-    "Install-time analysis: analyzer cost and the unchecked fast path";
+  section_header "Install-time analysis: analyzer cost";
   let open Bechamel in
   let analyze_test name schema action =
     Test.make ~name:("analyze/" ^ name)
       (Staged.stage (fun () -> ignore (Eden_analysis.Analyze.run schema action)))
   in
-  let interp_pair name program =
-    let bounds, hardened = Eden_analysis.Bounds.of_program program in
-    let t p tag =
-      let env = make_interp_env p in
-      let scratch = Interp.make_scratch p in
-      let rng = Eden_base.Rng.create 3L in
-      Test.make ~name:(Printf.sprintf "interp/%s (%s)" name tag)
-        (Staged.stage (fun () ->
-             ignore (Interp.run ~scratch p ~env ~now:(Eden_base.Time.us 5) ~rng)))
-    in
-    (bounds, [ t program "checked"; t hardened "unchecked" ])
+  let interp_test name p =
+    let env = make_interp_env p in
+    let scratch = Interp.make_scratch p in
+    let rng = Eden_base.Rng.create 3L in
+    Test.make ~name:(Printf.sprintf "interp/%s (checked)" name)
+      (Staged.stage (fun () ->
+           ignore (Interp.run ~scratch p ~env ~now:(Eden_base.Time.us 5) ~rng)))
   in
   let subjects =
     [
@@ -630,12 +626,11 @@ let analysis () =
       ("table_scan", table_scan_program ());
     ]
   in
-  let pairs = List.map (fun (n, p) -> (n, interp_pair n p)) subjects in
   let tests =
     analyze_test "wcmp" Eden_functions.Wcmp.schema Eden_functions.Wcmp.action
     :: analyze_test "pias" Eden_functions.Pias.schema Eden_functions.Pias.action
     :: analyze_test "sff" Eden_functions.Sff.schema Eden_functions.Sff.action
-    :: List.concat_map (fun (_, (_, ts)) -> ts) pairs
+    :: List.map (fun (n, p) -> interp_test n p) subjects
   in
   let results = run_bechamel tests in
   Printf.printf "%-42s %14s\n" "benchmark" "ns/iteration";
@@ -644,24 +639,7 @@ let analysis () =
     (fun (name, ns) ->
       add_json ~section:"analysis" name ns;
       Printf.printf "%-42s %14.1f\n" name ns)
-    results;
-  Printf.printf "\nunchecked-path payoff (bounds proofs -> no per-access checks):\n";
-  List.iter
-    (fun (name, (bounds, _)) ->
-      match
-        ( List.assoc_opt (Printf.sprintf "micro/interp/%s (checked)" name) results,
-          List.assoc_opt (Printf.sprintf "micro/interp/%s (unchecked)" name) results
-        )
-      with
-      | Some c, Some u ->
-        Printf.printf
-          "  %-14s %d/%d accesses proved: checked %7.1f ns -> unchecked %7.1f ns \
-           (%+.1f%%)\n"
-          name bounds.Eden_analysis.Bounds.proved bounds.Eden_analysis.Bounds.total c
-          u
-          ((u -. c) /. c *. 100.0)
-      | _ -> ())
-    pairs
+    results
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)

@@ -226,7 +226,7 @@ let analyze_cmd =
     | Ok (action, schema) -> (
       match Eden_analysis.Analyze.run schema action with
       | Error e -> `Error (false, Eden_analysis.Analyze.error_to_string e)
-      | Ok (report, _hardened) ->
+      | Ok report ->
         Format.printf "%a@." Eden_analysis.Report.pp report;
         `Ok ())
   in
@@ -234,9 +234,10 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Run the install-time static analysis on an action function: effect \
-          footprint and concurrency class, AST optimization, bounds proofs for \
-          array accesses (unlocking unchecked interpreter opcodes) and \
-          worst-case cost versus each placement's admission budget")
+          footprint and concurrency class, AST optimization, a report of the \
+          array accesses proved in bounds (every access is still checked at \
+          run time) and worst-case cost versus each placement's admission \
+          budget")
     Term.(ret (const run $ target_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -30,26 +30,24 @@ let run schema (a : Ast.t) =
       match Eden_lang.Compile.compile schema optimized with
       | Error e -> Error (Compile_error e)
       | Ok program -> (
-        let bounds, hardened = Bounds.of_program program in
-        (* The hardened program must re-verify from scratch: unsafe
-           opcodes carry no certificate, so this is the same check a
-           remote enclave will run at install. *)
-        match Eden_bytecode.Verifier.analyse ~strict:true hardened with
+        (* The same check a remote enclave runs at install, plus
+           strict mode: compiler output must be fully live. *)
+        match Eden_bytecode.Verifier.analyse ~strict:true program with
         | Error e -> Error (Verifier_error e)
         | Ok an ->
           let report =
             {
               Report.r_name = a.Ast.af_name;
               r_footprint = footprint;
-              r_concurrency = (P.footprint hardened).P.concurrency;
-              r_shard = Eden_bytecode.Shardclass.classify hardened;
+              r_concurrency = (P.footprint program).P.concurrency;
+              r_shard = Eden_bytecode.Shardclass.classify program;
               r_diagnostics = [];
               r_nodes_before = stats.Optimize.nodes_before;
               r_nodes_after = stats.Optimize.nodes_after;
-              r_code_len = Array.length hardened.P.code;
+              r_code_len = Array.length program.P.code;
               r_max_stack = an.Eden_bytecode.Verifier.an_max_stack;
-              r_bounds = bounds;
-              r_cost = Cost.of_program hardened;
+              r_bounds = Bounds.of_program program;
+              r_cost = Cost.of_program program;
             }
           in
-          Ok (report, hardened))))
+          Ok report)))

@@ -1,11 +1,8 @@
 (** The install-time analysis pipeline (effects → optimize → compile →
-    bounds-harden → re-verify → cost).
+    strict verify → bounds → cost).
 
-    [run schema action] returns the full {!Report.t} plus the hardened
-    program — the one a controller should actually ship to enclaves:
-    semantically identical to compiling [action] directly, but with
-    optimized code, proved array accesses rewritten to unchecked opcodes
-    and a strict verifier pass already survived. *)
+    [run schema action] returns the full {!Report.t} for the optimized
+    program, which has survived a strict verifier pass. *)
 
 type error =
   | Rejected of string list
@@ -20,4 +17,4 @@ val pp_error : Format.formatter -> error -> unit
 val run :
   Eden_lang.Schema.t ->
   Eden_lang.Ast.t ->
-  (Report.t * Eden_bytecode.Program.t, error) result
+  (Report.t, error) result

@@ -12,31 +12,29 @@ type access = {
 type t = { accesses : access list; proved : int; total : int }
 
 let of_program (p : P.t) =
-  let hardened, _ = Eden_bytecode.Absint.harden p in
+  let in_bounds = Eden_bytecode.Absint.in_bounds p in
   let accesses = ref [] in
   Array.iteri
     (fun pc op ->
-      let add slot ~store ~proved =
+      let add slot ~store =
         accesses :=
           {
             b_pc = pc;
             b_slot = slot;
-            b_array = hardened.P.array_slots.(slot).P.a_name;
+            b_array = p.P.array_slots.(slot).P.a_name;
             b_store = store;
-            b_proved = proved;
+            b_proved = in_bounds.(pc);
           }
           :: !accesses
       in
       match op with
-      | Op.Gaload s -> add s ~store:false ~proved:false
-      | Op.Gaload_unsafe s -> add s ~store:false ~proved:true
-      | Op.Gastore s -> add s ~store:true ~proved:false
-      | Op.Gastore_unsafe s -> add s ~store:true ~proved:true
+      | Op.Gaload s -> add s ~store:false
+      | Op.Gastore s -> add s ~store:true
       | _ -> ())
-    hardened.P.code;
+    p.P.code;
   let accesses = List.rev !accesses in
   let proved = List.length (List.filter (fun a -> a.b_proved) accesses) in
-  ({ accesses; proved; total = List.length accesses }, hardened)
+  { accesses; proved; total = List.length accesses }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
@@ -46,6 +44,6 @@ let pp fmt t =
       Format.fprintf fmt "  pc %d: %s %s -> %s@," a.b_pc
         (if a.b_store then "store to" else "load from")
         a.b_array
-        (if a.b_proved then "proved (unchecked)" else "runtime check"))
+        (if a.b_proved then "proved" else "runtime check"))
     t.accesses;
   Format.fprintf fmt "@]"

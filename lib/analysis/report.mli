@@ -4,7 +4,7 @@ type t = {
   r_name : string;
   r_footprint : Effects.footprint;
   r_concurrency : Eden_bytecode.Program.concurrency;
-      (** From the hardened program's declared slot accesses: the class
+      (** From the compiled program's declared slot accesses: the class
           the enclave will run it under. *)
   r_shard : Eden_bytecode.Shardclass.klass;
       (** How the multicore front-end ({!Eden_enclave.Shard}) will run

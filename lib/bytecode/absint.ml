@@ -1,7 +1,5 @@
 module IMap = Map.Make (Int)
 
-type unproved = { up_pc : int; up_slot : int }
-
 (* Where an operand's value came from.  [S_local (i, k)] means the
    operand is (the current value of local [i]) + [k] — the offset form
    covers guards like [i + 1 >= arr.Length]; [S_len s] means it is the
@@ -37,9 +35,8 @@ type state = { stack : operand list; locals : lstate array }
 
 exception Stuck
 (* The program violates the basic stack discipline this analysis assumes
-   (underflow, bad local, inconsistent depths).  [Verifier.analyse] runs
-   its own dataflow first, so reaching this means the precondition was
-   broken; treat everything as unprovable. *)
+   (underflow, bad local, inconsistent depths), which {!Verifier.analyse}
+   would reject; treat everything as unprovable. *)
 
 let negate_cmp = function
   | Ceq -> Cne
@@ -399,11 +396,11 @@ let step (p : Program.t) pc st =
   | Opcode.Jmp t -> [ (t, st) ]
   | Opcode.Jz t -> branch t ~jump_when_zero:true
   | Opcode.Jnz t -> branch t ~jump_when_zero:false
-  | Opcode.Gaload s | Opcode.Gaload_unsafe s ->
+  | Opcode.Gaload s ->
     let x, st = pop st in
     let st = refine_after_access st x s in
     next (push st top_op)
-  | Opcode.Gastore s | Opcode.Gastore_unsafe s ->
+  | Opcode.Gastore s ->
     let _v, st = pop st in
     let x, st = pop st in
     next (refine_after_access st x s)
@@ -494,70 +491,17 @@ let fixpoint (p : Program.t) =
    value for stores. *)
 let index_operand op st =
   match (op, st.stack) with
-  | (Opcode.Gaload _ | Opcode.Gaload_unsafe _), x :: _ -> x
-  | (Opcode.Gastore _ | Opcode.Gastore_unsafe _), _ :: x :: _ -> x
+  | Opcode.Gaload _, x :: _ -> x
+  | Opcode.Gastore _, _ :: x :: _ -> x
   | _ -> raise Stuck
 
-let check (p : Program.t) =
-  let uses_unsafe =
-    Array.exists
-      (function Opcode.Gaload_unsafe _ | Opcode.Gastore_unsafe _ -> true | _ -> false)
-      p.code
-  in
-  if not uses_unsafe then Ok ()
-  else
-    try
-      let states = fixpoint p in
-      let result = ref (Ok ()) in
-      Array.iteri
-        (fun pc op ->
-          match (op, !result) with
-          | (Opcode.Gaload_unsafe s | Opcode.Gastore_unsafe s), Ok () -> (
-            match states.(pc) with
-            | None -> () (* unreachable: never executes *)
-            | Some st ->
-              if not (proved p st s (index_operand op st)) then
-                result := Error { up_pc = pc; up_slot = s })
-          | _ -> ())
-        p.code;
-      !result
-    with Stuck ->
-      let pc = ref 0 in
-      let slot = ref 0 in
-      (try
-         Array.iteri
-           (fun i op ->
-             match op with
-             | Opcode.Gaload_unsafe s | Opcode.Gastore_unsafe s ->
-               pc := i;
-               slot := s;
-               raise Exit
-             | _ -> ())
-           p.code
-       with Exit -> ());
-      Error { up_pc = !pc; up_slot = !slot }
-
-let harden (p : Program.t) =
+let in_bounds (p : Program.t) =
   try
     let states = fixpoint p in
-    let count = ref 0 in
-    let code =
-      Array.mapi
-        (fun pc op ->
-          match op with
-          | (Opcode.Gaload s | Opcode.Gastore s) as op -> (
-            match states.(pc) with
-            | None -> op
-            | Some st ->
-              if proved p st s (index_operand op st) then begin
-                incr count;
-                match op with
-                | Opcode.Gaload s -> Opcode.Gaload_unsafe s
-                | _ -> Opcode.Gastore_unsafe s
-              end
-              else op)
-          | op -> op)
-        p.code
-    in
-    if !count = 0 then (p, 0) else ({ p with code }, !count)
-  with Stuck -> (p, 0)
+    Array.mapi
+      (fun pc op ->
+        match (op, states.(pc)) with
+        | (Opcode.Gaload s | Opcode.Gastore s), Some st -> proved p st s (index_operand op st)
+        | _ -> false)
+      p.code
+  with Stuck -> Array.make (Array.length p.code) false

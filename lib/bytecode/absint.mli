@@ -1,33 +1,23 @@
 (** Interval abstract interpretation over bytecode.
 
-    Re-derives, from the code alone, which [Gaload]/[Gastore] indices are
-    provably in bounds.  Two proof routes exist for an access to slot [s]
-    with index operand [x]:
+    Derives, from the code alone, which [Gaload]/[Gastore] indices are
+    provably in bounds.  The result is a report: the interpreter and the
+    compiled engine check every array access at run time whatever it
+    says.  Two proof routes exist for an access to slot [s] with index
+    operand [x]:
 
     - {b min-length}: [0 <= x] and [x < a_min_len s].  The runtime
       refuses to invoke the program with an array shorter than
-      [a_min_len], so the access is safe for any conforming environment.
+      [a_min_len], so the access is in bounds for any conforming
+      environment.
     - {b guard}: [0 <= x], [x] is the current value of local [i], and a
       dominating comparison established [local i < length(slot s)]
       (e.g. the loop guard [if i >= arr.Length then ... else body]).
       Environment arrays cannot be resized during a run, so the fact
-      survives until local [i] is written.
+      survives until local [i] is written. *)
 
-    Because the proof is recomputed here, unsafe opcodes carry no trusted
-    certificate: {!Verifier.analyse} calls {!check} on any program using
-    them, and hand-crafted bytecode whose accesses cannot be re-proved is
-    rejected before installation. *)
-
-type unproved = { up_pc : int; up_slot : int }
-(** An unsafe access the analysis could not prove in bounds. *)
-
-val check : Program.t -> (unit, unproved) result
-(** Verify that every [Gaload_unsafe] / [Gastore_unsafe] access is
-    provably in bounds.  Assumes the program already passed the basic
-    stack-discipline dataflow (call from {!Verifier.analyse}). *)
-
-val harden : Program.t -> Program.t * int
-(** Rewrite every provably-in-bounds [Gaload]/[Gastore] to its unchecked
-    form; returns the rewritten program and the number of accesses
-    proved.  [harden] never changes semantics: an access it cannot prove
-    keeps its runtime check.  The result always satisfies {!check}. *)
+val in_bounds : Program.t -> bool array
+(** One entry per instruction: [true] iff it is a [Gaload]/[Gastore]
+    whose index one of the routes proves in bounds.  Unreachable
+    accesses, and every access of a program that breaks the stack
+    discipline {!Verifier.analyse} enforces, are unproved. *)

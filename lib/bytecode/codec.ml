@@ -57,16 +57,13 @@ let opcode_tag : Opcode.t -> int = function
   | Opcode.Clock -> 35
   | Opcode.Hashmix -> 36
   | Opcode.Halt -> 37
-  | Opcode.Gaload_unsafe _ -> 38
-  | Opcode.Gastore_unsafe _ -> 39
 
 let put_opcode b op =
   put_u8 b (opcode_tag op);
   match op with
   | Opcode.Push v -> put_i64 b v
   | Opcode.Load i | Opcode.Store i | Opcode.Jmp i | Opcode.Jz i | Opcode.Jnz i
-  | Opcode.Gaload i | Opcode.Gastore i | Opcode.Galen i
-  | Opcode.Gaload_unsafe i | Opcode.Gastore_unsafe i ->
+  | Opcode.Gaload i | Opcode.Gastore i | Opcode.Galen i ->
     put_u32 b i
   | _ -> ()
 
@@ -205,8 +202,6 @@ let get_opcode r =
   | 35 -> Opcode.Clock
   | 36 -> Opcode.Hashmix
   | 37 -> Opcode.Halt
-  | 38 -> Opcode.Gaload_unsafe (get_u32 r)
-  | 39 -> Opcode.Gastore_unsafe (get_u32 r)
   | t -> derr r (Printf.sprintf "bad opcode tag %d" t)
 
 let max_reasonable = 1 lsl 20

@@ -21,9 +21,9 @@
    - the peak-stack statistic is a per-block constant, folded in at
      block exit;
    - locals indices and array-slot numbers were range-checked by the
-     verifier, so those accesses are unchecked too;
-   - [Gaload_unsafe]/[Gastore_unsafe] keep the bounds proofs the
-     verifier re-derived — no checks on the proved path.
+     verifier, so those accesses are unchecked too.  Array indices are
+     run-time data: [Gaload]/[Gastore] check them, as the interpreter
+     does.
 
    The closures run on the interpreter's machine ([Interp.scratch]),
    entered and published through its [reset]/[publish], allocating
@@ -199,17 +199,6 @@ let comp_instr (p : P.t) ~pc ~d ~(k : state -> unit) ~(die : state -> Interp.fau
         Array.unsafe_set arr i (b64get st.stack o1);
         k st
       end
-  | Opcode.Gaload_unsafe s ->
-    fun st ->
-      b64set st.stack o1
-        (Array.unsafe_get (aget st.env_arrays s) (Int64.to_int (b64get st.stack o1)));
-      k st
-  | Opcode.Gastore_unsafe s ->
-    fun st ->
-      Array.unsafe_set (aget st.env_arrays s)
-        (Int64.to_int (b64get st.stack o2))
-        (b64get st.stack o1);
-      k st
   | Opcode.Galen s ->
     fun st ->
       b64set st.stack o0 (Int64.of_int (Array.length (aget st.env_arrays s)));

@@ -25,11 +25,10 @@
 type t
 
 val compile : ?strict:bool -> Program.t -> (t, Verifier.error) result
-(** Verify (via {!Verifier.analyse}, so unsafe array ops are re-proved)
-    and translate. The closure code relies on the verifier's invariants
-    — single consistent stack depth per pc, in-range locals and slots —
-    hence compilation of an unverifiable program is refused rather than
-    attempted. *)
+(** Verify (via {!Verifier.analyse}) and translate. The closure code
+    relies on the verifier's invariants — single consistent stack depth
+    per pc, in-range locals and slots — hence compilation of an
+    unverifiable program is refused rather than attempted. *)
 
 val program : t -> Program.t
 

@@ -46,7 +46,7 @@ let fault_to_string = function
   | Bad_random_bound { pc; bound } ->
     Printf.sprintf "pc %d: rand bound %Ld not positive" pc bound
   | Undersized_env_array { slot; length; min_len } ->
-    Printf.sprintf "env array slot %d has %d elements, proof requires >= %d" slot
+    Printf.sprintf "env array slot %d has %d elements, program requires >= %d" slot
       length min_len
 
 let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
@@ -191,8 +191,7 @@ let[@inline] heap_get m ~pc r =
 (* The interpreter: one instruction per iteration from [pc] with [sp]
    values on the stack, until control leaves the code.  Every access an
    unverified program controls is checked: stack depth against 0 and
-   [stack_limit], locals, env slots and array indices (the [_unsafe]
-   array ops excepted, whose proofs the verifier re-derives). *)
+   [stack_limit], locals, env slots and array indices. *)
 let rec resume (p : Program.t) m ~pc ~sp =
   let code = p.code in
   if pc < Array.length code then begin
@@ -326,15 +325,6 @@ let rec resume (p : Program.t) m ~pc ~sp =
       let arr = m.env_arrays.(s) in
       check_index ~pc arr i;
       Array.unsafe_set arr i (get m sp 1);
-      resume p m ~pc:next ~sp:(sp - 2)
-    | Opcode.Gaload_unsafe s ->
-      need ~pc sp 1;
-      unary m sp
-        (Array.unsafe_get m.env_arrays.(s) (Int64.to_int (get m sp 1)));
-      resume p m ~pc:next ~sp
-    | Opcode.Gastore_unsafe s ->
-      need ~pc sp 2;
-      Array.unsafe_set m.env_arrays.(s) (Int64.to_int (get m sp 2)) (get m sp 1);
       resume p m ~pc:next ~sp:(sp - 2)
     | Opcode.Galen s ->
       let n = Array.length m.env_arrays.(s) in

@@ -39,8 +39,10 @@ type fault =
   | Bad_random_bound of { pc : int; bound : int64 }
   | Undersized_env_array of { slot : int; length : int; min_len : int }
       (** Raised by the enclave before a run, not by the interpreter: the
-          environment broke an [a_min_len] promise a bounds proof relies
-          on, so the invocation is refused (fail-open). *)
+          environment broke the [a_min_len] input contract, so the
+          invocation is refused (fail-open).  Every access is still
+          checked at run time; the contract is what the analysis
+          report's min-length proofs assume. *)
 
 val fault_to_string : fault -> string
 val pp_fault : Format.formatter -> fault -> unit
@@ -73,14 +75,13 @@ val run :
   ?scratch:scratch ->
   Program.t -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t ->
   (stats, fault * stats) result
-(** Checked on any program, the [_unsafe] array opcodes excepted (their
-    bounds only the verifier proves): an unverified one faults
-    (operand-stack overflow or underflow, array bounds, ...) or raises
-    [Invalid_argument] (a local, env slot or jump target out of range),
-    though its faults may differ from what the verifier would have
-    reported.  A [scratch] made for this program
-    (or a larger one) removes the per-run allocations; locals are zeroed
-    between runs so no state leaks across invocations. *)
+(** Checked on any program, every array access included: an unverified
+    one faults (operand-stack overflow or underflow, array bounds, ...)
+    or raises [Invalid_argument] (a local, env slot or jump target out of
+    range), though its faults may differ from what the verifier would
+    have reported.  A [scratch] made for this program (or a larger one)
+    removes the per-run allocations; locals are zeroed between runs so no
+    state leaks across invocations. *)
 
 val exec :
   scratch:scratch ->

@@ -28,8 +28,6 @@ type t =
   | Jnz of int
   | Gaload of int
   | Gastore of int
-  | Gaload_unsafe of int
-  | Gastore_unsafe of int
   | Galen of int
   | Newarr
   | Aload
@@ -70,8 +68,6 @@ let to_string = function
   | Jnz a -> Printf.sprintf "jnz %d" a
   | Gaload s -> Printf.sprintf "gaload %d" s
   | Gastore s -> Printf.sprintf "gastore %d" s
-  | Gaload_unsafe s -> Printf.sprintf "gaload! %d" s
-  | Gastore_unsafe s -> Printf.sprintf "gastore! %d" s
   | Galen s -> Printf.sprintf "galen %d" s
   | Newarr -> "newarr"
   | Aload -> "aload"
@@ -96,8 +92,8 @@ let stack_effect = function
   | Eq | Ne | Lt | Le | Gt | Ge -> (2, 1)
   | Jmp _ -> (0, 0)
   | Jz _ | Jnz _ -> (1, 0)
-  | Gaload _ | Gaload_unsafe _ -> (1, 1)
-  | Gastore _ | Gastore_unsafe _ -> (2, 0)
+  | Gaload _ -> (1, 1)
+  | Gastore _ -> (2, 0)
   | Galen _ -> (0, 1)
   | Newarr -> (1, 1)
   | Aload -> (2, 1)

@@ -51,11 +51,6 @@ type t =
   (* Environment arrays (static slot ids) *)
   | Gaload of int  (** pop index; push env_array[slot][index] *)
   | Gastore of int  (** pop value, pop index; env_array[slot][index] := value *)
-  | Gaload_unsafe of int
-      (** [Gaload] without the runtime bounds check.  Only installable
-          when the verifier's interval analysis re-proves the index in
-          bounds ({!Absint}); rejected otherwise. *)
-  | Gastore_unsafe of int  (** [Gastore] without the runtime bounds check. *)
   | Galen of int  (** push length of env_array[slot] *)
   (* Program-local heap arrays *)
   | Newarr  (** pop length; allocate zeroed array; push reference *)

@@ -81,7 +81,7 @@ let footprint t =
     (function
       | Opcode.Load i -> loads.(i) <- true
       | Opcode.Store i -> stores.(i) <- true
-      | Opcode.Gastore s | Opcode.Gastore_unsafe s -> array_stores.(s) <- true
+      | Opcode.Gastore s -> array_stores.(s) <- true
       | _ -> ())
     t.code;
   let claimed = Array.make t.n_locals false in

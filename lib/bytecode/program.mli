@@ -27,9 +27,10 @@ type array_slot = {
   a_access : access;
   a_min_len : int;
       (** Minimum length the runtime promises for this array (0 = no
-          promise).  Bounds proofs behind [Gaload_unsafe] /
-          [Gastore_unsafe] may rely on it; {!Interp.make_env} and the
-          enclave enforce it before every invocation. *)
+          promise): an input contract on controller-supplied arrays.
+          {!Interp.make_env} and the enclave enforce it before every
+          invocation.  The interpreter still checks every access; the
+          bounds report's min-length route ({!Absint}) reads it. *)
 }
 (** Array slots are numbered by their position in [array_slots] and
     addressed by the [Ga*] op-codes. *)
@@ -90,7 +91,7 @@ val concurrency_to_string : concurrency -> string
 type footprint = {
   loads : bool array;  (** Per local: some [Load] reads it. *)
   stores : bool array;  (** Per local: some [Store] writes it. *)
-  array_stores : bool array;  (** Per array slot: some [Gastore]/[Gastore_unsafe] names it. *)
+  array_stores : bool array;  (** Per array slot: some [Gastore] names it. *)
   shared_local : bool;  (** Two scalar slots name the same local. *)
   writes : entity list;
       (** Entities with a declared [Read_write] slot, in the order

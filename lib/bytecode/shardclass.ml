@@ -40,11 +40,11 @@ let delta_op_ok ~acc_local = function
   | Opcode.Band | Opcode.Bor | Opcode.Bxor | Opcode.Shl | Opcode.Shr | Opcode.Not
   | Opcode.Eq | Opcode.Ne | Opcode.Lt | Opcode.Le | Opcode.Gt | Opcode.Ge ->
     true
-  | Opcode.Gaload _ | Opcode.Gaload_unsafe _ | Opcode.Galen _ -> true
+  | Opcode.Gaload _ | Opcode.Galen _ -> true
   | Opcode.Clock | Opcode.Hashmix | Opcode.Rand -> true
   (* Swap could sink the accumulated value into the delta computation;
      stores, heap ops and control flow are out wholesale. *)
-  | Opcode.Swap | Opcode.Store _ | Opcode.Gastore _ | Opcode.Gastore_unsafe _
+  | Opcode.Swap | Opcode.Store _ | Opcode.Gastore _
   | Opcode.Newarr | Opcode.Aload | Opcode.Astore | Opcode.Alen
   | Opcode.Jmp _ | Opcode.Jz _ | Opcode.Jnz _ | Opcode.Halt ->
     false

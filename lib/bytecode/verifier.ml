@@ -7,7 +7,6 @@ type error =
   | Bad_array_slot of { pc : int; slot : int }
   | Readonly_write of { pc : int; slot : int; name : string }
   | Unreachable_code of { pc : int }
-  | Unproved_unsafe of { pc : int; slot : int }
   | Bad_limits of string
   | Empty_code
 
@@ -25,9 +24,6 @@ let error_to_string = function
   | Readonly_write { pc; slot; name } ->
     Printf.sprintf "pc %d: write to read-only array slot %d (%s)" pc slot name
   | Unreachable_code { pc } -> Printf.sprintf "pc %d: unreachable instruction" pc
-  | Unproved_unsafe { pc; slot } ->
-    Printf.sprintf "pc %d: unchecked access to array slot %d without a bounds proof" pc
-      slot
   | Bad_limits msg -> Printf.sprintf "bad limits: %s" msg
   | Empty_code -> "empty code"
 
@@ -84,9 +80,8 @@ let analyse ?(strict = false) (p : Program.t) =
         if depth' > !max_depth then max_depth := depth';
         (match op with
         | Opcode.Load i | Opcode.Store i -> check_local pc i
-        | Opcode.Gaload s | Opcode.Gaload_unsafe s | Opcode.Galen s ->
-          check_slot pc ~write:false s
-        | Opcode.Gastore s | Opcode.Gastore_unsafe s -> check_slot pc ~write:true s
+        | Opcode.Gaload s | Opcode.Galen s -> check_slot pc ~write:false s
+        | Opcode.Gastore s -> check_slot pc ~write:true s
         | _ -> ());
         (match Opcode.jump_target op with
         | Some target ->
@@ -105,22 +100,6 @@ let analyse ?(strict = false) (p : Program.t) =
       (match (strict, !unreachable) with
       | true, pc :: _ -> raise (Verify_error (Unreachable_code { pc }))
       | _ -> ());
-      (* Unchecked accesses must carry a re-provable bounds argument; the
-         interval analysis re-derives it from the code, so nothing the
-         producer claims is trusted. *)
-      let uses_unsafe =
-        Array.exists
-          (function
-            | Opcode.Gaload_unsafe _ | Opcode.Gastore_unsafe _ -> true
-            | _ -> false)
-          p.code
-      in
-      if uses_unsafe then begin
-        match Absint.check p with
-        | Ok () -> ()
-        | Error { Absint.up_pc; up_slot } ->
-          raise (Verify_error (Unproved_unsafe { pc = up_pc; slot = up_slot }))
-      end;
       Ok { an_max_stack = !max_depth; an_unreachable = !unreachable }
     with Verify_error e -> Error e
   end

@@ -4,11 +4,9 @@
     programs at run time, so installation is the trust boundary).  The
     verifier guarantees that a verified program cannot: jump outside the
     code, underflow or overflow the operand stack, touch locals outside its
-    frame, address a non-existent environment array slot, write to a
-    read-only slot, or perform an unchecked array access whose index it
-    cannot re-prove in bounds ({!Absint}).  Dynamic properties (division by
-    zero, heap and step budgets, bounds of still-checked accesses) remain
-    interpreter checks. *)
+    frame, address a non-existent environment array slot, or write to a
+    read-only slot.  Dynamic properties (division by zero, heap and step
+    budgets, array indices) remain interpreter checks. *)
 
 type error =
   | Bad_jump of { pc : int; target : int }
@@ -21,10 +19,6 @@ type error =
   | Readonly_write of { pc : int; slot : int; name : string }
   | Unreachable_code of { pc : int }
       (** Strict mode only: no control-flow path reaches [pc]. *)
-  | Unproved_unsafe of { pc : int; slot : int }
-      (** An unchecked access whose index the verifier's own interval
-          analysis cannot prove in bounds — the proof obligation is
-          re-discharged here, never trusted from the producer. *)
   | Bad_limits of string
   | Empty_code
 

@@ -13,24 +13,6 @@ let successors (p : Program.t) pc =
   | Opcode.Jz t | Opcode.Jnz t -> [ clamp t; pc + 1 ]
   | _ -> [ pc + 1 ]
 
-(* Reachable pcs, by the same traversal [worst_case_steps] uses. *)
-let reachable (p : Program.t) =
-  let len = Array.length p.code in
-  let seen = Array.make (max len 1) false in
-  let q = Queue.create () in
-  let sched pc =
-    if pc < len && not seen.(pc) then begin
-      seen.(pc) <- true;
-      Queue.add pc q
-    end
-  in
-  if len > 0 then sched 0;
-  while not (Queue.is_empty q) do
-    let pc = Queue.pop q in
-    List.iter sched (successors p pc)
-  done;
-  seen
-
 let worst_case_steps (p : Program.t) =
   let len = Array.length p.code in
   if len = 0 then Some 0
@@ -71,22 +53,3 @@ let worst_case_steps (p : Program.t) =
       Some cost.(0)
     with Cyclic -> None
   end
-
-let fault_free (p : Program.t) =
-  (match worst_case_steps p with
-  | Some n -> n <= p.step_limit
-  | None -> false)
-  &&
-  let seen = reachable p in
-  let ok = ref true in
-  Array.iteri
-    (fun pc op ->
-      if seen.(pc) then
-        match op with
-        | Opcode.Div | Opcode.Rem | Opcode.Gaload _ | Opcode.Gastore _
-        | Opcode.Newarr | Opcode.Aload | Opcode.Astore | Opcode.Alen
-        | Opcode.Rand ->
-          ok := false
-        | _ -> ())
-    p.code;
-  !ok

@@ -11,13 +11,3 @@ val worst_case_steps : Program.t -> int option
 (** [Some n]: no execution of the program retires more than [n]
     instructions.  [None]: the reachable control-flow graph has a cycle.
     Unreachable code never contributes. *)
-
-val fault_free : Program.t -> bool
-(** [true] iff no execution of the program can fault: its worst-case
-    step count is statically bounded within [step_limit], and no
-    reachable instruction belongs to a faultable class — checked global
-    array access ([Gaload]/[Gastore]; the [_unsafe] forms carry a bounds
-    proof and cannot fault), division ([Div]/[Rem]), heap use
-    ([Newarr]/[Aload]/[Astore]/[Alen]) or [Rand].  Such a program always
-    runs to completion, which licenses the enclave to execute it
-    directly against live state with no copy-in/copy-out isolation. *)

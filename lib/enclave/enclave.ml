@@ -253,9 +253,7 @@ let apply_packet_field_code (out : outputs) code v =
    - read-only array slots — and writable slots with no reachable store
      — alias the live array (the verifier guarantees the program cannot
      write through them);
-   - a written array slot of a program {!Wcet.fault_free} proved unable
-     to fault runs in place against the live array, eliding both blits;
-   - otherwise the slot gets a persistent scratch buffer: blit-in per
+   - a written array slot gets a persistent scratch buffer: blit-in per
      packet, blit-out only on success, preserving fault isolation.
 
    Plans cache aliases into the action's live arrays, so they watch
@@ -278,8 +276,7 @@ type scalar_out =
 
 type array_kind =
   | A_alias  (** Read-only (or never written): share the live array. *)
-  | A_inplace  (** Written but fault-free: run directly on the live array. *)
-  | A_scratch  (** Written, may fault: copy via a persistent scratch buffer. *)
+  | A_scratch  (** Written: copy via a persistent scratch buffer. *)
 
 type plan = {
   pl_prog : P.t;
@@ -343,17 +340,10 @@ let make_plan (p : P.t) sources =
           | P.Global -> Out_global { name = s.P.s_name; gslot = -1 })
       p.P.scalar_slots
   in
-  let fault_free = lazy (Eden_bytecode.Wcet.fault_free p) in
-  let name_count name =
-    Array.fold_left
-      (fun acc (a : P.array_slot) -> if String.equal a.P.a_name name then acc + 1 else acc)
-      0 p.P.array_slots
-  in
   let pl_abind =
     Array.mapi
       (fun i (a : P.array_slot) ->
         if a.P.a_access = P.Read_only || not fp.P.array_stores.(i) then A_alias
-        else if Lazy.force fault_free && name_count a.P.a_name = 1 then A_inplace
         else A_scratch)
       p.P.array_slots
   in
@@ -379,7 +369,7 @@ let make_plan (p : P.t) sources =
 (* Resolve every state name the plan touches to its slot in [state];
    re-alias live arrays (and resize scratch buffers) after the
    controller rebinds one via [set_global_array]; also re-check the
-   [a_min_len] promises the program's bounds proofs rely on.  Runs
+   program's [a_min_len] input contract.  Runs
    before the first invocation and again after every array swap or
    store swap, so the slots always belong to the store in use. *)
 let rebind_plan plan state =
@@ -404,7 +394,7 @@ let rebind_plan plan state =
         let live = State.global_array state a.P.a_name in
         plan.pl_live.(i) <- live;
         (match plan.pl_abind.(i) with
-        | A_alias | A_inplace -> plan.pl_arrays.(i) <- live
+        | A_alias -> plan.pl_arrays.(i) <- live
         | A_scratch ->
           if Array.length plan.pl_arrays.(i) <> Array.length live then
             plan.pl_arrays.(i) <- Array.make (Array.length live) 0L);
@@ -1280,7 +1270,7 @@ let marshal_in a plan pkt md msg_id ~now =
     | A_scratch ->
       let live = plan.pl_live.(i) in
       Array.blit live 0 plan.pl_arrays.(i) 0 (Array.length live)
-    | A_alias | A_inplace -> ()
+    | A_alias -> ()
   done
 
 (* Publish on success only: writable scalars the program stored, plus
@@ -1307,7 +1297,7 @@ let marshal_out a plan out msg_id ~now =
     | A_scratch ->
       let live = plan.pl_live.(i) in
       Array.blit plan.pl_arrays.(i) 0 live 0 (Array.length live)
-    | A_alias | A_inplace -> ()
+    | A_alias -> ()
   done
 
 (* One runner for both bytecode engines: rebind and copy in, run the

@@ -143,8 +143,8 @@ val set_budget_ns : t -> float -> unit
 type install_error =
   | Already_installed of string
   | Rejected_bytecode of Eden_bytecode.Verifier.error
-      (** Stack discipline, read-only writes, or an unproved unchecked
-          access. *)
+      (** Stack discipline, bad jumps, locals or slots, or read-only
+          writes. *)
   | Over_budget of { est_ns : float; budget_ns : float; steps : int }
       (** Static worst case (longest acyclic path, else [step_limit])
           costs more than this enclave's per-invocation budget. *)

@@ -1,5 +1,5 @@
 (* Tests for the install-time analysis pipeline: effect footprints,
-   bounds proofs and hardening, cost admission, the AST optimizer, and
+   bounds proofs, cost admission, the AST optimizer, and
    the verifier/typechecker edge cases the pipeline leans on. *)
 
 open Eden_analysis
@@ -101,16 +101,10 @@ let test_reject_readonly_write () =
   | _ -> Alcotest.fail "expected Rejected"
 
 (* ------------------------------------------------------------------ *)
-(* Bounds proofs and hardening *)
-
-let run_summary p ~env ~seed =
-  let rng = Eden_base.Rng.create seed in
-  match Interp.run p ~env ~now ~rng with
-  | Ok _ -> None
-  | Error (f, _) -> Some (Interp.fault_to_string f)
+(* Bounds proofs (a report: every access is still checked at run time) *)
 
 (* A loop over a min_length array: the guard survives widening and every
-   access is proved; the hardened program must run identically. *)
+   access is proved. *)
 let scan_action =
   let open Eden_lang.Dsl in
   action "scan"
@@ -125,114 +119,22 @@ let scan_schema =
     ~global_arrays:[ Schema.array ~min_length:16 "Table" ] ()
 
 let test_bounds_loop_proved () =
-  let p = compile_exn scan_schema scan_action in
-  let bounds, hardened = Bounds.of_program p in
+  let bounds = Bounds.of_program (compile_exn scan_schema scan_action) in
   check_int "one array access" 1 bounds.Bounds.total;
-  check_int "proved through the loop" 1 bounds.Bounds.proved;
-  check_bool "hardened uses an unchecked load" true
-    (Array.exists (function Op.Gaload_unsafe _ -> true | _ -> false)
-       hardened.P.code);
-  (match Verifier.analyse ~strict:true hardened with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "hardened rejected: %s" (Verifier.error_to_string e));
-  (* Differential: checked and hardened agree on result and state. *)
-  let mk p =
-    Interp.make_env p
-      ~scalars:(Array.make (Array.length p.P.scalar_slots) 0L)
-      ~arrays:
-        (Array.map
-           (fun (a : P.array_slot) ->
-             match a.P.a_name with
-             | "Table" -> Array.init 16 (fun i -> Int64.of_int (i * 3))
-             | _ -> [||])
-           p.P.array_slots)
-  in
-  let env_c = mk p and env_h = mk hardened in
-  let r_c = run_summary p ~env:env_c ~seed:7L in
-  let r_h = run_summary hardened ~env:env_h ~seed:7L in
-  check_bool "same outcome" true (r_c = r_h);
-  check_bool "same final scalars" true (env_c.Interp.scalars = env_h.Interp.scalars)
+  check_int "proved through the loop" 1 bounds.Bounds.proved
 
-let test_harden_wcmp_offset_route () =
+let test_bounds_wcmp_offset_route () =
   (* wcmp's guard is [i + 1 >= len]: the offset-provenance route.  Three
      of the four accesses prove; the fallback load on the exhausted
-     branch is only dynamically safe and must stay checked. *)
-  let bounds, hardened = Bounds.of_program (Eden_functions.Wcmp.program ()) in
+     branch is only dynamically in bounds. *)
+  let bounds = Bounds.of_program (Eden_functions.Wcmp.program ()) in
   check_int "total" 4 bounds.Bounds.total;
-  check_int "proved" 3 bounds.Bounds.proved;
-  match Verifier.analyse ~strict:true hardened with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "hardened rejected: %s" (Verifier.error_to_string e)
+  check_int "proved" 3 bounds.Bounds.proved
 
-let test_harden_pias_plain_route () =
-  let bounds, hardened = Bounds.of_program (Eden_functions.Pias.program ()) in
+let test_bounds_pias_plain_route () =
+  let bounds = Bounds.of_program (Eden_functions.Pias.program ()) in
   check_int "total" 1 bounds.Bounds.total;
-  check_int "proved" 1 bounds.Bounds.proved;
-  match Verifier.analyse ~strict:true hardened with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "hardened rejected: %s" (Verifier.error_to_string e)
-
-let test_differential_wcmp_random () =
-  let p = Eden_functions.Wcmp.program () in
-  let _, hardened = Bounds.of_program p in
-  let st = Random.State.make [| 42 |] in
-  for trial = 1 to 100 do
-    (* Interleaved (path, weight) pairs; weights deliberately sometimes
-       sum below the rand bound so the checked fallback access can fault
-       — the hardened program must fault identically. *)
-    let paths =
-      Array.init 4 (fun i ->
-          if i mod 2 = 0 then Int64.of_int (i / 2)
-          else Int64.of_int (1 + Random.State.int st 700))
-    in
-    let mk p =
-      Interp.make_env p
-        ~scalars:(Array.make (Array.length p.P.scalar_slots) 0L)
-        ~arrays:(Array.map (fun _ -> Array.copy paths) p.P.array_slots)
-    in
-    let env_c = mk p and env_h = mk hardened in
-    let seed = Int64.of_int trial in
-    let r_c = run_summary p ~env:env_c ~seed in
-    let r_h = run_summary hardened ~env:env_h ~seed in
-    if r_c <> r_h then
-      Alcotest.failf "trial %d: checked %s vs hardened %s" trial
-        (match r_c with None -> "ok" | Some f -> f)
-        (match r_h with None -> "ok" | Some f -> f);
-    check_bool "same scalars" true (env_c.Interp.scalars = env_h.Interp.scalars)
-  done
-
-let test_unsafe_bytecode_rejected () =
-  (* Hand-crafted unchecked access with no provable bound: the verifier
-     re-discharges the proof obligation and must refuse to install. *)
-  let p =
-    P.make ~name:"evil"
-      ~code:[| Op.Push 5L; Op.Gaload_unsafe 0; Op.Pop; Op.Halt |]
-      ~array_slots:
-        [|
-          { P.a_name = "T"; a_entity = P.Global; a_access = P.Read_only;
-            a_min_len = 0 };
-        |]
-      ()
-  in
-  match Verifier.verify p with
-  | Error (Verifier.Unproved_unsafe { pc = 1; slot = 0 }) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Verifier.error_to_string e)
-  | Ok () -> Alcotest.fail "unsafe access verified without a proof"
-
-let test_unsafe_bytecode_accepted_with_min_len () =
-  let p =
-    P.make ~name:"fine"
-      ~code:[| Op.Push 5L; Op.Gaload_unsafe 0; Op.Pop; Op.Halt |]
-      ~array_slots:
-        [|
-          { P.a_name = "T"; a_entity = P.Global; a_access = P.Read_only;
-            a_min_len = 6 };
-        |]
-      ()
-  in
-  match Verifier.verify p with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected: %s" (Verifier.error_to_string e)
+  check_int "proved" 1 bounds.Bounds.proved
 
 (* ------------------------------------------------------------------ *)
 (* Cost bounds and admission *)
@@ -355,16 +257,14 @@ let test_analyze_all_builtins () =
       match Analyze.run schema action with
       | Error e ->
         Alcotest.failf "%s: %s" name (Analyze.error_to_string e)
-      | Ok (report, hardened) ->
+      | Ok report ->
         check_bool (name ^ ": bounds accounted") true
           (report.Report.r_bounds.Bounds.proved
            <= report.Report.r_bounds.Bounds.total);
         check_bool (name ^ ": fits both placements") true
           (List.for_all
              (fun (e : Cost.estimate) -> e.Cost.fits)
-             report.Report.r_cost.Cost.estimates);
-        check_bool (name ^ ": hardened re-verifies") true
-          (Verifier.verify ~strict:true hardened = Ok ()))
+             report.Report.r_cost.Cost.estimates))
     [
       ("wcmp", Eden_functions.Wcmp.action, Eden_functions.Wcmp.schema);
       ("message-wcmp", Eden_functions.Wcmp.message_action, Eden_functions.Wcmp.schema);
@@ -448,14 +348,8 @@ let () =
         [
           Alcotest.test_case "loop proof survives widening" `Quick
             test_bounds_loop_proved;
-          Alcotest.test_case "wcmp offset route" `Quick test_harden_wcmp_offset_route;
-          Alcotest.test_case "pias plain route" `Quick test_harden_pias_plain_route;
-          Alcotest.test_case "differential wcmp random" `Quick
-            test_differential_wcmp_random;
-          Alcotest.test_case "unsafe bytecode rejected" `Quick
-            test_unsafe_bytecode_rejected;
-          Alcotest.test_case "unsafe ok with min_len" `Quick
-            test_unsafe_bytecode_accepted_with_min_len;
+          Alcotest.test_case "wcmp offset route" `Quick test_bounds_wcmp_offset_route;
+          Alcotest.test_case "pias plain route" `Quick test_bounds_pias_plain_route;
         ] );
       ( "cost",
         [

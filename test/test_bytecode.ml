@@ -623,6 +623,29 @@ let test_codec_bad_version () =
   Bytes.set bad2 (Bytes.length bad2 - 1) '\xEE';
   check_bool "corrupt tail rejected" true (Result.is_error (Codec.decode (Bytes.to_string bad2)))
 
+(* Tags 38 and 39 once named unchecked array accesses; every array access
+   is now checked, so a blob carrying them must be refused at decode. *)
+let test_codec_retired_tags () =
+  let p = Eden_functions.Pias.program () in
+  let size code = String.length (Codec.encode { p with Program.code }) in
+  let header = size [||] in
+  let rec tag_offset pc off =
+    match p.Program.code.(pc) with
+    | Op.Gaload _ -> off
+    | op -> tag_offset (pc + 1) (off + size [| op |] - header)
+  in
+  let off = tag_offset 0 header in
+  List.iter
+    (fun tag ->
+      let blob = Bytes.of_string (Codec.encode p) in
+      Bytes.set blob off (Char.chr tag);
+      match Codec.decode (Bytes.to_string blob) with
+      | Error e ->
+        Alcotest.(check string) "names the tag" (Printf.sprintf "bad opcode tag %d" tag)
+          e.Codec.message
+      | Ok _ -> Alcotest.failf "retired tag %d decoded" tag)
+    [ 38; 39 ]
+
 let test_codec_decoded_runs_identically () =
   let p = sample_program () in
   let p' = Result.get_ok (Codec.decode (Codec.encode p)) in
@@ -669,6 +692,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_codec_deterministic;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
           Alcotest.test_case "bad version" `Quick test_codec_bad_version;
+          Alcotest.test_case "retired tags rejected" `Quick test_codec_retired_tags;
           Alcotest.test_case "decoded runs identically" `Quick
             test_codec_decoded_runs_identically;
           qcheck prop_codec_roundtrip_random;

@@ -454,7 +454,7 @@ let test_cache_invalidation () =
 (* ------------------------------------------------------------------ *)
 (* Fault handling: the ring keeps the most recent records, and array
    writes of a faulting invocation are not published (scratch binding),
-   while a fault-free writer runs in place and publishes. *)
+   while a writer that completes publishes through the same binding. *)
 
 let array_slot name ~access ~min_len =
   { Program.a_name = name; a_entity = Program.Global; a_access = access; a_min_len = min_len }
@@ -471,10 +471,9 @@ let faulting_writer =
     ()
 
 let inplace_writer =
-  (* provably fault-free constant-index store: runs in place on the live
-     array *)
+  (* constant-index store that completes: its scratch copy is published *)
   Program.make ~name:"inplace"
-    ~code:[| Op.Push 0L; Op.Push 77L; Op.Gastore_unsafe 0; Op.Halt |]
+    ~code:[| Op.Push 0L; Op.Push 77L; Op.Gastore 0; Op.Halt |]
     ~array_slots:[| array_slot "A" ~access:Program.Read_write ~min_len:1 |]
     ()
 
@@ -501,7 +500,7 @@ let test_fault_isolation_and_ring () =
   | [] -> Alcotest.fail "no fault records");
   check_bool "write did not escape the fault" true
     (Enclave.get_global_array e ~action:"faulty" "A" = Some [| 5L |]);
-  (* The fault-free writer publishes in place. *)
+  (* The completing writer's store reaches the live array. *)
   let e2 = Enclave.create ~host:1 () in
   ignore (install_prog e2 "inplace" inplace_writer);
   ignore (priority_of e2 0);
