@@ -229,7 +229,7 @@ let program_steps p =
   | Error (_, s) -> s.Interp.steps
 
 (* Steady-state allocation of the cached compiled data path: after the
-   flow cache and marshal plans are warm, [process] must not allocate for
+   class memo and marshal plans are warm, [process] must not allocate for
    marshalling or table lookup.  What remains above the no-policy
    baseline, 12 words for PIAS, is the engine boxing the scalars it
    publishes; message state keeps those boxes as they are.  The budget
@@ -257,9 +257,8 @@ let no_policy_words_budget = 12.0
 
 (* A packet that opens a new flow pays for its flow-table entry, its
    flow-stage classification (compiled rule-sets over the five-tuple's
-   row), the interning of its class vectors and its merged metadata.
-   Over churn-like flow-stage rules (32 source-port and 8
-   destination-port buckets) that is about 93 words.  The budget has
+   row) and its merged metadata.  Over churn-like flow-stage rules (32
+   source-port and 8 destination-port buckets) that is about 93 words.  The budget has
    ~20% headroom; building and interpreting a descriptor per flow costs
    about 300 and fails it on any machine. *)
 let new_flow_words_budget = 112.0
@@ -553,9 +552,9 @@ let micro () =
         Eden_enclave.Cost.os_model.Eden_enclave.Cost.per_step_ns
     | Error _ -> ())
   | None -> ());
-  (* Flow-cache behaviour under a many-flow workload: the per-table
-     match-action cache is bounded ([flow_cache_capacity]), so a stream
-     of more distinct class vectors than the capacity churns it. *)
+  (* Class-memo behaviour under a many-flow workload: each table's memo
+     keeps one entry per class, bounded by [flow_cache_capacity], so a
+     stream of many flows over few classes resolves from it. *)
   let e = pias_process_enclave `Compiled in
   let n_flows = 64 in
   let pkts =
@@ -571,8 +570,8 @@ let micro () =
   done;
   let c = Enclave.counters e in
   Printf.printf
-    "\nflow cache (capacity %d): 10k packets over %d flows -> %d hits, %d misses, %d \
-     evictions (the cache keys on class vectors; metadata-less flows share one)\n"
+    "\nclass memo (capacity %d): 10k packets over %d flows -> %d hits, %d misses, %d \
+     evictions (the memo keys on classes; metadata-less flows share one)\n"
     (Enclave.flow_cache_capacity e) n_flows c.Enclave.cache_hits c.Enclave.cache_misses
     c.Enclave.cache_evictions;
   allocation_check ()

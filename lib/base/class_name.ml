@@ -1,6 +1,6 @@
 (* [hash] is computed once, when the name is made, so the enclave's
-   class-vector tables and the metadata's class sets hash and compare
-   names with integer and string operations only.  It is the last field:
+   class memos and the metadata's class sets hash and compare names
+   with integer and string operations only.  It is the last field:
    structural comparison of two names still orders by the components. *)
 type t = { stage : string; ruleset : string; name : string; hash : int }
 

@@ -424,10 +424,37 @@ type installed = {
          invocation of this action runs under the mutex *)
 }
 
-(* A table's resolved lookup for one class vector.  [C_none] caches "no
-   rule fires here" so misses are as cheap as hits; [C_unknown] marks a
-   slot not resolved yet. *)
-type cached = C_unknown | C_none | C_run of Table.rule * installed
+(* A table's resolution of a class, or of a packet's classes, is the
+   position in match order of the first rule that matches: [no_rule]
+   when none does, [unresolved] while not known. *)
+let no_rule = max_int
+let unresolved = -1
+
+module Class_tbl = Hashtbl.Make (struct
+  type t = Class_name.t
+
+  let equal = Class_name.equal
+  let hash = Class_name.hash
+end)
+
+(* A match-action table and its class memo.  [Table.lookup] fires the
+   first rule matching any of the packet's classes, so a packet resolves
+   to the earliest of its classes' first matches, which the memo keeps
+   per class from its first sight. *)
+type table = {
+  tb_rules : Table.t;
+  mutable tb_run : installed array;  (* each rule's action, in match order *)
+  tb_memo : int Class_tbl.t;
+  mutable tb_slot : int;  (* the resolution of the slot's classes *)
+}
+
+let make_table id =
+  {
+    tb_rules = Table.create ~id;
+    tb_run = [||];
+    tb_memo = Class_tbl.create 16;
+    tb_slot = unresolved;
+  }
 
 (* A flow's enclave-assigned message id and its flow-stage classes.  The
    classes are a pure function of the five-tuple and the flow stage's
@@ -442,21 +469,20 @@ let unclassified = [ Class_name.v ~stage:"enclave" ~ruleset:"memo" ~name:"UNCLAS
 
 (* The last packet's front half: consecutive packets of one message carry
    the same (immutable) stage metadata on the same flow, so the merged
-   metadata and its class vector's interned id are reused while
-   [s_stage_md] and [s_flow] stay physically the same.  Whatever changes
-   a flow's classes or the vector ids forgets the slot. *)
+   metadata and every table's [tb_slot] are reused while [s_stage_md]
+   and [s_flow] stay physically the same.  Whatever changes a flow's
+   classes or the tables' resolutions forgets the slot. *)
 type slot = {
   mutable s_stage_md : Metadata.t;
   mutable s_flow : flow;
   mutable s_md : Metadata.t;  (* merged *)
-  mutable s_vec : int;  (* index into every per-table cache *)
 }
 
 let no_flow = { f_id = -1; f_classes = unclassified }
 
-(* Tables keyed by class vectors.  The hash mixes every class's
-   precomputed hash, so neither hashing nor comparing a vector walks the
-   class names' strings unless two vectors collide. *)
+(* Flow-class lists, hash-consed.  The hash mixes every class's
+   precomputed hash, so neither hashing nor comparing a list walks the
+   class names' strings unless two lists collide. *)
 module Vec_tbl = Hashtbl.Make (struct
   type t = Class_name.t list
 
@@ -475,7 +501,7 @@ type t = {
   e_placement : placement;
   e_seed : int64;
   e_rng : Rng.t;
-  e_cache_cap : int;  (* per-table match-action cache capacity *)
+  e_cache_cap : int;  (* per-table class-memo capacity *)
   e_flow_stage : Stage.t;
   e_flow_ids : flow Addr.Flow_table.t;
   mutable e_next_flow_id : int;
@@ -485,13 +511,7 @@ type t = {
   e_slot : slot;
   e_actions : (string, installed) Hashtbl.t;
   mutable e_install_order : string list;  (* oldest first *)
-  e_tables : (int, Table.t) Hashtbl.t;
-  mutable e_next_table : int;
-  e_vec_ids : int Vec_tbl.t;
-      (* class vectors interned to dense ids, at most [e_cache_cap] *)
-  mutable e_caches : cached array array;
-      (* per-table match-action cache, indexed by (dense) table id, then by
-         interned class-vector id; grown on demand up to [e_cache_cap] *)
+  mutable e_tables : table array;  (* indexed by table id *)
   (* Telemetry: the registry is the directory, the cells below are the
      hot-path storage (one field read + int bump per event, no lookup). *)
   e_tel : Tel.Registry.t;
@@ -548,19 +568,10 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_next_flow_id = flow_id_base;
       e_flow_gen = -1;
       e_flow_lists = Vec_tbl.create 8;
-      e_slot =
-        {
-          s_stage_md = Metadata.empty;
-          s_flow = no_flow;
-          s_md = Metadata.empty;
-          s_vec = 0;
-        };
+      e_slot = { s_stage_md = Metadata.empty; s_flow = no_flow; s_md = Metadata.empty };
       e_actions = Hashtbl.create 8;
       e_install_order = [];
-      e_tables = Hashtbl.create 4;
-      e_next_table = 1;
-      e_vec_ids = Vec_tbl.create 16;
-      e_caches = [| [||] |];
+      e_tables = [| make_table 0 |];
       e_tel = tel;
       m_packets = counter ~help:"Packets processed" "eden_enclave_packets_total";
       m_dropped = counter ~help:"Packets dropped by action decision" "eden_enclave_dropped_total";
@@ -576,12 +587,13 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
         counter ~help:"Packets that fell through a quarantined action"
           "eden_enclave_quarantined_total";
       m_cache_hits =
-        counter ~help:"Match-action cache hits" "eden_enclave_flow_cache_hits_total";
+        counter ~help:"Table visits resolved from the class memo"
+          "eden_enclave_flow_cache_hits_total";
       m_cache_misses =
-        counter ~help:"Match-action cache misses (full lookup)"
+        counter ~help:"Table visits where some class needed a rule scan"
           "eden_enclave_flow_cache_misses_total";
       m_cache_evictions =
-        counter ~help:"Match-action cache entries evicted on reset"
+        counter ~help:"Class-memo entries dropped when a table's memo was full"
           "eden_enclave_flow_cache_evictions_total";
       m_restarts = counter ~help:"Enclave restarts" "eden_enclave_restarts_total";
       m_api_handoffs =
@@ -619,7 +631,6 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_breaker = None;
     }
   in
-  Hashtbl.replace t.e_tables 0 (Table.create ~id:0);
   (* The enclave classifies at TCP-flow granularity out of the box (paper
      Table 2, last row): every packet belongs to [enclave.flows.ALL] and
      each transport connection is a message.  The controller may remove
@@ -698,10 +709,16 @@ let set_budget_ns t ns =
 (* The slot keys on [s_flow], which no live flow matches after this. *)
 let forget_slot t = t.e_slot.s_flow <- no_flow
 
-(* Vector ids are reassigned after this, so every cache goes with them. *)
-let invalidate_caches t =
-  Vec_tbl.reset t.e_vec_ids;
-  t.e_caches <- Array.map (fun _ -> [||]) t.e_caches;
+(* After any change to actions or table rules.  Every rule names an
+   installed action: [add_table_rule] refuses any other and
+   [remove_action] drops the action's rules. *)
+let invalidate_memos t =
+  Array.iter
+    (fun tb ->
+      Class_tbl.clear tb.tb_memo;
+      let action (r : Table.rule) = Hashtbl.find t.e_actions r.Table.action in
+      tb.tb_run <- Array.of_list (List.map action (Table.rules tb.tb_rules)))
+    t.e_tables;
   forget_slot t
 
 (* ------------------------------------------------------------------ *)
@@ -808,7 +825,7 @@ let install_action_full t spec =
           a_lock = None;
         };
       t.e_install_order <- t.e_install_order @ [ spec.i_name ];
-      invalidate_caches t;
+      invalidate_memos t;
       Ok ()
   end
 
@@ -821,46 +838,41 @@ let remove_action t name =
     Hashtbl.remove t.e_actions name;
     t.e_install_order <- List.filter (fun n -> not (String.equal n name)) t.e_install_order;
     let dropped =
-      Hashtbl.fold (fun _ tbl acc -> acc + Table.remove_action_rules tbl name) t.e_tables 0
+      Array.fold_left
+        (fun acc tb -> acc + Table.remove_action_rules tb.tb_rules name)
+        0 t.e_tables
     in
-    invalidate_caches t;
+    invalidate_memos t;
     Some dropped
   end
 
 let action_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.e_actions [] |> List.sort compare
 
 let add_table t =
-  let id = t.e_next_table in
-  t.e_next_table <- id + 1;
-  Hashtbl.replace t.e_tables id (Table.create ~id);
-  let n = Array.length t.e_caches in
-  if id >= n then
-    t.e_caches <- Array.init (id + 1) (fun i -> if i < n then t.e_caches.(i) else [||]);
+  let id = Array.length t.e_tables in
+  t.e_tables <- Array.append t.e_tables [| make_table id |];
   id
 
 let add_table_rule t ?(table = 0) ~pattern ~action () =
-  match Hashtbl.find_opt t.e_tables table with
-  | None -> Error (Printf.sprintf "no table %d" table)
-  | Some tbl ->
-    if not (Hashtbl.mem t.e_actions action) then
-      Error (Printf.sprintf "action %S is not installed" action)
-    else begin
-      let rule = Table.add_rule tbl ~pattern ~action in
-      invalidate_caches t;
-      Ok rule.Table.rule_id
-    end
+  if table < 0 || table >= Array.length t.e_tables then
+    Error (Printf.sprintf "no table %d" table)
+  else if not (Hashtbl.mem t.e_actions action) then
+    Error (Printf.sprintf "action %S is not installed" action)
+  else begin
+    let rule = Table.add_rule t.e_tables.(table).tb_rules ~pattern ~action in
+    invalidate_memos t;
+    Ok rule.Table.rule_id
+  end
 
 let remove_table_rule t ?(table = 0) rule_id =
-  match Hashtbl.find_opt t.e_tables table with
-  | None -> false
-  | Some tbl ->
-    let removed = Table.remove_rule tbl rule_id in
-    if removed then invalidate_caches t;
-    removed
+  let removed =
+    table >= 0 && table < Array.length t.e_tables
+    && Table.remove_rule t.e_tables.(table).tb_rules rule_id
+  in
+  if removed then invalidate_memos t;
+  removed
 
-let tables t =
-  Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.e_tables []
-  |> List.sort (fun a b -> compare (Table.id a) (Table.id b))
+let tables t = Array.to_list (Array.map (fun tb -> tb.tb_rules) t.e_tables)
 
 let with_action t action f =
   match Hashtbl.find_opt t.e_actions action with
@@ -1058,14 +1070,11 @@ let restart t =
   let restarts = restarts t + 1 in
   Hashtbl.reset t.e_actions;
   t.e_install_order <- [];
-  Hashtbl.reset t.e_tables;
-  Hashtbl.replace t.e_tables 0 (Table.create ~id:0);
-  t.e_next_table <- 1;
+  t.e_tables <- [| make_table 0 |];
   Addr.Flow_table.reset t.e_flow_ids;
   Vec_tbl.reset t.e_flow_lists;
   t.e_next_flow_id <- flow_id_base;
-  t.e_caches <- [| [||] |];
-  invalidate_caches t;
+  forget_slot t;
   Tel.Registry.reset t.e_tel;
   (* Restart count survives the reboot (it identifies the incarnation). *)
   Tel.Counter.set t.m_restarts restarts;
@@ -1216,27 +1225,6 @@ let flow_classes t five_tuple f =
   end;
   f.f_classes
 
-(* Cache slots resolved in every table; what a full reset evicts. *)
-let cached_entries t =
-  Array.fold_left
-    (fun acc cache ->
-      Array.fold_left (fun acc c -> match c with C_unknown -> acc | _ -> acc + 1) acc cache)
-    0 t.e_caches
-
-(* A dense id for a class vector.  The intern table holds at most the
-   cache capacity; a new vector past that evicts every cache. *)
-let vec_id t classes =
-  match Vec_tbl.find t.e_vec_ids classes with
-  | id -> id
-  | exception Not_found ->
-    if Vec_tbl.length t.e_vec_ids >= t.e_cache_cap then begin
-      Tel.Counter.add t.m_cache_evictions (cached_entries t);
-      invalidate_caches t
-    end;
-    let id = Vec_tbl.length t.e_vec_ids in
-    Vec_tbl.add t.e_vec_ids classes id;
-    id
-
 let record_fault t action fault now =
   Tel.Counter.inc t.m_faults;
   Tel.Ring.push t.e_faults { fr_action = action; fr_fault = fault; fr_time = now }
@@ -1382,61 +1370,57 @@ let invoke_traced t a pkt md msg_id out ~now =
     | None -> ()
   end
 
-let resolve t table_id classes =
-  match Hashtbl.find_opt t.e_tables table_id with
-  | None -> C_none
-  | Some tbl -> (
-    match Table.lookup tbl classes with
-    | None -> C_none
-    | Some rule -> (
-      match Hashtbl.find_opt t.e_actions rule.Table.action with
-      | None -> C_none
-      | Some a -> C_run (rule, a)))
+(* The position of class [c]'s first matching rule, counting from
+   [pos]. *)
+let rec first_match c pos = function
+  | [] -> no_rule
+  | (r : Table.rule) :: rest ->
+    if Class_name.Pattern.matches r.Table.pattern c then pos else first_match c (pos + 1) rest
 
-let cache_store t table_id vec e =
-  let cache = t.e_caches.(table_id) in
-  let n = Array.length cache in
-  let cache =
-    if vec < n then cache
-    else begin
-      let grown = Array.make (min t.e_cache_cap (max (vec + 1) (max 8 (2 * n)))) C_unknown in
-      Array.blit cache 0 grown 0 n;
-      t.e_caches.(table_id) <- grown;
-      grown
-    end
-  in
-  cache.(vec) <- e
+(* A full memo is cleared; its entries count as evictions. *)
+let memoise t tb c pos =
+  let n = Class_tbl.length tb.tb_memo in
+  if n >= t.e_cache_cap then begin
+    Tel.Counter.add t.m_cache_evictions n;
+    Class_tbl.clear tb.tb_memo
+  end;
+  Class_tbl.add tb.tb_memo c pos
 
-(* Table walk with the match-action cache: the resolution of a class
-   vector at a table — which rule fires and which installed action it
-   names — is invariant until the controller changes the rule or action
-   set, so it is memoised per table under the vector's interned id, and
-   the steady-state lookup is one array read with no hashing, list scan
-   or pattern match. *)
-let rec walk t ~now pkt md msg_id classes vec out table_id hops =
-  if hops < max_table_hops && table_id >= 0 && table_id < Array.length t.e_caches then begin
-    let cache = t.e_caches.(table_id) in
-    let entry =
-      match if vec < Array.length cache then cache.(vec) else C_unknown with
-      | C_unknown ->
-        Tel.Counter.inc t.m_cache_misses;
-        let e = resolve t table_id classes in
-        cache_store t table_id vec e;
-        e
-      | e ->
-        Tel.Counter.inc t.m_cache_hits;
-        e
-    in
-    match entry with
-    | C_unknown | C_none -> ()
-    | C_run (_rule, a) -> (
+(* The earliest of the classes' first matches, each from the memo or
+   scanned on first sight.  Counts one hit, or one miss when some class
+   needed a scan.  Top level, so the slot-miss path builds no closure. *)
+let rec resolve t tb classes best missed =
+  match classes with
+  | [] ->
+    Tel.Counter.inc (if missed then t.m_cache_misses else t.m_cache_hits);
+    best
+  | c :: rest -> (
+    match Class_tbl.find tb.tb_memo c with
+    | pos -> resolve t tb rest (if pos < best then pos else best) missed
+    | exception Not_found ->
+      let pos = first_match c 0 (Table.rules tb.tb_rules) in
+      memoise t tb c pos;
+      resolve t tb rest (if pos < best then pos else best) true)
+
+(* Table walk: a table's resolution of the slot's classes — which rule
+   fires, and so which installed action runs — is invariant until the
+   slot moves or the controller changes the rule or action set, so the
+   steady-state lookup is one read of [tb_slot], with no hashing, list
+   scan or pattern match. *)
+let rec walk t ~now pkt md msg_id classes out table_id hops =
+  if hops < max_table_hops && table_id >= 0 && table_id < Array.length t.e_tables then begin
+    let tb = t.e_tables.(table_id) in
+    if tb.tb_slot = unresolved then tb.tb_slot <- resolve t tb classes no_rule false
+    else Tel.Counter.inc t.m_cache_hits;
+    if tb.tb_slot <> no_rule then begin
+      let a = tb.tb_run.(tb.tb_slot) in
       match t.e_breaker with
       | None ->
         Tel.Counter.inc t.m_invocations;
         out.o_goto <- -1;
         invoke_traced t a pkt md msg_id out ~now;
         if out.o_goto >= 0 && out.o_goto <> table_id then
-          walk t ~now pkt md msg_id classes vec out out.o_goto (hops + 1)
+          walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
       | Some cfg ->
         (* Quarantined action: matching packets fall through to default
            forwarding — [out] keeps its reset values, exactly as if no
@@ -1450,8 +1434,9 @@ let rec walk t ~now pkt md msg_id classes vec out table_id hops =
           brk_record a.a_brk cfg ~now
             ~faulted:(Tel.Counter.get t.m_faults > faults_before);
           if out.o_goto >= 0 && out.o_goto <> table_id then
-            walk t ~now pkt md msg_id classes vec out out.o_goto (hops + 1)
-        end)
+            walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
+        end
+    end
   end
 
 (* [charge_classify] is false for the non-leading packets of a batch
@@ -1477,15 +1462,15 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   (* The merged metadata is [union] of the flow stage's and the stage's:
      stage metadata wins on conflicts (its msg id identifies the
      application message); flow classes are merged in.  Table lookups
-     ignore class order, so the vector is taken as stored, newest
+     ignore class order, so the classes are taken as stored, newest
      first. *)
   if not (slot.s_flow == flow && slot.s_stage_md == stage_md) then begin
-    let md = Metadata.merge_flow ~msg_id:(Int64.of_int flow.f_id) flow_classes stage_md in
-    let vec = vec_id t (Metadata.classes_rev md) in
     slot.s_stage_md <- stage_md;
     slot.s_flow <- flow;
-    slot.s_md <- md;
-    slot.s_vec <- vec
+    slot.s_md <- Metadata.merge_flow ~msg_id:(Int64.of_int flow.f_id) flow_classes stage_md;
+    for i = 0 to Array.length t.e_tables - 1 do
+      t.e_tables.(i).tb_slot <- unresolved
+    done
   end;
   let md = slot.s_md in
   (* [merge_flow] always sets a message id. *)
@@ -1498,7 +1483,7 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   let out = t.e_out in
   reset_outputs out pkt;
   let walk_before = if t.e_trace_armed then model_total_ns t else 0.0 in
-  walk t ~now pkt md msg_id (Metadata.classes_rev md) slot.s_vec out 0 0;
+  walk t ~now pkt md msg_id (Metadata.classes_rev md) out 0 0;
   if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float (last_process_cost_ns t));
   (if t.e_trace_armed then
      match t.e_trace with

@@ -85,12 +85,13 @@ type counters = {
   mutable quarantined : int;
       (** Packets that matched a rule whose action was quarantined by the
           circuit breaker and fell through to default forwarding. *)
-  mutable cache_hits : int;  (** Match-action cache: class vector resolved by probe. *)
-  mutable cache_misses : int;  (** Full table lookups (then memoised). *)
+  mutable cache_hits : int;
+      (** Table visits resolved from the class memo alone.  Each table
+          visit counts one hit or one miss. *)
+  mutable cache_misses : int;  (** Table visits where some class needed a rule scan. *)
   mutable cache_evictions : int;
-      (** Resolved entries dropped, over all tables, when a new class
-          vector found {!flow_cache_capacity} vectors cached and every
-          table's cache was reset. *)
+      (** Class-memo entries dropped when a new class found its table's
+          memo holding {!flow_cache_capacity} classes and cleared it. *)
 }
 
 type fault_record = {
@@ -108,8 +109,10 @@ val create :
   host:Eden_base.Addr.host ->
   unit ->
   t
-(** [flow_cache_capacity] bounds the class vectors the match-action
-    caches hold (default 4096; must be positive). *)
+(** [flow_cache_capacity] bounds the classes each table's class memo
+    holds (default 4096; must be positive).  The memo keeps each class's
+    first matching rule, so its size follows the configured classes, not
+    the class vectors traffic builds from them. *)
 
 val host : t -> Eden_base.Addr.host
 val placement : t -> placement
@@ -383,10 +386,10 @@ val config_equal : snapshot -> snapshot -> bool
     the same tables holding the same (pattern, action) rules. *)
 
 val faults : t -> fault_record list
-(** Most recent first; bounded (a fixed-size {!Eden_telemetry.Ring}
-    keeps recording O(1) regardless of fault volume).  Deprecated alias
-    for reading the telemetry fault log; the fault {e count} lives in
-    the registry as [eden_enclave_faults_total]. *)
+(** The fault log, most recent first; bounded (a fixed-size
+    {!Eden_telemetry.Ring} keeps recording O(1) regardless of fault
+    volume).  This is the only reader of the log; the fault {e count}
+    lives in the registry as [eden_enclave_faults_total]. *)
 
 val cost : t -> Cost.counts
 (** Snapshot of what the cost model charges for, read from the registry

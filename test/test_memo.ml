@@ -1,6 +1,6 @@
 (* The enclave's front half: per-flow memo of the flow-stage classes,
-   the one-slot reuse of merged metadata and the interned class vectors
-   behind the match-action caches.
+   the one-slot reuse of merged metadata and the per-table class memo
+   behind the match-action lookup.
 
    The differential test runs a seeded stream over many flows and, in
    the middle of it, changes the flow stage's rules through every path
@@ -12,7 +12,12 @@
    [Table.lookup], no cache involved.
 
    The footprint test bounds what each flow costs the enclave, so a memo
-   that keeps per-flow metadata cannot slip in. *)
+   that keeps per-flow metadata cannot slip in.
+
+   The class-memo tests check that the memo is bounded by the classes,
+   not by the class vectors traffic builds from them, and that the
+   earliest of a vector's per-class first matches is always the rule
+   [Table.lookup] fires, equal-specificity ties included. *)
 
 module Enclave = Eden_enclave.Enclave
 module Table = Eden_enclave.Table
@@ -400,12 +405,220 @@ let test_footprint () =
     Alcotest.failf "the enclave keeps %.3f words per flow, over %.2f + 1" per_flow
       words_per_flow_before_memo
 
+(* ------------------------------------------------------------------ *)
+(* Class memo *)
+
+let stats e =
+  let c = Enclave.counters e in
+  (c.Enclave.cache_hits, c.Enclave.cache_misses, c.Enclave.cache_evictions)
+
+(* More distinct class vectors than the memo's capacity, built from
+   fewer distinct classes than it: 4 stage classes times 16 flow-stage
+   port buckets make 64 vectors over 21 classes (with the flow stage's
+   ALL) at capacity 32.  The memo never fills, so nothing is evicted,
+   and a second pass over the same packets finds every class memoised:
+   each table visit is a hit. *)
+let test_class_memo_bounded () =
+  let capacity = 32 in
+  let e = Enclave.create ~host:1 ~flow_cache_capacity:capacity () in
+  install e;
+  let fs = Enclave.flow_stage e in
+  let buckets = 16 and width = 4_096 in
+  for b = 0 to buckets - 1 do
+    ignore
+      (get_ok
+         (Stage.Api.create_stage_rule fs ~ruleset:"ports"
+            ~classifier:(port_range Builtin.Field.dst_port (b * width) (((b + 1) * width) - 1))
+            ~class_name:(Printf.sprintf "P%d" b) ~metadata_fields:[]))
+  done;
+  (* Rules that tell some buckets and kinds apart. *)
+  List.iter
+    (fun (p, action) ->
+      ignore (get_ok (Enclave.add_table_rule e ~pattern:(pattern p) ~action ())))
+    [ ("enclave.ports.P3", "drop"); ("app.kind.HEAD", "prio6"); ("enclave.ports.P9", "mix") ];
+  let kinds =
+    List.map
+      (fun name ->
+        Metadata.add_class (Class_name.v ~stage:"app" ~ruleset:"kind" ~name) Metadata.empty)
+      [ "GET"; "PUT"; "HEAD"; "POST" ]
+  in
+  let flow b =
+    Addr.five_tuple ~src:(Addr.endpoint 1 (1_000 + b))
+      ~dst:(Addr.endpoint 2 ((b * width) + 80))
+      ~proto:Addr.Tcp
+  in
+  let ids = fresh_ids () in
+  let sent = ref [] in
+  let pass () =
+    for b = 0 to buckets - 1 do
+      List.iteri
+        (fun k md ->
+          let pkt =
+            Packet.make ~id:(Int64.of_int ((b * 4) + k)) ~flow:(flow b) ~kind:Packet.Data
+              ~payload:100 ~metadata:md ()
+          in
+          let want_md, want = oracle e ids pkt in
+          let got_md, got = actual e pkt in
+          if show_md got_md <> show_md want_md || got <> want then
+            Alcotest.failf "bucket %d, kind %d: enclave gave %s, %s; oracle %s, %s" b k
+              (show_md got_md) (show_outcome got) (show_md want_md) (show_outcome want);
+          sent := Metadata.classes got_md :: !sent)
+        kinds
+    done
+  in
+  pass ();
+  let vectors = List.sort_uniq (List.compare Class_name.compare) !sent in
+  let classes = List.sort_uniq Class_name.compare (List.concat vectors) in
+  Printf.printf "%d class vectors over %d classes, memo capacity %d\n" (List.length vectors)
+    (List.length classes) capacity;
+  Alcotest.(check bool) "more vectors than capacity" true (List.length vectors > capacity);
+  Alcotest.(check bool) "fewer classes than capacity" true (List.length classes <= capacity);
+  let hits1, misses1, evictions1 = stats e in
+  Alcotest.(check int) "no evictions" 0 evictions1;
+  pass ();
+  let hits2, misses2, evictions2 = stats e in
+  Alcotest.(check int) "no evictions on the second pass" 0 evictions2;
+  Alcotest.(check int) "no misses on the second pass" misses1 misses2;
+  Alcotest.(check bool) "every packet's visits hit" true (hits2 - hits1 >= buckets * 4)
+
+(* A random table whose wildcard patterns all share one specificity, so
+   the insertion-order tie-break decides between them, under random
+   class vectors with rules added and removed between packets.  Each
+   rule names its own action, which sets the packet's queue to the
+   action's number, so the queue says which rule fired; it must be the
+   rule [Table.lookup] finds for the packet's merged classes. *)
+type tie_op =
+  | T_add of Class_name.Pattern.t
+  | T_remove of int  (* index into the live rules, modulo their number *)
+  | T_send of Class_name.t list * int  (* the vector, sent this many times in a row *)
+
+let show_tie_op = function
+  | T_add p -> "add " ^ Class_name.Pattern.to_string p
+  | T_remove i -> Printf.sprintf "remove #%d" i
+  | T_send (cs, n) ->
+    Printf.sprintf "send [%s] x%d" (String.concat "," (List.map Class_name.to_string cs)) n
+
+let tie_stages = [| "s0"; "s1" |]
+let tie_rulesets = [| "r0"; "r1" |]
+let tie_names = [| "n0"; "n1"; "n2" |]
+
+let gen_tie_class =
+  QCheck.Gen.(
+    map3
+      (fun stage ruleset name -> Class_name.v ~stage ~ruleset ~name)
+      (oneofa tie_stages) (oneofa tie_rulesets) (oneofa tie_names))
+
+(* A pattern with exactly [spec] exact components. *)
+let gen_tie_pattern spec =
+  QCheck.Gen.(
+    map2
+      (fun exact (stage, ruleset, name) ->
+        let comp i v = if List.mem i exact then Class_name.Pattern.Exact v else Any in
+        {
+          Class_name.Pattern.stage = comp 0 stage;
+          ruleset = comp 1 ruleset;
+          name = comp 2 name;
+        })
+      (map (fun order -> List.filteri (fun i _ -> i < spec) order) (shuffle_l [ 0; 1; 2 ]))
+      (triple (oneofa tie_stages) (oneofa tie_rulesets) (oneofa tie_names)))
+
+let gen_tie_case =
+  QCheck.Gen.(
+    int_range 0 2 >>= fun spec ->
+    triple (return spec)
+      (oneofl [ 1; 3; 4_096 ])
+      (list_size (int_range 1 60)
+         (frequency
+            [
+              (3, map (fun p -> T_add p) (gen_tie_pattern spec));
+              (1, map (fun i -> T_remove i) (int_range 0 15));
+              (4, pair (list_size (int_range 1 4) gen_tie_class) (int_range 1 2)
+                  |> map (fun (cs, n) -> T_send (cs, n)));
+            ])))
+
+let n_tie_actions = 64
+
+let prop_tie_break =
+  let print (spec, capacity, ops) =
+    Printf.sprintf "specificity %d, capacity %d: %s" spec capacity
+      (String.concat "; " (List.map show_tie_op ops))
+  in
+  QCheck.Test.make ~name:"the enclave fires Table.lookup's rule" ~count:300
+    (QCheck.make ~print gen_tie_case)
+    (fun (_spec, capacity, ops) ->
+      let e = Enclave.create ~host:1 ~flow_cache_capacity:capacity () in
+      for q = 0 to n_tie_actions - 1 do
+        get_ok
+          (Enclave.install_action e
+             {
+               Enclave.i_name = Printf.sprintf "q%d" q;
+               i_impl = Enclave.Native (fun ctx -> Enclave.Native_ctx.set_queue ctx q);
+               i_msg_sources = [];
+             })
+      done;
+      let flow =
+        Addr.five_tuple ~src:(Addr.endpoint 1 1_000) ~dst:(Addr.endpoint 2 80) ~proto:Addr.Tcp
+      in
+      let live = ref [] and added = ref 0 and sent = ref 0 in
+      List.iter
+        (function
+          | T_add pattern ->
+            let action = Printf.sprintf "q%d" (!added mod n_tie_actions) in
+            incr added;
+            live := get_ok (Enclave.add_table_rule e ~pattern ~action ()) :: !live
+          | T_remove i -> (
+            match !live with
+            | [] -> ()
+            | rules ->
+              let id = List.nth rules (i mod List.length rules) in
+              if not (Enclave.remove_table_rule e id) then
+                QCheck.Test.fail_reportf "rule %d not removed" id;
+              live := List.filter (( <> ) id) rules)
+          | T_send (classes, n) ->
+            let md =
+              List.fold_left (fun md c -> Metadata.add_class c md) Metadata.empty classes
+            in
+            for _ = 1 to n do
+              incr sent;
+              let pkt =
+                Packet.make ~id:(Int64.of_int !sent) ~flow ~kind:Packet.Data ~payload:100
+                  ~metadata:md ()
+              in
+              let got =
+                match Enclave.process e ~now:(Time.us !sent) pkt with
+                | Enclave.Forward { queue; _ } -> queue
+                | Enclave.Dropped why ->
+                  QCheck.Test.fail_reportf "packet %d dropped: %s" !sent why
+              in
+              let want =
+                Option.map
+                  (fun r ->
+                    int_of_string
+                      (String.sub r.Table.action 1 (String.length r.Table.action - 1)))
+                  (Table.lookup (List.hd (Enclave.tables e))
+                     (Metadata.classes pkt.Packet.metadata))
+              in
+              if got <> want then
+                QCheck.Test.fail_reportf "packet %d: queue %s, Table.lookup's rule gives %s"
+                  !sent
+                  (Option.fold ~none:"none" ~some:string_of_int got)
+                  (Option.fold ~none:"none" ~some:string_of_int want)
+            done)
+        ops;
+      true)
+
 let () =
+  Qcheck_seed.announce ();
   Alcotest.run "eden_memo"
     [
       ( "front-half",
         [
           Alcotest.test_case "memo matches fresh classification" `Quick test_differential;
           Alcotest.test_case "words per flow" `Quick test_footprint;
+        ] );
+      ( "class-memo",
+        [
+          Alcotest.test_case "bounded by classes, not vectors" `Quick test_class_memo_bounded;
+          Qcheck_seed.qcheck prop_tie_break;
         ] );
     ]
