@@ -40,7 +40,6 @@ let run schema (a : Ast.t) =
               Report.r_name = a.Ast.af_name;
               r_footprint = footprint;
               r_concurrency = (P.footprint program).P.concurrency;
-              r_shard = Eden_bytecode.Shardclass.classify program;
               r_diagnostics = [];
               r_nodes_before = stats.Optimize.nodes_before;
               r_nodes_after = stats.Optimize.nodes_after;

@@ -6,9 +6,9 @@
     state, are reported by name as install-time errors rather than
     runtime faults, and [eden analyze] prints the footprint.
 
-    It decides nothing about execution.  The concurrency class, the shard
-    class and the marshal plan all come from one pass over the compiled
-    program, {!Eden_bytecode.Program.footprint}, which sees the code the
+    It decides nothing about execution.  The concurrency class (which
+    also sets the sharded front-end's replica count) and the marshal
+    plan come from one pass over the compiled program, {!Eden_bytecode.Program.footprint}, which sees the code the
     enclave will actually run. *)
 
 type access = [ `Read | `Write ]

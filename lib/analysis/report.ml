@@ -2,7 +2,6 @@ type t = {
   r_name : string;
   r_footprint : Effects.footprint;
   r_concurrency : Eden_bytecode.Program.concurrency;
-  r_shard : Eden_bytecode.Shardclass.klass;
   r_diagnostics : string list;
   r_nodes_before : int;
   r_nodes_after : int;
@@ -18,7 +17,6 @@ let pp fmt r =
   Format.fprintf fmt "effects:@,%a" Effects.pp_footprint r.r_footprint;
   Format.fprintf fmt "  concurrency: %s@,"
     (Eden_bytecode.Program.concurrency_to_string r.r_concurrency);
-  Format.fprintf fmt "  sharding: %s@," (Eden_bytecode.Shardclass.to_string r.r_shard);
   List.iter (fun d -> Format.fprintf fmt "  problem: %s@," d) r.r_diagnostics;
   Format.fprintf fmt "optimizer: %d -> %d AST nodes@," r.r_nodes_before r.r_nodes_after;
   Format.fprintf fmt "bytecode: %d instructions, max stack %d@," r.r_code_len

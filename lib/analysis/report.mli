@@ -6,10 +6,6 @@ type t = {
   r_concurrency : Eden_bytecode.Program.concurrency;
       (** From the compiled program's declared slot accesses: the class
           the enclave will run it under. *)
-  r_shard : Eden_bytecode.Shardclass.klass;
-      (** How the multicore front-end ({!Eden_enclave.Shard}) will run
-          this action: fully sharded, per-shard delta accumulators, or
-          serialized behind a per-action mutex. *)
   r_diagnostics : string list;  (** Empty unless the action is rejectable. *)
   r_nodes_before : int;
   r_nodes_after : int;

@@ -77,8 +77,8 @@ val strip_unreachable : t -> t
 
     One pass over the code and the slot table answers every question the
     install path asks about which state a program touches: the enclave's
-    marshal plan, the shard classification ({!Shardclass}) and the
-    concurrency class (paper §3.4.4) all read it. *)
+    marshal plan and the concurrency class (paper §3.4.4), which also
+    sets how many replicas the sharded front-end runs, both read it. *)
 
 type concurrency = [ `Parallel | `Per_message | `Serial ]
 (** A program declaring a writable global slot runs serially; one

@@ -370,8 +370,7 @@ let make_plan (p : P.t) sources =
    re-alias live arrays (and resize scratch buffers) after the
    controller rebinds one via [set_global_array]; also re-check the
    program's [a_min_len] input contract.  Runs
-   before the first invocation and again after every array swap or
-   store swap, so the slots always belong to the store in use. *)
+   before the first invocation and again after every array swap. *)
 let rebind_plan plan state =
   let v = State.array_version state in
   if plan.pl_version <> v then begin
@@ -415,13 +414,10 @@ type engine =
 type installed = {
   a_name : string;
   a_spec : install_spec;  (* retained for snapshot/restore and reconciliation *)
-  mutable a_state : State.t;  (* swappable so shards can share one store *)
+  a_state : State.t;
   a_msg_sources : (string, msg_field_source) Hashtbl.t;
   a_engine : engine;
   a_brk : brk;
-  mutable a_lock : Mutex.t option;
-      (* serialization fallback for sharded execution: when set, every
-         invocation of this action runs under the mutex *)
 }
 
 (* A table's resolution of a class, or of a packet's classes, is the
@@ -822,7 +818,6 @@ let install_action_full t spec =
           a_msg_sources = sources;
           a_engine = engine;
           a_brk = make_brk ();
-          a_lock = None;
         };
       t.e_install_order <- t.e_install_order @ [ spec.i_name ];
       invalidate_memos t;
@@ -894,19 +889,6 @@ let get_global_array t ~action name =
   | None -> None
   | Some a -> Some (State.global_array a.a_state name)
 
-(* ------------------------------------------------------------------ *)
-(* Sharding runtime hooks ({!Shard}).
-
-   A sharded front-end runs one enclave replica per worker domain.  For
-   actions whose effect footprint cannot be partitioned, the shard
-   runtime points every replica at one shared state store and arms the
-   per-action mutex, so only that action serializes while the rest of
-   the data path stays lock-free. *)
-
-let invalidate_plan = function
-  | E_bytecode { plan; _ } -> plan.pl_version <- -1
-  | E_native _ -> ()
-
 let action_program t name =
   match Hashtbl.find_opt t.e_actions name with
   | None -> None
@@ -925,19 +907,6 @@ let concurrency_of t name =
 
 let action_state t name =
   Option.map (fun a -> a.a_state) (Hashtbl.find_opt t.e_actions name)
-
-let set_action_state t name st =
-  with_action t name (fun a ->
-      a.a_state <- st;
-      (* Live-array aliases in the marshal plan point into the old
-         store; force a rebind before the next invocation. *)
-      invalidate_plan a.a_engine)
-
-let set_action_lock t name lock = with_action t name (fun a -> a.a_lock <- lock)
-
-let set_flow_id_offset t offset =
-  if offset < 0L then invalid_arg "Enclave.set_flow_id_offset: negative offset";
-  t.e_next_flow_id <- flow_id_base + Int64.to_int offset
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: breaker configuration *)
@@ -1347,24 +1316,13 @@ let dispatch_engine t a pkt md msg_id out ~now =
     run_bytecode t a ~machine ~compiled plan pkt md msg_id out ~now
   | E_native f -> run_native t a f pkt md msg_id out ~now
 
-let invoke_engine t a pkt md msg_id out ~now =
-  match a.a_lock with
-  | None -> dispatch_engine t a pkt md msg_id out ~now
-  | Some m ->
-    Mutex.lock m;
-    (try dispatch_engine t a pkt md msg_id out ~now
-     with exn ->
-       Mutex.unlock m;
-       raise exn);
-    Mutex.unlock m
-
 (* When the current packet is sampled by the flight recorder, bracket the
    engine with model-total reads to attribute the action stage. *)
 let invoke_traced t a pkt md msg_id out ~now =
-  if not t.e_trace_armed then invoke_engine t a pkt md msg_id out ~now
+  if not t.e_trace_armed then dispatch_engine t a pkt md msg_id out ~now
   else begin
     let before = model_total_ns t in
-    invoke_engine t a pkt md msg_id out ~now;
+    dispatch_engine t a pkt md msg_id out ~now;
     match t.e_trace with
     | Some tr -> Tel.Trace.set_action tr a.a_name (model_total_ns t -. before)
     | None -> ()

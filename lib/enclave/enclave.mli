@@ -179,7 +179,16 @@ val concurrency_of : t -> string -> Eden_bytecode.Program.concurrency option
     accesses (§3.4.4, {!Eden_bytecode.Program.footprint}, the same pass
     that builds the marshal plan): read-only everywhere → parallel;
     message writes → one packet per message; global writes → serial.
-    Native actions are conservatively serial. *)
+    Native actions are conservatively serial.  The sharded front-end
+    ({!Shard}) reads it too: an enclave with a serial action runs on one
+    replica. *)
+
+val action_program : t -> string -> Eden_bytecode.Program.t option
+(** The installed bytecode (either engine); [None] for native actions or
+    when the action is absent. *)
+
+val action_state : t -> string -> State.t option
+(** The action's state store, for inspection. *)
 
 val add_table : t -> int
 (** Creates the next match-action table; returns its id (table 0 is
@@ -240,34 +249,6 @@ val set_trace : t -> Eden_telemetry.Trace.t option -> unit
     the decision into the recorder's ring. *)
 
 val trace : t -> Eden_telemetry.Trace.t option
-
-(** {2 Sharding runtime hooks}
-
-    Used by {!Shard} to run one enclave replica per worker domain.  For
-    an action whose state cannot be partitioned, the shard runtime
-    points every replica at a single shared state store and arms a
-    per-action mutex, serializing just that action while the rest of the
-    data path stays lock-free.  Not intended for controllers. *)
-
-val action_program : t -> string -> Eden_bytecode.Program.t option
-(** The installed bytecode (either engine); [None] for native actions or
-    when the action is absent. *)
-
-val action_state : t -> string -> State.t option
-
-val set_action_state : t -> string -> State.t -> (unit, string) result
-(** Point the action at a (possibly shared) state store; its marshal
-    plan rebinds before the next invocation, resolving its state names
-    to the new store's slots. *)
-
-val set_action_lock : t -> string -> Mutex.t option -> (unit, string) result
-(** When set, every invocation of the action runs under the mutex. *)
-
-val set_flow_id_offset : t -> int64 -> unit
-(** Shift the base of this enclave's internally-assigned flow ids.
-    Replicas sharing a state store (serialized actions) must draw flow
-    ids from disjoint ranges, or two different flows on two shards would
-    collide on one per-message state entry.  Call before any traffic. *)
 
 (** {2 Graceful degradation (circuit breaker)} *)
 

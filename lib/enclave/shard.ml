@@ -4,7 +4,8 @@ module Metadata = Eden_base.Metadata
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
 module P = Eden_bytecode.Program
-module Shardclass = Eden_bytecode.Shardclass
+module Stage = Eden_stage.Stage
+module Ruleset = Eden_stage.Ruleset
 module Tel = Eden_telemetry
 
 type event =
@@ -47,11 +48,7 @@ type t = {
   s_workers : worker array;
   s_parallel : bool;
   s_batch : int;
-  s_classes : (string * Shardclass.klass) list;  (* install order *)
-  s_locks : (string, Mutex.t) Hashtbl.t;  (* serialized actions *)
-  s_delta : (string * string, int64 ref) Hashtbl.t;
-      (* (action, field) -> base value for the delta merge; updated at
-         enqueue time, i.e. at the event's sequential stream position *)
+  s_classes : (string * P.concurrency) list;  (* install order *)
   mutable s_stopped : bool;
   (* Front-end telemetry.  The enqueue-side cells are touched only by
      the (single) feeder thread; worker-side numbers (parks, per-domain
@@ -93,35 +90,18 @@ let route t (pkt : Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* Item execution — shared verbatim by worker domains and serial replay. *)
 
-let apply_set_global t w ~action ~name ~value =
-  match Hashtbl.find_opt t.s_locks action with
-  | Some m ->
-    (* Shared store: serialize against in-flight invocations.  Every
-       shard re-applies the same value, which is idempotent. *)
-    Mutex.lock m;
-    ignore (Enclave.set_global w.w_enclave ~action name value);
-    Mutex.unlock m
-  | None -> ignore (Enclave.set_global w.w_enclave ~action name value)
-
-let apply_set_global_array t w ~action ~name ~values =
-  (* Each replica gets its own copy — live arrays must never alias
-     across shards. *)
-  match Hashtbl.find_opt t.s_locks action with
-  | Some m ->
-    Mutex.lock m;
-    ignore (Enclave.set_global_array w.w_enclave ~action name (Array.copy values));
-    Mutex.unlock m
-  | None -> ignore (Enclave.set_global_array w.w_enclave ~action name (Array.copy values))
-
-let exec_item t w = function
+(* Each replica gets its own copy of a pushed array: live arrays must
+   never alias across shards. *)
+let exec_item w = function
   | I_packet { pkt; now; idx; res } -> res.(idx) <- Some (Enclave.process w.w_enclave ~now pkt)
   | I_fire { pkt; now } -> ignore (Enclave.process w.w_enclave ~now pkt)
-  | I_set_global { action; name; value } -> apply_set_global t w ~action ~name ~value
+  | I_set_global { action; name; value } ->
+    ignore (Enclave.set_global w.w_enclave ~action name value)
   | I_set_global_array { action; name; values } ->
-    apply_set_global_array t w ~action ~name ~values
+    ignore (Enclave.set_global_array w.w_enclave ~action name (Array.copy values))
   | I_none | I_stop -> ()
 
-let worker_loop t w batch =
+let worker_loop w batch =
   let buf = Array.make batch I_none in
   let stop = ref false in
   while not !stop do
@@ -129,7 +109,7 @@ let worker_loop t w batch =
     for i = 0 to n - 1 do
       (match buf.(i) with
       | I_stop -> stop := true
-      | item -> ( try exec_item t w item with _ -> Atomic.incr w.w_errors));
+      | item -> ( try exec_item w item with _ -> Atomic.incr w.w_errors));
       buf.(i) <- I_none
     done;
     ignore (Atomic.fetch_and_add w.w_processed n);
@@ -145,6 +125,36 @@ let worker_loop t w batch =
 
 let default_shards () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* The snapshot leaves the flow stage out, so each replica gets the
+   source's flow-stage rule-sets here, in order.  A replica starts with
+   its own built-in [flows.ALL] rule; that goes, and every source rule is
+   created again, the built-in one included while the source keeps it.
+   The source's first rule-set is [flows] too, so the rule-set order
+   carries over. *)
+let mirror_flow_stage ~source r =
+  let dst = Enclave.flow_stage r in
+  List.iter
+    (fun rs ->
+      List.iter
+        (fun (rule : Ruleset.rule) ->
+          ignore
+            (Stage.Api.remove_stage_rule dst ~ruleset:(Ruleset.id rs)
+               ~rule_id:rule.Ruleset.rule_id))
+        (Ruleset.rules rs))
+    (Stage.rulesets dst);
+  List.fold_left
+    (fun acc rs ->
+      List.fold_left
+        (fun acc (rule : Ruleset.rule) ->
+          Result.bind acc (fun () ->
+              Stage.Api.create_stage_rule dst ~ruleset:(Ruleset.id rs)
+                ~classifier:rule.Ruleset.classifier ~class_name:rule.Ruleset.class_name
+                ~metadata_fields:rule.Ruleset.metadata_fields
+              |> Result.map ignore))
+        acc (Ruleset.rules rs))
+    (Ok ())
+    (Stage.rulesets (Enclave.flow_stage source))
+
 let create ?shards ?(parallel = true) ?(ring_capacity = 1024) ?(batch = 64) source =
   let n = match shards with Some n -> n | None -> default_shards () in
   if n < 1 || n > 64 then Error "Shard.create: shards must be in [1, 64]"
@@ -152,15 +162,16 @@ let create ?shards ?(parallel = true) ?(ring_capacity = 1024) ?(batch = 64) sour
   else if batch < 1 then Error "Shard.create: batch must be positive"
   else begin
     let snap = Enclave.snapshot source in
-    let names = List.map (fun (s : Enclave.install_spec) -> s.Enclave.i_name) snap.Enclave.sn_actions in
     let classes =
       List.map
-        (fun name ->
-          match Enclave.action_program source name with
-          | Some p -> (name, Shardclass.classify p)
-          | None -> (name, Shardclass.Serialized) (* native: opaque effects *))
-        names
+        (fun (s : Enclave.install_spec) ->
+          let name = s.Enclave.i_name in
+          (name, Option.value (Enclave.concurrency_of source name) ~default:`Serial))
+        snap.Enclave.sn_actions
     in
+    (* A serial action (global writes, or native) keeps the whole enclave
+       on one replica, so its invocations run in stream order. *)
+    let n = if List.exists (fun (_, c) -> c = `Serial) classes then 1 else n in
     let mk_replica i =
       let r =
         Enclave.create
@@ -170,15 +181,8 @@ let create ?shards ?(parallel = true) ?(ring_capacity = 1024) ?(batch = 64) sour
           ~host:(Enclave.host source) ()
       in
       Enclave.set_budget_ns r (Enclave.budget_ns source);
-      match Enclave.restore r snap with
-      | Ok () ->
-        (* Disjoint flow-id ranges per replica: serialized actions share
-           one state store keyed (in part) by enclave-assigned flow ids,
-           so two shards must never hand out the same id to different
-           flows.  2^30 ids per shard is far beyond any replica's flow
-           table. *)
-        Enclave.set_flow_id_offset r (Int64.mul (Int64.of_int i) (Int64.shift_left 1L 30));
-        Ok r
+      match Result.bind (Enclave.restore r snap) (fun () -> mirror_flow_stage ~source r) with
+      | Ok () -> Ok r
       | Error e -> Error (Printf.sprintf "Shard.create: replica %d: %s" i e)
     in
     let rec build i acc =
@@ -191,92 +195,53 @@ let create ?shards ?(parallel = true) ?(ring_capacity = 1024) ?(batch = 64) sour
     match build 0 [] with
     | Error e -> Error e
     | Ok replicas ->
-      let replicas = Array.of_list replicas in
-      let s_locks = Hashtbl.create 8 in
-      let s_delta = Hashtbl.create 8 in
-      let wire_errors = ref [] in
-      List.iter
-        (fun (name, klass) ->
-          match klass with
-          | Shardclass.Sharded -> ()
-          | Shardclass.Sharded_delta slots -> (
-            match Enclave.action_program replicas.(0) name with
-            | None -> wire_errors := name :: !wire_errors
-            | Some p ->
-              List.iter
-                (fun slot ->
-                  let field = p.P.scalar_slots.(slot).P.s_name in
-                  let base = Enclave.get_global replicas.(0) ~action:name field in
-                  Hashtbl.replace s_delta (name, field)
-                    (ref (Option.value base ~default:0L)))
-                slots)
-          | Shardclass.Serialized ->
-            let m = Mutex.create () in
-            Hashtbl.replace s_locks name m;
-            let shared =
-              match Enclave.action_state replicas.(0) name with
-              | Some st -> st
-              | None -> State.create () (* unreachable: action just restored *)
-            in
-            Array.iteri
-              (fun i r ->
-                if i > 0 then
-                  if Result.is_error (Enclave.set_action_state r name shared) then
-                    wire_errors := name :: !wire_errors;
-                if Result.is_error (Enclave.set_action_lock r name (Some m)) then
-                  wire_errors := name :: !wire_errors)
-              replicas)
-        classes;
-      match !wire_errors with
-      | e :: _ -> Error (Printf.sprintf "Shard.create: failed to wire action %S" e)
-      | [] ->
-        let workers =
-          Array.map
-            (fun r ->
-              {
-                w_enclave = r;
-                w_ring = Spsc.create ~dummy:I_none ring_capacity;
-                w_processed = Atomic.make 0;
-                w_pushed = 0;
-                w_domain = None;
-                w_errors = Atomic.make 0;
-                w_lock = Mutex.create ();
-                w_done = Condition.create ();
-                w_feeder_waiting = Atomic.make false;
-              })
-            replicas
-        in
-        let tel = Tel.Registry.create () in
-        let t =
-          { s_workers = workers; s_parallel = parallel; s_batch = batch; s_classes = classes;
-            s_locks; s_delta; s_stopped = false;
-            s_tel = tel;
-            sm_enqueued =
-              Tel.Registry.counter tel ~help:"Items enqueued to worker rings"
-                "eden_shard_enqueued_total";
-            sh_occupancy =
-              Tel.Registry.histogram tel ~help:"Ring occupancy seen at enqueue"
-                "eden_shard_ring_occupancy";
-            sm_bp_parks =
-              Tel.Registry.counter tel ~help:"Feeder parks on a full ring"
-                "eden_shard_backpressure_parks_total";
-            sm_cons_parks =
-              Tel.Registry.counter tel ~help:"Worker parks on an empty ring"
-                "eden_shard_consumer_parks_total";
-            sg_domains = Tel.Registry.gauge tel ~help:"Worker domains" "eden_shard_domains";
-            sm_domain_processed =
-              Array.init n (fun i ->
-                  Tel.Registry.counter tel
-                    ~help:(Printf.sprintf "Items processed by worker domain %d" i)
-                    (Printf.sprintf "eden_shard_domain%d_processed_total" i));
-          }
-        in
-        Tel.Gauge.set_int t.sg_domains n;
-        if parallel then
-          Array.iter
-            (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop t w batch)))
-            workers;
-        Ok t
+      let workers =
+        Array.map
+          (fun r ->
+            {
+              w_enclave = r;
+              w_ring = Spsc.create ~dummy:I_none ring_capacity;
+              w_processed = Atomic.make 0;
+              w_pushed = 0;
+              w_domain = None;
+              w_errors = Atomic.make 0;
+              w_lock = Mutex.create ();
+              w_done = Condition.create ();
+              w_feeder_waiting = Atomic.make false;
+            })
+          (Array.of_list replicas)
+      in
+      let tel = Tel.Registry.create () in
+      let t =
+        { s_workers = workers; s_parallel = parallel; s_batch = batch; s_classes = classes;
+          s_stopped = false;
+          s_tel = tel;
+          sm_enqueued =
+            Tel.Registry.counter tel ~help:"Items enqueued to worker rings"
+              "eden_shard_enqueued_total";
+          sh_occupancy =
+            Tel.Registry.histogram tel ~help:"Ring occupancy seen at enqueue"
+              "eden_shard_ring_occupancy";
+          sm_bp_parks =
+            Tel.Registry.counter tel ~help:"Feeder parks on a full ring"
+              "eden_shard_backpressure_parks_total";
+          sm_cons_parks =
+            Tel.Registry.counter tel ~help:"Worker parks on an empty ring"
+              "eden_shard_consumer_parks_total";
+          sg_domains = Tel.Registry.gauge tel ~help:"Worker domains" "eden_shard_domains";
+          sm_domain_processed =
+            Array.init n (fun i ->
+                Tel.Registry.counter tel
+                  ~help:(Printf.sprintf "Items processed by worker domain %d" i)
+                  (Printf.sprintf "eden_shard_domain%d_processed_total" i));
+        }
+      in
+      Tel.Gauge.set_int t.sg_domains n;
+      if parallel then
+        Array.iter
+          (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop w batch)))
+          workers;
+      Ok t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -310,31 +275,18 @@ let drain_worker w =
 
 let drain t = if t.s_parallel then Array.iter drain_worker t.s_workers
 
-(* Record the new base of a delta accumulator at the event's sequential
-   position: a [set_global] overwrite discards deltas accumulated before
-   it on every shard (each shard applies the overwrite in-band), so the
-   merge base moves with it. *)
-let note_ctl_base t = function
-  | Ev_set_global { action; name; value } -> (
-    match Hashtbl.find_opt t.s_delta (action, name) with
-    | Some base -> base := value
-    | None -> ())
-  | Ev_set_global_array _ | Ev_packet _ -> ()
+(* Hand an item to its worker's ring, or run it inline in serial mode. *)
+let send t w item = if t.s_parallel then enqueue t w item else exec_item w item
 
 let dispatch t res idx ev =
   match ev with
-  | Ev_packet (now, pkt) ->
-    let w = t.s_workers.(route t pkt) in
-    let item = I_packet { pkt; now; idx; res } in
-    if t.s_parallel then enqueue t w item else exec_item t w item
+  | Ev_packet (now, pkt) -> send t t.s_workers.(route t pkt) (I_packet { pkt; now; idx; res })
   | Ev_set_global { action; name; value } ->
-    note_ctl_base t ev;
     let item = I_set_global { action; name; value } in
-    Array.iter (fun w -> if t.s_parallel then enqueue t w item else exec_item t w item) t.s_workers
+    Array.iter (fun w -> send t w item) t.s_workers
   | Ev_set_global_array { action; name; values } ->
-    note_ctl_base t ev;
     let item = I_set_global_array { action; name; values } in
-    Array.iter (fun w -> if t.s_parallel then enqueue t w item else exec_item t w item) t.s_workers
+    Array.iter (fun w -> send t w item) t.s_workers
 
 let process_stream t events =
   check_live t "Shard.process_stream";
@@ -345,9 +297,7 @@ let process_stream t events =
 
 let feed t ~now pkt =
   check_live t "Shard.feed";
-  let w = t.s_workers.(route t pkt) in
-  let item = I_fire { pkt; now } in
-  if t.s_parallel then enqueue t w item else exec_item t w item
+  send t t.s_workers.(route t pkt) (I_fire { pkt; now })
 
 (* ------------------------------------------------------------------ *)
 (* Merged observation *)
@@ -388,24 +338,11 @@ let counters t =
     t.s_workers;
   acc
 
+(* A global is written only by a serial action, which runs on the one
+   replica; every other global is read-only and the same on each. *)
 let get_global t ~action name =
   drain t;
-  match Hashtbl.find_opt t.s_delta (action, name) with
-  | Some base ->
-    let b = !base in
-    let sum =
-      Array.fold_left
-        (fun acc w ->
-          match Enclave.get_global w.w_enclave ~action name with
-          | Some v -> Int64.add acc (Int64.sub v b)
-          | None -> acc)
-        0L t.s_workers
-    in
-    Some (Int64.add b sum)
-  | None ->
-    (* Sharded read-only globals are identical on every replica;
-       serialized globals live in the one shared store. *)
-    Enclave.get_global t.s_workers.(0).w_enclave ~action name
+  Enclave.get_global t.s_workers.(0).w_enclave ~action name
 
 let get_global_array t ~action name =
   drain t;
