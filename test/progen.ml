@@ -168,3 +168,15 @@ let gen_structured : (Program.t * int64 array * int64 array array) G.t =
         Array.init (int_range 0 4) (fun _ -> const ()))
   in
   (p, scalars, arrays)
+
+(* Declares the read-write array "B" read-only when the code never
+   stores to it.  The verifier accepts the result, and the declared
+   footprint then classes the program by what it writes: one that
+   stores nothing global is [`Parallel] rather than [`Serial], so the
+   sharded differentials run it on several replicas. *)
+let narrow_unstored (p : Program.t) =
+  if Array.exists (function Op.Gastore _ -> true | _ -> false) p.Program.code then p
+  else
+    let slots = Array.copy p.Program.array_slots in
+    slots.(1) <- { (slots.(1)) with Program.a_access = Program.Read_only };
+    { p with Program.array_slots = slots }
