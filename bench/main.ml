@@ -844,7 +844,7 @@ let ablations quick =
      point of quarantine is not paying for a failing invocation);
    - a control-plane op through the fallible channel costs only op-id
      memoization over the direct enclave call, and the full controller
-     broadcast (retry wrapper + desired store + two-phase commit) stays
+     broadcast (retry wrapper + desired state + two-phase commit) stays
      in the same order of magnitude — none of it is per-packet;
    - the breaker's bookkeeping allocates nothing: the enabled-healthy
      data path stays within a few words of the disabled one, asserted
@@ -911,7 +911,7 @@ let resilience () =
              ch_op_id := Int64.add !ch_op_id 1L;
              ignore
                (Channel.send ch ~op_id:!ch_op_id ~gen:1
-                  (Channel.Set_global { action = "pias"; name = "K"; value = 1L }))));
+                  (Enclave.Set_global { action = "pias"; name = "K"; value = 1L }))));
       Test.make ~name:"control/set_global_everywhere"
         (Staged.stage (fun () ->
              ignore (Controller.set_global_everywhere ctl ~action:"pias" "K" 1L)));

@@ -1,18 +1,7 @@
 module Enclave = Eden_enclave.Enclave
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
-module Pattern = Eden_base.Class_name.Pattern
 module Tel = Eden_telemetry
-
-type op = Enclave.op =
-  | Install_action of Enclave.install_spec
-  | Remove_action of string
-  | Add_table
-  | Add_rule of { table : int; pattern : Pattern.t; action : string }
-  | Remove_rule of { table : int; rule_id : int }
-  | Set_global of { action : string; name : string; value : int64 }
-  | Set_global_array of { action : string; name : string; value : int64 array }
-  | Commit_generation
 
 type fault =
   | Drop
@@ -46,12 +35,12 @@ let is_transient = function Rejected _ -> false | Lost | Timeout | Crashed | Par
 
 (* An op held back by [Delay n]: delivered just before the [n]th
    subsequent protocol interaction on this channel. *)
-type delayed = { dl_op_id : int64; dl_gen : int; dl_op : op; mutable dl_left : int }
+type delayed = { dl_op_id : int64; dl_gen : int; dl_op : Enclave.op; mutable dl_left : int }
 
 (* The memo table makes delivery exactly-once over an at-least-once
    transport: retries and duplicates of an op id replay the recorded
    outcome instead of re-applying.  It is soft state — an enclave restart
-   wipes it, which is exactly why the desired store, not the channel, is
+   wipes it, which is exactly why the desired state, not the channel, is
    the source of truth. *)
 let memo_cap = 65_536
 

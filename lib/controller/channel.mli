@@ -14,25 +14,12 @@
     and duplicates, so an [Ack_lost] retry cannot double-apply (and a
     generation cannot double-bump).  The memo is soft state: an enclave
     restart wipes it along with everything else, which is why the
-    controller's desired store — not the channel — is the source of
-    truth, and reconciliation the repair mechanism. *)
+    controller's desired state — not the channel — is the source of
+    truth, and reconciliation the repair mechanism.
 
-type op = Eden_enclave.Enclave.op =
-  | Install_action of Eden_enclave.Enclave.install_spec
-  | Remove_action of string
-  | Add_table
-  | Add_rule of {
-      table : int;
-      pattern : Eden_base.Class_name.Pattern.t;
-      action : string;
-    }
-  | Remove_rule of { table : int; rule_id : int }
-  | Set_global of { action : string; name : string; value : int64 }
-  | Set_global_array of { action : string; name : string; value : int64 array }
-  | Commit_generation
-(** The enclave's configuration op, re-exported: the receiver applies it
-    with {!Eden_enclave.Enclave.apply}.  [Commit_generation] changes no
-    configuration; on delivery it advances the acked generation
+    Ops are {!Eden_enclave.Enclave.op}s, which the receiver applies with
+    {!Eden_enclave.Enclave.apply}.  [Commit_generation] changes no
+    configuration; on delivery it also advances the acked generation
     watermark. *)
 
 type fault =
@@ -100,7 +87,7 @@ val inject_restart : t -> unit
 
 (** {2 Transport} *)
 
-val send : t -> op_id:int64 -> gen:int -> op -> (int64, error) result
+val send : t -> op_id:int64 -> gen:int -> Eden_enclave.Enclave.op -> (int64, error) result
 (** One delivery attempt.  [op_id] must be globally unique per logical
     op and reused verbatim on retry; [gen] is the generation the op
     belongs to, acknowledged monotonically on successful application.

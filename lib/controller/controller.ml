@@ -25,13 +25,14 @@ type t = {
   topo : Topology.t;
   mutable chans : Channel.t list;  (* newest first *)
   mutable stgs : Stage.t list;
-  desired : Desired.t;
+  mutable desired : Enclave.snapshot;
+  mutable generation : int;
   retry : retry_policy;
   jitter : Rng.t;
   mutable next_op : int64;
   (* The retry and reconcile cells are bumped live and are the only
      record of those counts; the generation, lag and divergence gauges
-     are derived from the desired store and the channels at scrape. *)
+     are derived from [generation] and the channels at scrape. *)
   tel : Tel.Registry.t;
   cm_push_ops : Tel.Counter.t;
   cm_attempts : Tel.Counter.t;
@@ -53,7 +54,8 @@ let create ?topology ?(retry = default_retry) ?(seed = 0xC0DEL) () =
     topo;
     chans = [];
     stgs = [];
-    desired = Desired.create ();
+    desired = Enclave.empty;
+    generation = 0;
     retry;
     jitter = Rng.create seed;
     next_op = 1L;
@@ -76,9 +78,10 @@ let create ?topology ?(retry = default_retry) ?(seed = 0xC0DEL) () =
       Tel.Registry.counter tel ~help:"Ops replayed by reconciliation"
         "eden_controller_reconcile_ops_replayed_total";
     cg_generation =
-      Tel.Registry.gauge tel ~help:"Desired-state generation" "eden_controller_generation";
+      Tel.Registry.gauge tel ~help:"Generation of the desired configuration"
+        "eden_controller_generation";
     cg_generation_lag =
-      Tel.Registry.gauge tel ~help:"Desired generation minus lowest acked watermark"
+      Tel.Registry.gauge tel ~help:"Generation lag: desired minus lowest acked watermark"
         "eden_controller_generation_lag";
     cg_divergent =
       Tel.Registry.gauge tel ~help:"Enclaves marked divergent" "eden_controller_divergent_hosts";
@@ -91,7 +94,7 @@ let channels t = List.rev t.chans
 let enclaves t = List.rev_map Channel.enclave t.chans
 let stages t = List.rev t.stgs
 let find_stage t name = List.find_opt (fun s -> String.equal (Stage.name s) name) t.stgs
-let generation t = Desired.generation t.desired
+let generation t = t.generation
 let desired t = t.desired
 
 let stats t =
@@ -178,14 +181,17 @@ let hosts_to_string hosts = String.concat "," (List.map string_of_int hosts)
    key (0, the empty array) when the desired state holds none.  Tables
    cannot be removed; a spare table is harmless. *)
 let undo_of t op payload =
+  let desired per_action ~action name =
+    Option.bind (List.assoc_opt action per_action) (List.assoc_opt name)
+  in
   match op with
   | Enclave.Install_action spec -> Enclave.Remove_action spec.Enclave.i_name
   | Add_rule { table; _ } -> Remove_rule { table; rule_id = Int64.to_int payload }
   | Set_global { action; name; _ } ->
-    let value = Option.value ~default:0L (Desired.global t.desired ~action name) in
+    let value = Option.value ~default:0L (desired t.desired.sn_globals ~action name) in
     Set_global { action; name; value }
   | Set_global_array { action; name; _ } ->
-    let value = Option.value ~default:[||] (Desired.global_array t.desired ~action name) in
+    let value = Option.value ~default:[||] (desired t.desired.sn_arrays ~action name) in
     Set_global_array { action; name; value }
   | Add_table | Remove_action _ | Remove_rule _ | Commit_generation -> Commit_generation
 
@@ -196,7 +202,7 @@ let undo_of t op payload =
 let undo_on t op applied =
   List.filter_map
     (fun (ch, payload) ->
-      match send_with_retry t ch ~gen:(Desired.generation t.desired) (undo_of t op payload) with
+      match send_with_retry t ch ~gen:t.generation (undo_of t op payload) with
       | Ok _ -> None
       | Error _ ->
         Channel.mark_divergent ch;
@@ -223,7 +229,7 @@ let broadcast t ~gen op =
    the new generation.  [Commit_generation] cannot be rejected; a channel
    it cannot reach is left divergent for reconciliation. *)
 let commit_watermark t applied =
-  let gen = Desired.generation t.desired in
+  let gen = t.generation in
   List.iter
     (fun (ch, _) ->
       match send_with_retry t ch ~gen Enclave.Commit_generation with
@@ -232,21 +238,21 @@ let commit_watermark t applied =
     applied
 
 (* The push driver, two-phase so that no enclave ever acknowledges a
-   generation that did not commit.  An op the desired state refuses is
-   not sent.  Otherwise broadcast [op] at the *current* generation; on
-   acceptance apply it to the desired state, bump the generation and
-   only then advance the watermarks; on rejection undo it everywhere it
-   landed — the aborted change never touched any watermark, preserving
-   acked <= desired.  Returns the desired state's payload. *)
+   generation that did not commit.  [op] is taken through [Enclave.next]
+   on the desired state once; an op it refuses is not sent.  Otherwise
+   broadcast [op] at the *current* generation; on acceptance commit that
+   desired state, bump the generation and only then advance the
+   watermarks; on rejection undo it everywhere it landed — the aborted
+   change never touched any watermark, preserving acked <= desired.
+   Returns the desired state's payload. *)
 let push t op =
-  match Desired.check t.desired op with
+  match Enclave.next t.desired op with
   | Error msg -> Error msg
-  | Ok () -> (
-    let gen = Desired.generation t.desired in
-    match broadcast t ~gen op with
+  | Ok (desired, payload) -> (
+    match broadcast t ~gen:t.generation op with
     | `Applied applied ->
-      let payload = Result.get_ok (Desired.apply t.desired op) in
-      Desired.bump t.desired;
+      t.desired <- desired;
+      t.generation <- t.generation + 1;
       commit_watermark t applied;
       Ok payload
     | `Rejected (host, msg, applied) -> (
@@ -264,16 +270,17 @@ let push t op =
 let install_action_everywhere t spec = Result.map ignore (push t (Enclave.Install_action spec))
 
 let remove_action_everywhere t name =
-  if not (Desired.has_action t.desired name) then
+  let held s = String.equal s.Enclave.i_name name in
+  if not (List.exists held t.desired.sn_actions) then
     Error (Printf.sprintf "action %S is not in the desired state" name)
   else begin
     (* Removal is idempotent at the enclave, so there is no rejection to
        roll back from: commit the desired change, push best-effort, and
        let reconciliation catch stragglers. *)
     let op = Enclave.Remove_action name in
-    ignore (Desired.apply t.desired op);
-    Desired.bump t.desired;
-    ignore (broadcast t ~gen:(Desired.generation t.desired) op);
+    t.desired <- fst (Result.get_ok (Enclave.next t.desired op));
+    t.generation <- t.generation + 1;
+    ignore (broadcast t ~gen:t.generation op);
     Ok ()
   end
 
@@ -314,7 +321,7 @@ let program_stage t ~stage ~ruleset ~rules =
 (* Anti-entropy reconciliation *)
 
 (* The ops that take a pulled configuration to the desired one. *)
-let drift t sn = Enclave.diff ~desired:(Desired.snapshot t.desired) ~actual:sn
+let drift t sn = Enclave.diff ~desired:t.desired ~actual:sn
 
 type reconcile_outcome =
   | In_sync
@@ -333,7 +340,7 @@ let reconcile_outcome_to_string = function
    order and commit the generation, stopping at the first failure. *)
 let reconcile_enclave t ch =
   Tel.Counter.inc t.cm_reconcile_rounds;
-  let gen = Desired.generation t.desired in
+  let gen = t.generation in
   match Channel.pull_state ch with
   | Error e -> Unreachable (Channel.error_to_string e)
   | Ok (sn, acked) -> (
@@ -377,14 +384,14 @@ let converged t =
     (fun ch ->
       match Channel.pull_state ch with
       | Error _ -> false
-      | Ok (sn, acked) -> drift t sn = [] && acked = Desired.generation t.desired)
+      | Ok (sn, acked) -> drift t sn = [] && acked = t.generation)
     (channels t)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
 
 let sync_telemetry t =
-  let gen = Desired.generation t.desired in
+  let gen = t.generation in
   Tel.Gauge.set_int t.cg_generation gen;
   let min_acked =
     List.fold_left (fun acc ch -> min acc (Channel.acked_generation ch)) max_int t.chans

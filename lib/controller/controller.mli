@@ -7,14 +7,22 @@
 
     Every controller→enclave interaction goes over a fallible
     {!Channel}; transient failures are retried with capped exponential
-    backoff and seeded jitter, and every accepted change is recorded in
-    a persistent {!Desired} store stamped with the generation counter.
-    Enclaves the controller could not reach keep forwarding on their
-    last-known policy (the consistency story of §2.2) and are marked
-    divergent; the anti-entropy {!reconcile} pass diffs their reported
-    configuration against the desired store and replays the delta, so a
-    restarted or partitioned-then-healed enclave converges without a
-    controller restart. *)
+    backoff and seeded jitter.  Production SDN controllers do not treat
+    a push as the truth: they keep the intended configuration and
+    reconcile devices against it.  Here that is the desired state, one
+    {!Eden_enclave.Enclave.snapshot} for the whole fleet (every enclave
+    is programmed identically by the broadcast API) stamped with the
+    generation counter, and every accepted change moves it with
+    {!Eden_enclave.Enclave.next}, the same function each enclave applies
+    the op with.  Enclaves the controller could not reach keep
+    forwarding on their last-known policy (the consistency story of
+    §2.2) and are marked divergent; the anti-entropy {!reconcile} pass
+    diffs their reported configuration against the desired state and
+    replays the delta, so a restarted or partitioned-then-healed enclave
+    converges without a controller restart.  The desired state holds
+    controller-owned bindings only: globals an action writes at run time
+    (counters, caches) are expected to diverge, and the diff does not
+    compare them. *)
 
 type t
 
@@ -60,7 +68,10 @@ val generation : t -> int
 (** Incremented once per accepted desired-state change — never by
     retries or duplicate delivery. *)
 
-val desired : t -> Desired.t
+val desired : t -> Eden_enclave.Enclave.snapshot
+(** The desired state.  Its rule ids are the ones {!Eden_enclave.Enclave.next}
+    gives, not necessarily any enclave's. *)
+
 val stats : t -> retry_stats
 (** Read from the registry cells, the only record of these counts. *)
 
@@ -71,9 +82,11 @@ val divergent_hosts : t -> Eden_base.Addr.host list
 (** {2 Enclave programming (broadcast)}
 
     Every broadcast below is one {!Eden_enclave.Enclave.op} sent through
-    one push driver.  An op the desired state refuses ({!Desired.check}:
-    a duplicate install, a rule or state write for an action or table it
-    does not hold) fails without a send.  A push is accepted or refused
+    one push driver, which takes it through
+    {!Eden_enclave.Enclave.next} on the desired state once, before the
+    broadcast.  An op [next] refuses (a duplicate install, a rule or
+    state write for an action or table the desired state does not hold)
+    fails without a send.  A push is accepted or refused
     at the desired-state level: a permanent rejection by any enclave
     abandons the change and undoes it failure-tolerantly wherever it
     landed (a failed undo does not abort the remaining undos; the error
@@ -82,7 +95,7 @@ val divergent_hosts : t -> Eden_base.Addr.host list
     enclave returned; a state write restores the desired value, or the
     reading of an unset key (0, the empty array) when the desired state
     held none.  Transient failures do {e not} abandon the change — the
-    op is applied to the desired state, the unreachable enclaves are
+    desired state [next] gave is committed, the unreachable enclaves are
     marked divergent, and {!reconcile} converges them later.
 
     Pushes are two-phase with respect to the generation counter: the op

@@ -83,6 +83,131 @@ type install_spec = {
   i_msg_sources : (string * msg_field_source) list;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Configuration.
+
+   An op is the one change to a programmed configuration, and [next] the
+   one statement of what it does.  The control channel delivers ops,
+   [restore] replays them, and the controller moves its desired
+   configuration with [next] as each enclave moves its own. *)
+
+type op =
+  | Install_action of install_spec
+  | Remove_action of string
+  | Add_table
+  | Add_rule of { table : int; pattern : Class_name.Pattern.t; action : string }
+  | Remove_rule of { table : int; rule_id : int }
+  | Set_global of { action : string; name : string; value : int64 }
+  | Set_global_array of { action : string; name : string; value : int64 array }
+  | Commit_generation
+
+let op_to_string = function
+  | Install_action s -> "install_action " ^ s.i_name
+  | Remove_action n -> "remove_action " ^ n
+  | Add_table -> "add_table"
+  | Add_rule r ->
+    let pattern = Class_name.Pattern.to_string r.pattern in
+    Printf.sprintf "add_rule %s -> %s @%d" pattern r.action r.table
+  | Remove_rule r -> Printf.sprintf "remove_rule #%d @%d" r.rule_id r.table
+  | Set_global g -> Printf.sprintf "set_global %s.%s" g.action g.name
+  | Set_global_array g -> Printf.sprintf "set_global_array %s.%s" g.action g.name
+  | Commit_generation -> "commit_generation"
+
+type snapshot = {
+  sn_actions : install_spec list;  (* install order *)
+  sn_globals : (string * (string * int64) list) list;
+  sn_arrays : (string * (string * int64 array) list) list;
+  sn_rules : (int * Table.rule list) list;  (* per table, match order *)
+}
+
+let empty = { sn_actions = []; sn_globals = []; sn_arrays = []; sn_rules = [ (0, []) ] }
+
+let has_action (sn : snapshot) name =
+  List.exists (fun s -> String.equal s.i_name name) sn.sn_actions
+
+(* [action]'s bindings with [name] bound to [v], kept sorted by name as
+   in [snapshot]. *)
+let bind per_action action name v =
+  let rec put = function
+    | (n, _) :: rest when String.equal n name -> (name, v) :: rest
+    | ((n, _) as b) :: rest when String.compare n name < 0 -> b :: put rest
+    | bs -> (name, v) :: bs
+  in
+  List.map (fun (a, bs) -> if String.equal a action then (a, put bs) else (a, bs)) per_action
+
+let rule_count rules = List.fold_left (fun n (_, rs) -> n + List.length rs) 0 rules
+
+(* [sn] without the rules [drop] picks, and how many it picked. *)
+let drop_rules (sn : snapshot) drop =
+  let keep id (r : Table.rule) = not (drop id r) in
+  let sn_rules = List.map (fun (id, rs) -> (id, List.filter (keep id) rs)) sn.sn_rules in
+  ({ sn with sn_rules }, Int64.of_int (rule_count sn.sn_rules - rule_count sn_rules))
+
+(* Why a configuration [sn] refuses [op], if it does. *)
+let refusal (sn : snapshot) (op : op) =
+  let absent action =
+    if has_action sn action then None
+    else Some (Printf.sprintf "action %S is not installed" action)
+  in
+  match op with
+  | Install_action { i_name; _ } ->
+    if not (has_action sn i_name) then None
+    else Some (Printf.sprintf "action %S is already installed" i_name)
+  | Add_rule { table; action; _ } -> (
+    match absent action with
+    | Some _ as refused -> refused
+    | None ->
+      if List.mem_assoc table sn.sn_rules then None
+      else Some (Printf.sprintf "no table %d" table))
+  | Set_global { action; _ } | Set_global_array { action; _ } -> absent action
+  | Remove_action _ | Add_table | Remove_rule _ | Commit_generation -> None
+
+(* [op] applied to [sn], which does not refuse it. *)
+let change (sn : snapshot) (op : op) =
+  match op with
+  | Install_action spec ->
+    let name = spec.i_name in
+    ( {
+        sn with
+        sn_actions = sn.sn_actions @ [ spec ];
+        sn_globals = sn.sn_globals @ [ (name, []) ];
+        sn_arrays = sn.sn_arrays @ [ (name, []) ];
+      },
+      0L )
+  | Remove_action name ->
+    (* Dropping an action drops its rules and state too.  Removing an
+       absent one succeeds: removes stay idempotent, so rollback and
+       reconciliation can repeat them safely. *)
+    let sn, dropped = drop_rules sn (fun _ r -> String.equal r.Table.action name) in
+    ( {
+        sn with
+        sn_actions = List.filter (fun s -> not (String.equal s.i_name name)) sn.sn_actions;
+        sn_globals = List.remove_assoc name sn.sn_globals;
+        sn_arrays = List.remove_assoc name sn.sn_arrays;
+      },
+      dropped )
+  | Add_table ->
+    let id = List.length sn.sn_rules in
+    ({ sn with sn_rules = sn.sn_rules @ [ (id, []) ] }, Int64.of_int id)
+  | Add_rule { table; pattern; action } ->
+    (* Ids count up across all tables, so id order is creation order. *)
+    let above acc (r : Table.rule) = max acc (r.Table.rule_id + 1) in
+    let rule_id =
+      List.fold_left (fun acc (_, rs) -> List.fold_left above acc rs) 0 sn.sn_rules
+    in
+    let rule = { Table.rule_id; pattern; action } in
+    let add (id, rs) = (id, if id = table then Table.insert_sorted rs rule else rs) in
+    ({ sn with sn_rules = List.map add sn.sn_rules }, Int64.of_int rule_id)
+  | Remove_rule { table; rule_id } ->
+    drop_rules sn (fun id r -> id = table && r.Table.rule_id = rule_id)
+  | Set_global { action; name; value } ->
+    ({ sn with sn_globals = bind sn.sn_globals action name value }, 0L)
+  | Set_global_array { action; name; value } ->
+    ({ sn with sn_arrays = bind sn.sn_arrays action name (Array.copy value) }, 0L)
+  | Commit_generation -> (sn, 0L)
+
+let next sn op = match refusal sn op with Some msg -> Error msg | None -> Ok (change sn op)
+
 type counters = {
   mutable packets : int;
   mutable dropped : int;
@@ -413,7 +538,6 @@ type engine =
 
 type installed = {
   a_name : string;
-  a_spec : install_spec;  (* retained for snapshot/restore and reconciliation *)
   a_state : State.t;
   a_msg_sources : (string, msg_field_source) Hashtbl.t;
   a_engine : engine;
@@ -438,7 +562,7 @@ end)
    to the earliest of its classes' first matches, which the memo keeps
    per class from its first sight. *)
 type table = {
-  tb_rules : Table.t;
+  mutable tb_rules : Table.t;  (* built from [e_config] *)
   mutable tb_run : installed array;  (* each rule's action, in match order *)
   tb_memo : int Class_tbl.t;
   mutable tb_slot : int;  (* the resolution of the slot's classes *)
@@ -446,7 +570,7 @@ type table = {
 
 let make_table id =
   {
-    tb_rules = Table.create ~id;
+    tb_rules = Table.make ~id [];
     tb_run = [||];
     tb_memo = Class_tbl.create 16;
     tb_slot = unresolved;
@@ -505,8 +629,8 @@ type t = {
   e_flow_lists : Class_name.t list Vec_tbl.t;
       (* hash-consed flow-class lists, shared by every flow *)
   e_slot : slot;
-  e_actions : (string, installed) Hashtbl.t;
-  mutable e_install_order : string list;  (* oldest first *)
+  mutable e_config : snapshot;  (* actions and rules; [State] holds the bindings *)
+  e_actions : (string, installed) Hashtbl.t;  (* each action's runtime *)
   mutable e_tables : table array;  (* indexed by table id *)
   (* Telemetry: the registry is the directory, the cells below are the
      hot-path storage (one field read + int bump per event, no lookup). *)
@@ -565,8 +689,8 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_flow_gen = -1;
       e_flow_lists = Vec_tbl.create 8;
       e_slot = { s_stage_md = Metadata.empty; s_flow = no_flow; s_md = Metadata.empty };
+      e_config = empty;
       e_actions = Hashtbl.create 8;
-      e_install_order = [];
       e_tables = [| make_table 0 |];
       e_tel = tel;
       m_packets = counter ~help:"Packets processed" "eden_enclave_packets_total";
@@ -705,17 +829,37 @@ let set_budget_ns t ns =
 (* The slot keys on [s_flow], which no live flow matches after this. *)
 let forget_slot t = t.e_slot.s_flow <- no_flow
 
-(* After any change to actions or table rules.  Every rule names an
-   installed action: [add_table_rule] refuses any other and
-   [remove_action] drops the action's rules. *)
+(* After any change to actions or table rules: every table is rebuilt
+   from [e_config].  Every rule names an installed action: [next] refuses
+   any other and drops a removed action's rules. *)
 let invalidate_memos t =
-  Array.iter
-    (fun tb ->
+  List.iter
+    (fun (id, rules) ->
+      let tb = t.e_tables.(id) in
       Class_tbl.clear tb.tb_memo;
+      tb.tb_rules <- Table.make ~id rules;
       let action (r : Table.rule) = Hashtbl.find t.e_actions r.Table.action in
-      tb.tb_run <- Array.of_list (List.map action (Table.rules tb.tb_rules)))
-    t.e_tables;
+      tb.tb_run <- Array.of_list (List.map action rules))
+    t.e_config.sn_rules;
   forget_slot t
+
+(* The runtime's half of an op that [next] took to [config]: only the
+   part the op reaches changes.  An installed action's engine is already
+   in [e_actions]; the bindings stay in [State]. *)
+let commit t op config =
+  t.e_config <- { config with sn_globals = []; sn_arrays = [] };
+  let state action = (Hashtbl.find t.e_actions action).a_state in
+  match op with
+  | Install_action _ | Add_rule _ | Remove_rule _ -> invalidate_memos t
+  | Remove_action name ->
+    Hashtbl.remove t.e_actions name;
+    invalidate_memos t
+  | Add_table ->
+    t.e_tables <- Array.append t.e_tables [| make_table (Array.length t.e_tables) |]
+  | Set_global { action; name; value } -> State.global_set (state action) name value
+  | Set_global_array { action; name; value } ->
+    State.global_array_set (state action) name (Array.copy value)
+  | Commit_generation -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Enclave API *)
@@ -782,8 +926,9 @@ let validate_bytecode t sources ~per_step_ns (p : P.t) =
       else Ok ())
 
 let install_action_full t spec =
-  if Hashtbl.mem t.e_actions spec.i_name then Error (Already_installed spec.i_name)
-  else begin
+  match next t.e_config (Install_action spec) with
+  | Error _ -> Error (Already_installed spec.i_name)
+  | Ok (config, _) -> (
     let sources = Hashtbl.create 8 in
     List.iter (fun (name, src) -> Hashtbl.replace sources name src) spec.i_msg_sources;
     let build () =
@@ -813,76 +958,50 @@ let install_action_full t spec =
       Hashtbl.replace t.e_actions spec.i_name
         {
           a_name = spec.i_name;
-          a_spec = spec;
           a_state = State.create ();
           a_msg_sources = sources;
           a_engine = engine;
           a_brk = make_brk ();
         };
-      t.e_install_order <- t.e_install_order @ [ spec.i_name ];
-      invalidate_memos t;
-      Ok ()
-  end
+      commit t (Install_action spec) config;
+      Ok ())
 
 let install_action t spec =
   Result.map_error install_error_to_string (install_action_full t spec)
 
+let apply t op : (int64, string) result =
+  match op with
+  | Install_action spec -> Result.map (fun () -> 0L) (install_action t spec)
+  | _ -> (
+    match next t.e_config op with
+    | Error _ as refused -> refused
+    | Ok (config, payload) ->
+      commit t op config;
+      Ok payload)
+
 let remove_action t name =
   if not (Hashtbl.mem t.e_actions name) then None
-  else begin
-    Hashtbl.remove t.e_actions name;
-    t.e_install_order <- List.filter (fun n -> not (String.equal n name)) t.e_install_order;
-    let dropped =
-      Array.fold_left
-        (fun acc tb -> acc + Table.remove_action_rules tb.tb_rules name)
-        0 t.e_tables
-    in
-    invalidate_memos t;
-    Some dropped
-  end
+  else Some (Int64.to_int (Result.get_ok (apply t (Remove_action name))))
 
 let action_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.e_actions [] |> List.sort compare
-
-let add_table t =
-  let id = Array.length t.e_tables in
-  t.e_tables <- Array.append t.e_tables [| make_table id |];
-  id
+let add_table t = Int64.to_int (Result.get_ok (apply t Add_table))
 
 let add_table_rule t ?(table = 0) ~pattern ~action () =
-  if table < 0 || table >= Array.length t.e_tables then
-    Error (Printf.sprintf "no table %d" table)
-  else if not (Hashtbl.mem t.e_actions action) then
-    Error (Printf.sprintf "action %S is not installed" action)
-  else begin
-    let rule = Table.add_rule t.e_tables.(table).tb_rules ~pattern ~action in
-    invalidate_memos t;
-    Ok rule.Table.rule_id
-  end
+  Result.map Int64.to_int (apply t (Add_rule { table; pattern; action }))
 
-let remove_table_rule t ?(table = 0) rule_id =
-  let removed =
-    table >= 0 && table < Array.length t.e_tables
-    && Table.remove_rule t.e_tables.(table).tb_rules rule_id
-  in
-  if removed then invalidate_memos t;
-  removed
-
+let remove_table_rule t ?(table = 0) rule_id = apply t (Remove_rule { table; rule_id }) = Ok 1L
 let tables t = Array.to_list (Array.map (fun tb -> tb.tb_rules) t.e_tables)
 
-let with_action t action f =
-  match Hashtbl.find_opt t.e_actions action with
-  | None -> Error (Printf.sprintf "action %S is not installed" action)
-  | Some a -> Ok (f a)
-
-let set_global t ~action name v = with_action t action (fun a -> State.global_set a.a_state name v)
+let set_global t ~action name value =
+  Result.map ignore (apply t (Set_global { action; name; value }))
 
 let get_global t ~action name =
   match Hashtbl.find_opt t.e_actions action with
   | None -> None
   | Some a -> Some (State.global_get a.a_state name)
 
-let set_global_array t ~action name arr =
-  with_action t action (fun a -> State.global_array_set a.a_state name arr)
+let set_global_array t ~action name value =
+  Result.map ignore (apply t (Set_global_array { action; name; value }))
 
 let get_global_array t ~action name =
   match Hashtbl.find_opt t.e_actions action with
@@ -944,57 +1063,6 @@ let breaker_trips t name =
   match Hashtbl.find_opt t.e_actions name with None -> 0 | Some a -> a.a_brk.k_trips
 
 (* ------------------------------------------------------------------ *)
-(* Configuration ops.
-
-   The one change to an enclave's programmed configuration.  The control
-   channel delivers these, [restore] replays them, and the controller's
-   desired store applies the same ops to its snapshot of the intended
-   configuration. *)
-
-type op =
-  | Install_action of install_spec
-  | Remove_action of string
-  | Add_table
-  | Add_rule of { table : int; pattern : Class_name.Pattern.t; action : string }
-  | Remove_rule of { table : int; rule_id : int }
-  | Set_global of { action : string; name : string; value : int64 }
-  | Set_global_array of { action : string; name : string; value : int64 array }
-  | Commit_generation
-
-let op_to_string = function
-  | Install_action s -> "install_action " ^ s.i_name
-  | Remove_action n -> "remove_action " ^ n
-  | Add_table -> "add_table"
-  | Add_rule r ->
-    let pattern = Class_name.Pattern.to_string r.pattern in
-    Printf.sprintf "add_rule %s -> %s @%d" pattern r.action r.table
-  | Remove_rule r -> Printf.sprintf "remove_rule #%d @%d" r.rule_id r.table
-  | Set_global g -> Printf.sprintf "set_global %s.%s" g.action g.name
-  | Set_global_array g -> Printf.sprintf "set_global_array %s.%s" g.action g.name
-  | Commit_generation -> "commit_generation"
-
-let apply t op : (int64, string) result =
-  match op with
-  | Install_action spec -> Result.map (fun () -> 0L) (install_action t spec)
-  | Remove_action name -> (
-    (* Removing an absent action is success: removes must stay idempotent
-       so rollback and reconciliation can repeat them safely. *)
-    match remove_action t name with
-    | Some dropped -> Ok (Int64.of_int dropped)
-    | None -> Ok 0L)
-  | Add_table -> Ok (Int64.of_int (add_table t))
-  | Add_rule { table; pattern; action } ->
-    Result.map Int64.of_int (add_table_rule t ~table ~pattern ~action ())
-  | Remove_rule { table; rule_id } ->
-    ignore (remove_table_rule t ~table rule_id);
-    Ok 0L
-  | Set_global { action; name; value } ->
-    Result.map (fun () -> 0L) (set_global t ~action name value)
-  | Set_global_array { action; name; value } ->
-    Result.map (fun () -> 0L) (set_global_array t ~action name (Array.copy value))
-  | Commit_generation -> Ok 0L
-
-(* ------------------------------------------------------------------ *)
 (* Restart, snapshot and diff.
 
    Everything the controller pushed — actions, rules, state — plus
@@ -1008,37 +1076,26 @@ let apply t op : (int64, string) result =
    stage's built-in ALL rule is firmware, not pushed state; it survives
    restart by reconstruction in [create] and here. *)
 
-type snapshot = {
-  sn_actions : install_spec list;  (* install order *)
-  sn_globals : (string * (string * int64) list) list;
-  sn_arrays : (string * (string * int64 array) list) list;
-  sn_rules : (int * Table.rule list) list;  (* per table, match order *)
-}
-
+(* [e_config] with each action's bindings read from its [State]. *)
 let snapshot t =
-  let acts =
-    List.filter_map (fun n -> Hashtbl.find_opt t.e_actions n) t.e_install_order
+  let per_action f =
+    List.map
+      (fun s -> (s.i_name, f (Hashtbl.find t.e_actions s.i_name).a_state))
+      t.e_config.sn_actions
   in
+  let copied = List.map (fun (n, arr) -> (n, Array.copy arr)) in
   {
-    sn_actions = List.map (fun a -> a.a_spec) acts;
-    sn_globals = List.map (fun a -> (a.a_name, State.global_bindings a.a_state)) acts;
-    sn_arrays =
-      List.map
-        (fun a ->
-          ( a.a_name,
-            List.map
-              (fun (n, arr) -> (n, Array.copy arr))
-              (State.global_array_bindings a.a_state) ))
-        acts;
-    sn_rules = List.map (fun tbl -> (Table.id tbl, Table.rules tbl)) (tables t);
+    t.e_config with
+    sn_globals = per_action State.global_bindings;
+    sn_arrays = per_action (fun st -> copied (State.global_array_bindings st));
   }
 
 let restarts t = Tel.Counter.get t.m_restarts
 
 let restart t =
   let restarts = restarts t + 1 in
+  t.e_config <- empty;
   Hashtbl.reset t.e_actions;
-  t.e_install_order <- [];
   t.e_tables <- [| make_table 0 |];
   Addr.Flow_table.reset t.e_flow_ids;
   Vec_tbl.reset t.e_flow_lists;

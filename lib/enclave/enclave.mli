@@ -140,7 +140,10 @@ val set_budget_ns : t -> float -> unit
     Defaults to the placement's {!Cost.model.budget_ns}.
     @raise Invalid_argument when the budget is not positive. *)
 
-(** {2 Enclave API (controller-facing, §3.4.5)} *)
+(** {2 Enclave API (controller-facing, §3.4.5)}
+
+    Each call that programs the enclave below is one {!op} through
+    {!apply}. *)
 
 (** Why an install was refused, for structured controller diagnostics. *)
 type install_error =
@@ -208,8 +211,12 @@ val tables : t -> Table.t list
 
 val set_global : t -> action:string -> string -> int64 -> (unit, string) result
 val get_global : t -> action:string -> string -> int64 option
+
 val set_global_array : t -> action:string -> string -> int64 array -> (unit, string) result
+(** Binds a copy of the array. *)
+
 val get_global_array : t -> action:string -> string -> int64 array option
+(** The live binding, which the action may write. *)
 
 val counters : t -> counters
 (** Snapshot of the data-path counters.  Deprecated: the counters now
@@ -282,13 +289,18 @@ val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ] option
 val breaker_trips : t -> string -> int
 (** How many times the named action's breaker has opened. *)
 
-(** {2 Configuration ops}
+(** {2 Configuration}
 
-    One op is the one change to an enclave's programmed configuration.
-    The control channel delivers ops with {!apply}, {!restore} replays
-    them, {!diff} produces them, and the controller's desired store
-    applies the same ops to its {!snapshot} of the intended
-    configuration. *)
+    One op is the one change to a programmed configuration, and {!next}
+    the one statement of what it does.  An enclave holds its
+    configuration as a {!snapshot} value and moves it with {!next} on
+    every {!apply}; the control channel delivers ops with {!apply},
+    {!restore} replays them, {!diff} produces them, and the controller
+    moves its desired configuration with the same {!next}.  The
+    configuration an enclave holds keeps actions and rules only: its
+    global bindings live in each action's {!State}, which is also where
+    the actions write at run time, and {!snapshot} reads them from
+    there. *)
 
 type op =
   | Install_action of install_spec
@@ -308,14 +320,38 @@ type op =
 
 val op_to_string : op -> string
 
+(** Programmed configuration as a value: what an enclave reports to the
+    reconciliation plane, and the controller's desired state. *)
+type snapshot = {
+  sn_actions : install_spec list;  (** Install order. *)
+  sn_globals : (string * (string * int64) list) list;
+      (** Per action: written global scalars, sorted by name. *)
+  sn_arrays : (string * (string * int64 array) list) list;
+      (** Per action: bound global arrays (copied), sorted by name. *)
+  sn_rules : (int * Table.rule list) list;
+      (** Every table, by id, with its rules in match order. *)
+}
+
+val empty : snapshot
+(** A fresh enclave's configuration: no actions, table 0 empty. *)
+
+val next : snapshot -> op -> (snapshot * int64, string) result
+(** [op] applied to a configuration, with the payload an enclave acks.
+    Refused: installing an action the configuration holds, a rule or
+    state write naming an absent action, and a rule for an absent table.
+    Removes are idempotent (removing an absent action or rule succeeds).
+    The payload is op-specific: the new table's id for [Add_table]; for
+    [Add_rule] the new rule's id, one more than the largest rule id in
+    any table (0 when there is none); the number of rules dropped for
+    [Remove_action] and [Remove_rule]; else 0.  [Set_global_array]
+    binds a copy of the array. *)
+
 val apply : t -> op -> (int64, string) result
-(** Apply one op.  The payload is op-specific: the rule id for
-    [Add_rule], the table id for [Add_table], the dropped-rule count for
-    [Remove_action], else 0.  Removes are idempotent (removing an absent
-    action or rule succeeds); an installed action with the same name, a
-    rule or state write naming an absent action, a rule for an absent
-    table and a rejected install are errors.  [Set_global_array] binds a
-    copy of the array. *)
+(** Apply one op: {!next} on the enclave's configuration, then the
+    runtime, only where the op reaches.  An install also builds and
+    verifies the engine, and fails as {!install_action} does; a state
+    write goes to the action's {!State} and keeps every match memo.
+    Otherwise errors and payloads are {!next}'s. *)
 
 (** {2 Soft state: restart, snapshot, diff, restore} *)
 
@@ -330,33 +366,22 @@ val restarts : t -> int
 (** Read from the restart counter cell, which {!restart} carries across
     its registry reset. *)
 
-(** Programmed configuration as a value: what an enclave reports to the
-    reconciliation plane, and the form of the controller's desired
-    state. *)
-type snapshot = {
-  sn_actions : install_spec list;  (** Install order. *)
-  sn_globals : (string * (string * int64) list) list;
-      (** Per action: written global scalars, sorted by name. *)
-  sn_arrays : (string * (string * int64 array) list) list;
-      (** Per action: bound global arrays (copied), sorted by name. *)
-  sn_rules : (int * Table.rule list) list;
-      (** Every table, by id, with its rules in match order. *)
-}
-
 val snapshot : t -> snapshot
+(** The configuration the enclave holds, with each action's global
+    bindings read from its {!State}. *)
 
 val diff : desired:snapshot -> actual:snapshot -> op list
 (** The ops that take an enclave configured as [actual] to [desired], in
     the order they must be sent: extra rules and extra actions removed,
     missing tables added, missing actions installed (in install order),
-    stale scalars then arrays written, missing rules added (in rule-id
-    order).  An action is identified by its name, engine kind, program
-    name and message sources; a rule by its table, pattern and action —
-    rule ids are not configuration.  Rules are compared as a multiset per
-    table.  The comparison is asymmetric on state: only the bindings
-    [desired] holds are compared, so state an action writes at run time
-    never shows as drift.  [[]] means [actual] is in sync with
-    [desired]. *)
+    stale scalars then arrays written, missing rules added (table by
+    table, in match order).  An action is identified by its name, engine
+    kind, program name and message sources; a rule by its table, pattern
+    and action — rule ids are not configuration.  A table's rules are
+    compared as a sequence in match order.  The comparison is asymmetric
+    on state: only the bindings [desired] holds are compared, so state an
+    action writes at run time never shows as drift.  [[]] means [actual]
+    is in sync with [desired]. *)
 
 val restore : t -> snapshot -> (unit, string) result
 (** [restart], then {!apply} [diff ~desired:sn ~actual:(snapshot t)].

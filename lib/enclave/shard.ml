@@ -88,17 +88,16 @@ let route t (pkt : Packet.t) =
     Int64.to_int (Int64.rem (Int64.logand (mix_int64 key) Int64.max_int) (Int64.of_int n))
 
 (* ------------------------------------------------------------------ *)
-(* Item execution — shared verbatim by worker domains and serial replay. *)
-
-(* Each replica gets its own copy of a pushed array: live arrays must
-   never alias across shards. *)
+(* Item execution — shared verbatim by worker domains and serial replay.
+   [Enclave.set_global_array] binds a copy, so live arrays never alias
+   across shards. *)
 let exec_item w = function
   | I_packet { pkt; now; idx; res } -> res.(idx) <- Some (Enclave.process w.w_enclave ~now pkt)
   | I_fire { pkt; now } -> ignore (Enclave.process w.w_enclave ~now pkt)
   | I_set_global { action; name; value } ->
     ignore (Enclave.set_global w.w_enclave ~action name value)
   | I_set_global_array { action; name; values } ->
-    ignore (Enclave.set_global_array w.w_enclave ~action name (Array.copy values))
+    ignore (Enclave.set_global_array w.w_enclave ~action name values)
   | I_none | I_stop -> ()
 
 let worker_loop w batch =

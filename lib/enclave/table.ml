@@ -2,13 +2,13 @@ module Class_name = Eden_base.Class_name
 
 type rule = { rule_id : int; pattern : Class_name.Pattern.t; action : string }
 
-type t = { id : int; mutable rules : rule list; mutable next_rule_id : int }
+type t = { id : int; rules : rule list }
 
-let create ~id = { id; rules = []; next_rule_id = 0 }
+let make ~id rules = { id; rules }
 let id t = t.id
+let rules t = t.rules
 
-(* Keep rules sorted: higher specificity first; ties by insertion order
-   (rule_id ascending). *)
+(* Keep rules sorted: higher specificity first; ties by insertion order. *)
 let insert_sorted rules rule =
   let spec r = Class_name.Pattern.specificity r.pattern in
   let rec go = function
@@ -17,24 +17,6 @@ let insert_sorted rules rule =
       if spec rule > spec r then rule :: r :: rest else r :: go rest
   in
   go rules
-
-let add_rule t ~pattern ~action =
-  let rule = { rule_id = t.next_rule_id; pattern; action } in
-  t.next_rule_id <- t.next_rule_id + 1;
-  t.rules <- insert_sorted t.rules rule;
-  rule
-
-let remove_rule t rule_id =
-  let before = List.length t.rules in
-  t.rules <- List.filter (fun r -> r.rule_id <> rule_id) t.rules;
-  List.length t.rules < before
-
-let rules t = t.rules
-
-let remove_action_rules t action =
-  let before = List.length t.rules in
-  t.rules <- List.filter (fun r -> not (String.equal r.action action)) t.rules;
-  before - List.length t.rules
 
 let lookup t classes =
   List.find_opt

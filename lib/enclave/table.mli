@@ -14,21 +14,18 @@ type rule = {
 }
 
 type t
+(** A table's id and its rules, as a value: the enclave builds one from
+    its configuration whenever the rules change. *)
 
-val create : id:int -> t
+val make : id:int -> rule list -> t
+(** [rules] must be in match order; {!insert_sorted} keeps them so. *)
+
 val id : t -> int
 
-val add_rule : t -> pattern:Eden_base.Class_name.Pattern.t -> action:string -> rule
-val remove_rule : t -> int -> bool
-
 val insert_sorted : rule list -> rule -> rule list
-(** [rules] (in match order) with [rule] inserted where {!add_rule}
-    would put it: after every rule at least as specific. *)
-
-val remove_action_rules : t -> string -> int
-(** Drop every rule pointing at the named action; returns how many were
-    removed.  Used when an action is uninstalled so the table never
-    holds dangling references. *)
+(** [rules] (in match order) with [rule] inserted after every rule at
+    least as specific, so equal-specificity rules match in insertion
+    order. *)
 
 val rules : t -> rule list
 (** In match order. *)

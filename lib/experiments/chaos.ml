@@ -10,7 +10,6 @@ module Switch = Eden_netsim.Switch
 module Tcp = Eden_netsim.Tcp
 module Controller = Eden_controller.Controller
 module Channel = Eden_controller.Channel
-module Desired = Eden_controller.Desired
 module Policy = Eden_controller.Policy
 module Pias = Eden_functions.Pias
 module Wcmp = Eden_functions.Wcmp
@@ -220,7 +219,7 @@ let scenario_partition ~seed =
    enclave and is refused — the change is abandoned and undone on host 0,
    so the fleet stays on the old matrix; the crashed host degrades to
    default forwarding rather than half a policy; reconcile reinstalls
-   everything from the desired store; the re-pushed matrix then lands. *)
+   everything from the desired state; the re-pushed matrix then lands. *)
 
 let scenario_crash_mid_update ~seed =
   let fl = build_fleet ~seed ~hosts:2 () in
@@ -244,7 +243,9 @@ let scenario_crash_mid_update ~seed =
     "the restarted enclave has no wcmp action; the retried op is rejected";
   check cx "generation unchanged by failed push" (Controller.generation fl.fl_ctl = gen0) "";
   check cx "desired state keeps old matrix"
-    (Desired.global_array (Controller.desired fl.fl_ctl) ~action:"wcmp" "Paths" = Some m0)
+    (let desired = Controller.desired fl.fl_ctl in
+     Option.bind (List.assoc_opt "wcmp" desired.Enclave.sn_arrays) (List.assoc_opt "Paths")
+     = Some m0)
     "";
   check cx "survivor rolled back to old matrix"
     (Enclave.get_global_array fl.fl_enclaves.(0) ~action:"wcmp" "Paths" = Some m0)
@@ -261,7 +262,7 @@ let scenario_crash_mid_update ~seed =
   check cx "flows complete while degraded" (done_degraded = 1)
     (Printf.sprintf "%d completions" done_degraded);
   observe cx;
-  (* Reconcile: full reinstall from the desired store, no controller restart. *)
+  (* Reconcile: full reinstall from the desired state, no controller restart. *)
   let outcomes = Controller.reconcile fl.fl_ctl in
   observe cx;
   check cx "crashed host repaired"

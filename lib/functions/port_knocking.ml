@@ -27,10 +27,13 @@ let action =
           (when_ (st < glob_arr_len "Knocks") (set_pkt "Drop" (int 1)))
           (when_
              (call "is_knock" [ int 0 ] = int 1)
-             (if_
-                (st < glob_arr_len "Knocks" && glob_arr "Knocks" st = pkt "DstPort")
-                (set_glob_arr "State" (pkt "SrcHost") (st + int 1))
-                (set_glob_arr "State" (pkt "SrcHost") (int 0))))))
+             (* Nested, not [&&]: both sides of [&&] evaluate, and
+                Knocks[st] is out of bounds once the host has knocked
+                fully. *)
+             (set_glob_arr "State" (pkt "SrcHost")
+                (if_ (st < glob_arr_len "Knocks")
+                   (if_ (glob_arr "Knocks" st = pkt "DstPort") (st + int 1) (int 0))
+                   (int 0))))))
 
 let program_memo =
   lazy

@@ -25,7 +25,6 @@ type t = {
   receivers : Tcp.Receiver.t Addr.Flow_table.t;
   rate_queues : (int, rate_queue) Hashtbl.t;
   mutable next_port : int;
-  mutable enclave_drops : int;
   tel : Tel.Registry.t;
   hm_tx : Tel.Counter.t;
   hm_rx : Tel.Counter.t;
@@ -62,7 +61,6 @@ let create ?(seed = 0x05EAL) ev ~id ~alloc_packet_id =
       receivers = Addr.Flow_table.create 32;
       rate_queues = Hashtbl.create 4;
       next_port = 10_000;
-      enclave_drops = 0;
       tel;
       hm_tx =
         Tel.Registry.counter tel ~help:"Packets submitted for transmit"
@@ -124,7 +122,6 @@ let transmit t pkt =
     let cpu = Time.add (Time.of_float_ns (Enclave.last_process_cost_ns enclave)) (jitter t) in
     match decision with
     | Enclave.Dropped _ ->
-      t.enclave_drops <- t.enclave_drops + 1;
       Tel.Counter.inc t.hm_enclave_drops
     | Enclave.Forward { queue = None; charge = _ } -> nic_send_after t cpu pkt
     | Enclave.Forward { queue = Some q; charge } -> (
@@ -163,7 +160,6 @@ let receive t (pkt : Packet.t) =
   | Some enclave -> (
     match Enclave.process enclave ~now:(Event.now t.ev) pkt with
     | Enclave.Dropped _ ->
-      t.enclave_drops <- t.enclave_drops + 1;
       Tel.Counter.inc t.hm_enclave_drops
     | Enclave.Forward _ ->
       let cpu = Time.of_float_ns (Enclave.last_process_cost_ns enclave) in
@@ -188,7 +184,7 @@ let fresh_port t =
   t.next_port <- p + 1;
   p
 
-let packets_dropped_by_enclave t = t.enclave_drops
+let packets_dropped_by_enclave t = Tel.Counter.get t.hm_enclave_drops
 let telemetry t = t.tel
 
 let scrape t =

@@ -256,11 +256,21 @@ let prop_state_model =
 (* ------------------------------------------------------------------ *)
 (* Tables *)
 
+(* Table 0 with [(pattern, action)] rules inserted in order, ids
+   counting up, as [Enclave.next] inserts them. *)
+let table_of rules =
+  Table.make ~id:0
+    (List.fold_left
+       (fun rs (rule_id, (p, action)) ->
+         Table.insert_sorted rs { Table.rule_id; pattern = pat p; action })
+       []
+       (List.mapi (fun i r -> (i, r)) rules))
+
 let test_table_specificity_order () =
-  let tbl = Table.create ~id:0 in
-  ignore (Table.add_rule tbl ~pattern:(pat "*.*.*") ~action:"fallback");
-  ignore (Table.add_rule tbl ~pattern:(pat "test.r.GET") ~action:"get_action");
-  ignore (Table.add_rule tbl ~pattern:(pat "test.r.*") ~action:"stage_action");
+  let tbl =
+    table_of
+      [ ("*.*.*", "fallback"); ("test.r.GET", "get_action"); ("test.r.*", "stage_action") ]
+  in
   (match Table.lookup tbl [ cls "GET" ] with
   | Some r -> Alcotest.(check string) "most specific" "get_action" r.Table.action
   | None -> Alcotest.fail "no match");
@@ -272,17 +282,24 @@ let test_table_specificity_order () =
   | None -> Alcotest.fail "no match"
 
 let test_table_multi_class_packet () =
-  let tbl = Table.create ~id:0 in
-  ignore (Table.add_rule tbl ~pattern:(pat "test.r.PUT") ~action:"put_action");
+  let tbl = table_of [ ("test.r.PUT", "put_action") ] in
   match Table.lookup tbl [ cls "GET"; cls "PUT" ] with
   | Some r -> Alcotest.(check string) "matches any class" "put_action" r.Table.action
   | None -> Alcotest.fail "no match"
 
 let test_table_remove () =
-  let tbl = Table.create ~id:0 in
-  let r = Table.add_rule tbl ~pattern:(pat "*.*.*") ~action:"a" in
-  check_bool "removed" true (Table.remove_rule tbl r.Table.rule_id);
-  check_bool "no match" true (Table.lookup tbl [ cls "GET" ] = None)
+  let step sn op =
+    match Enclave.next sn op with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  let spec = { Enclave.i_name = "a"; i_impl = Enclave.Native ignore; i_msg_sources = [] } in
+  let sn, _ = step Enclave.empty (Enclave.Install_action spec) in
+  let sn, id = step sn (Enclave.Add_rule { table = 0; pattern = pat "*.*.*"; action = "a" }) in
+  let sn, removed = step sn (Enclave.Remove_rule { table = 0; rule_id = Int64.to_int id }) in
+  check_bool "removed" true (removed = 1L);
+  check_bool "no match" true
+    (Table.lookup (Table.make ~id:0 (List.assoc 0 sn.Enclave.sn_rules)) [ cls "GET" ] = None)
 
 (* ------------------------------------------------------------------ *)
 (* Queueing *)

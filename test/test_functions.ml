@@ -310,6 +310,30 @@ let test_port_knocking_other_traffic_unaffected () =
   | Enclave.Forward _ -> ()
   | Enclave.Dropped _ -> Alcotest.fail "ordinary traffic dropped"
 
+(* A host that completed the sequence and knocks again resets, on every
+   engine, without a fault: the bytecode never reads past Knocks. *)
+let test_port_knocking_resets_after_completion () =
+  let ports = [ 22; 7001; 7003; 22; 7001; 7002; 7003; 22; 80; 7002; 22; 7001 ] in
+  let expected = "DFFDFFFFFFDF" in
+  List.iter
+    (fun (name, variant) ->
+      let e = Enclave.create ~host:9 () in
+      get_ok
+        (Port_knocking.install ~variant e ~knocks:[ 7001; 7002; 7003 ] ~protected_port:22
+           ~max_hosts:8);
+      let decisions =
+        String.concat ""
+          (List.mapi
+             (fun i dst_port ->
+               match Enclave.process e ~now:(Time.us i) (knock_packet ~src:3 ~dst_port i) with
+               | Enclave.Dropped _ -> "D"
+               | Enclave.Forward _ -> "F")
+             ports)
+      in
+      Alcotest.(check string) (name ^ " decisions") expected decisions;
+      check_int (name ^ " faults") 0 (Enclave.counters e).Enclave.faults)
+    [ ("interpreted", `Interpreted); ("compiled", `Compiled); ("native", `Native) ]
+
 (* ------------------------------------------------------------------ *)
 (* Replica selection *)
 
@@ -738,6 +762,8 @@ let () =
           Alcotest.test_case "wrong knock resets" `Quick test_port_knocking_wrong_knock_resets;
           Alcotest.test_case "other traffic unaffected" `Quick
             test_port_knocking_other_traffic_unaffected;
+          Alcotest.test_case "resets after completion" `Quick
+            test_port_knocking_resets_after_completion;
         ] );
       ( "replica_select",
         [

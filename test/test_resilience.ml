@@ -6,14 +6,15 @@
 module Enclave = Eden_enclave.Enclave
 module Channel = Eden_controller.Channel
 module Controller = Eden_controller.Controller
-module Desired = Eden_controller.Desired
 module Policy = Eden_controller.Policy
 module Chaos = Eden_experiments.Chaos
 module Pias = Eden_functions.Pias
 module Addr = Eden_base.Addr
 module Packet = Eden_base.Packet
 module Metadata = Eden_base.Metadata
-module Pattern = Eden_base.Class_name.Pattern
+module Class_name = Eden_base.Class_name
+module Pattern = Class_name.Pattern
+module Table = Eden_enclave.Table
 module Time = Eden_base.Time
 open Eden_lang
 
@@ -59,7 +60,7 @@ let divider_enclave ~d =
   let _ = get_ok (Enclave.add_table_rule e ~pattern:Pattern.any ~action:"divider" ()) in
   e
 
-let set_d = Channel.Set_global { action = "divider"; name = "D"; value = 7L }
+let set_d = Enclave.Set_global { action = "divider"; name = "D"; value = 7L }
 
 (* ------------------------------------------------------------------ *)
 (* Channel fault semantics *)
@@ -89,7 +90,7 @@ let test_channel_ack_lost_then_retry () =
 let test_channel_duplicate_is_exactly_once () =
   let ch = Channel.create (divider_enclave ~d:1L) in
   Channel.script ch [ (0, Channel.Duplicate) ];
-  let rule = Channel.Add_rule { table = 0; pattern = Pattern.any; action = "divider" } in
+  let rule = Enclave.Add_rule { table = 0; pattern = Pattern.any; action = "divider" } in
   let _ = get_sent (Channel.send ch ~op_id:1L ~gen:1 rule) in
   let sn = Enclave.snapshot (Channel.enclave ch) in
   let nrules = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.Enclave.sn_rules in
@@ -109,7 +110,7 @@ let test_channel_delay () =
   let _ =
     get_sent
       (Channel.send ch ~op_id:2L ~gen:2
-         (Channel.Set_global { action = "divider"; name = "D"; value = 9L }))
+         (Enclave.Set_global { action = "divider"; name = "D"; value = 9L }))
   in
   check_int "nothing still delayed" 0 (Channel.delayed_count ch);
   check_bool "delayed op landed before the later one" true
@@ -298,8 +299,7 @@ let test_rejection_rolls_back_and_names_divergent () =
     check_bool "error names the hosts left divergent" true
       (contains ~sub:"rollback failed on hosts [0]" msg));
   check_bool "host 0 divergent" true (Controller.divergent_hosts ctl = [ 0 ]);
-  check_bool "desired state clean" true
-    (not (Desired.has_action (Controller.desired ctl) "divider"));
+  check_bool "desired state clean" true ((Controller.desired ctl).Enclave.sn_actions = []);
   check_int "generation unchanged" 0 (Controller.generation ctl);
   (* Reconciliation removes the orphaned action from host 0. *)
   Channel.script (chan ctl 0) [];
@@ -322,8 +322,8 @@ let test_rejected_first_push_undone_to_unset () =
   rejected (Controller.set_global_everywhere ctl ~action:"divider" "D" 7L);
   rejected (Controller.set_global_array_everywhere ctl ~action:"divider" "A" [| 1L; 2L |]);
   let d = Controller.desired ctl in
-  check_bool "desired holds no D" true (Desired.global d ~action:"divider" "D" = None);
-  check_bool "desired holds no A" true (Desired.global_array d ~action:"divider" "A" = None);
+  check_bool "desired holds no D" true (d.Enclave.sn_globals = [ ("divider", []) ]);
+  check_bool "desired holds no A" true (d.Enclave.sn_arrays = [ ("divider", []) ]);
   let reads_unset what e =
     check_bool (what ^ ": D reads 0") true (Enclave.get_global e ~action:"divider" "D" = Some 0L);
     check_bool (what ^ ": A reads empty") true
@@ -535,7 +535,26 @@ let test_stats_equal_scrape () =
   check_int "host 0 crashed once" 1 (Enclave.restarts enclaves.(0))
 
 (* ------------------------------------------------------------------ *)
-(* One op model: enclave and desired store *)
+(* One op model: the enclave follows [Enclave.next] *)
+
+(* The model's two actions.  "a" sets Priority 5 and jumps to table 1;
+   "b" sets Path 3 and jumps to table 2.  A packet's priority, path and
+   invocation count then say which rules fired. *)
+let model_effect = function "a" -> ("Priority", 5, 1) | _ -> ("Path", 3, 2)
+
+let model_spec ~compiled name =
+  let field, v, goto = model_effect name in
+  let act = Dsl.(action name (seq [ set_pkt field (int v); set_pkt "GotoTable" (int goto) ])) in
+  let program =
+    match Compile.compile (Schema.with_standard_packet ()) act with
+    | Ok p -> p
+    | Error e -> invalid_arg (Compile.error_to_string e)
+  in
+  {
+    Enclave.i_name = name;
+    i_impl = (if compiled then Enclave.Compiled program else Enclave.Interpreted program);
+    i_msg_sources = [];
+  }
 
 let op_gen =
   let open QCheck.Gen in
@@ -548,15 +567,9 @@ let op_gen =
            (fun s -> Option.get (Pattern.of_string s))
            [ "memcached.*.*"; "storage.*.*"; "memcached.op.GET" ])
   in
-  let spec compiled a =
-    let s = { divider_spec with Enclave.i_name = a } in
-    match (compiled, s.Enclave.i_impl) with
-    | true, Enclave.Interpreted p -> { s with Enclave.i_impl = Enclave.Compiled p }
-    | _ -> s
-  in
   frequency
     [
-      (3, map2 (fun c a -> Enclave.Install_action (spec c a)) bool action);
+      (3, map2 (fun compiled a -> Enclave.Install_action (model_spec ~compiled a)) bool action);
       (1, map (fun a -> Enclave.Remove_action a) action);
       (1, return Enclave.Add_table);
       ( 4,
@@ -576,28 +589,98 @@ let op_gen =
 
 let ops_to_string ops = String.concat "; " (List.map Enclave.op_to_string ops)
 
+(* Fixed probes: a packet's stage classes (the enclave adds its flow
+   class). *)
+let probe_classes =
+  List.map
+    (List.map (fun (stage, ruleset, name) -> Class_name.v ~stage ~ruleset ~name))
+    [
+      [];
+      [ ("memcached", "op", "GET") ];
+      [ ("memcached", "op", "PUT") ];
+      [ ("storage", "op", "WRITE") ];
+      [ ("storage", "op", "WRITE"); ("memcached", "op", "GET") ];
+    ]
+
+(* The walk [Enclave.process] makes, over [sn]'s rules with
+   [Table.lookup]: the packet's final priority and path and the number
+   of actions run. *)
+let model_walk (sn : Enclave.snapshot) classes =
+  let rec walk table hops ((priority, path, runs) as acc) =
+    match List.assoc_opt table sn.Enclave.sn_rules with
+    | Some rules when hops < 8 -> (
+      match Table.lookup (Table.make ~id:table rules) classes with
+      | None -> acc
+      | Some r ->
+        let field, v, goto = model_effect r.Table.action in
+        let acc =
+          if field = "Priority" then (v, path, runs + 1) else (priority, Some v, runs + 1)
+        in
+        if goto <> table then walk goto (hops + 1) acc else acc)
+    | Some _ | None -> acc
+  in
+  walk 0 0 (0, None, 0)
+
+(* Route every probe through the enclave: it must run the rules
+   [model_walk] finds over [sn]. *)
+let check_routing e sn ~after =
+  List.iteri
+    (fun j classes ->
+      let md = List.fold_left (fun md c -> Metadata.add_class c md) Metadata.empty classes in
+      let pkt =
+        Packet.make ~id:(Int64.of_int j) ~flow:(flow ()) ~kind:Packet.Data ~payload:100
+          ~metadata:md ()
+      in
+      let runs () = (Enclave.counters e).Enclave.invocations in
+      let before = runs () in
+      ignore (Enclave.process e ~now:(Time.us j) pkt);
+      let got = (pkt.Packet.priority, pkt.Packet.route_label, runs () - before) in
+      let want = model_walk sn (Metadata.classes pkt.Packet.metadata) in
+      let show (priority, path, n) =
+        Printf.sprintf "priority %d, path %s, %d runs" priority
+          (Option.fold ~none:"none" ~some:string_of_int path)
+          n
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "after op %d, probe %d: enclave %s, next's rules %s" after j
+          (show got) (show want))
+    probe_classes
+
 (* The same op stream through [Enclave.apply] on a fresh enclave and
-   [Desired.apply] on a fresh store: each op is accepted or refused
-   alike, the two configurations stay equal after every op, and
-   restoring the enclave's snapshot reproduces its configuration. *)
-let prop_desired_tracks_enclave =
-  QCheck.Test.make ~count:300 ~name:"desired store and enclave agree op by op"
-    (QCheck.make ~print:ops_to_string QCheck.Gen.(list_size (int_range 1 30) op_gen))
+   [Enclave.next] from [Enclave.empty]: each op is accepted or refused
+   alike, with the same table and rule ids; after every op the two
+   configurations are equal and the probes run the rules [next]'s
+   configuration holds; and restoring the enclave's snapshot reproduces
+   its configuration. *)
+let prop_enclave_follows_next =
+  QCheck.Test.make ~count:300 ~name:"the enclave follows next op by op"
+    (QCheck.make ~print:ops_to_string ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 30) op_gen))
     (fun ops ->
-      let e = Enclave.create ~host:1 () and d = Desired.create () in
+      let e = Enclave.create ~host:1 () in
       let verdict r = if Result.is_ok r then "accepted" else "refused" in
-      List.iteri
-        (fun i op ->
-          let at_enclave = Enclave.apply e op and at_desired = Desired.apply d op in
-          if Result.is_ok at_enclave <> Result.is_ok at_desired then
-            QCheck.Test.fail_reportf "op %d (%s): enclave %s, desired %s" i
-              (Enclave.op_to_string op) (verdict at_enclave) (verdict at_desired);
-          match Enclave.diff ~desired:(Desired.snapshot d) ~actual:(Enclave.snapshot e) with
-          | [] ->
-            if not (Enclave.config_equal (Desired.snapshot d) (Enclave.snapshot e)) then
-              QCheck.Test.fail_reportf "after op %d: configurations differ" i
-          | drift -> QCheck.Test.fail_reportf "after op %d: drift [%s]" i (ops_to_string drift))
-        ops;
+      let step (i, sn) op =
+        let at_enclave = Enclave.apply e op and by_next = Enclave.next sn op in
+        let sn =
+          match (at_enclave, by_next, op) with
+          | Ok got, Ok (_, want), (Enclave.Add_table | Enclave.Add_rule _) when got <> want ->
+            QCheck.Test.fail_reportf "op %d (%s): enclave acked %Ld, next %Ld" i
+              (Enclave.op_to_string op) got want
+          | Ok _, Ok (sn, _), _ -> sn
+          | Error _, Error _, _ -> sn
+          | _ ->
+            QCheck.Test.fail_reportf "op %d (%s): enclave %s, next %s" i
+              (Enclave.op_to_string op) (verdict at_enclave) (verdict by_next)
+        in
+        (match Enclave.diff ~desired:sn ~actual:(Enclave.snapshot e) with
+        | [] ->
+          if not (Enclave.config_equal sn (Enclave.snapshot e)) then
+            QCheck.Test.fail_reportf "after op %d: configurations differ" i
+        | drift -> QCheck.Test.fail_reportf "after op %d: drift [%s]" i (ops_to_string drift));
+        check_routing e sn ~after:i;
+        (i + 1, sn)
+      in
+      ignore (List.fold_left step (0, Enclave.empty) ops);
       let e2 = Enclave.create ~host:2 () in
       (match Enclave.restore e2 (Enclave.snapshot e) with
       | Ok () -> ()
@@ -679,7 +762,7 @@ let () =
             test_reports_include_resilience_columns;
           Alcotest.test_case "stats equal the scrape" `Quick test_stats_equal_scrape;
         ] );
-      ("config model", [ Qcheck_seed.qcheck prop_desired_tracks_enclave ]);
+      ("config model", [ Qcheck_seed.qcheck prop_enclave_follows_next ]);
       ( "chaos",
         [
           Alcotest.test_case "scenarios pass under CI seed" `Quick test_chaos_scenarios_pass;
