@@ -228,23 +228,17 @@ let program_steps p =
   | Ok s -> s.Interp.steps
   | Error (_, s) -> s.Interp.steps
 
-(* Steady-state allocation of the cached compiled data path: after the
-   class memo and marshal plans are warm, [process] must not allocate for
-   marshalling or table lookup.  What remains above the no-policy
-   baseline, 12 words for PIAS, is the engine boxing the scalars it
-   publishes; message state keeps those boxes as they are.  The budget
-   of 16 leaves no room for a stray [Array.map], option, closure or
-   re-boxing copy on the per-packet path, so one fails the bench
-   loudly. *)
-let allocation_words_budget = 16.0
-
-(* The interpreter runs on the same machine as the compiled engine, made
-   at install and reset per run, with operands kept unboxed in its slots,
-   so interpreted PIAS allocates over the no-policy baseline about what
-   compiled PIAS does: 12 words.  The budget has ~20% headroom; the
-   interpreter's earlier closure-and-ref machine, rebuilt every run,
-   allocated about 110 words per PIAS run and fails it on any machine. *)
-let interpreted_words_budget = 14.0
+(* Steady-state allocation of an action invocation, on either engine:
+   after the class memo and marshal plans are warm, [process] allocates
+   nothing for marshalling, table lookup or the engine.  Scalars move
+   unboxed from the packet, the message and the globals into the
+   machine's I/O slots and back, and [State] stores them unboxed, so
+   compiled and interpreted PIAS allocate what the no-policy baseline
+   does (0.4 words more through [process_batch], whose result list and
+   decision records are per batch).  The budget of 2 words over the
+   baseline fails on a single stray 3-word [int64] box, option or
+   closure on the per-packet path. *)
+let invocation_words_budget = 2.0
 
 (* The no-policy path itself has an absolute bound: flow classification
    runs once per flow and the merged metadata once per message, so a
@@ -351,7 +345,7 @@ let allocation_check () =
   Printf.printf
     "\nallocation (minor words/packet): no-policy %.1f (budget %.0f), compiled pias %.1f, \
      delta %.1f (budget %.0f)\n"
-    base no_policy_words_budget compiled delta allocation_words_budget;
+    base no_policy_words_budget compiled delta invocation_words_budget;
   if base > no_policy_words_budget then begin
     Printf.printf
       "ALLOCATION REGRESSION: the no-policy data path allocates %.1f words/packet (budget \
@@ -359,7 +353,7 @@ let allocation_check () =
       base no_policy_words_budget;
     exit 1
   end;
-  if delta > allocation_words_budget then begin
+  if delta > invocation_words_budget then begin
     Printf.printf
       "ALLOCATION REGRESSION: the cached compiled data path allocates %.1f words/packet \
        over the no-policy baseline\n"
@@ -389,8 +383,8 @@ let allocation_check () =
   Printf.printf
     "allocation (minor words/packet): compiled pias via process_batch %.1f, delta %.1f \
      (budget %.0f)\n"
-    batched (batched -. base) allocation_words_budget;
-  if batched -. base > allocation_words_budget then begin
+    batched (batched -. base) invocation_words_budget;
+  if batched -. base > invocation_words_budget then begin
     Printf.printf
       "ALLOCATION REGRESSION: process_batch allocates %.1f words/packet over the \
        no-policy baseline\n"
@@ -400,8 +394,8 @@ let allocation_check () =
   let interpreted = words_per_packet (pias_process_enclave `Interpreted) in
   Printf.printf
     "allocation (minor words/packet): interpreted pias %.1f, delta %.1f (budget %.0f)\n"
-    interpreted (interpreted -. base) interpreted_words_budget;
-  if interpreted -. base > interpreted_words_budget then begin
+    interpreted (interpreted -. base) invocation_words_budget;
+  if interpreted -. base > invocation_words_budget then begin
     Printf.printf
       "ALLOCATION REGRESSION: the interpreted data path allocates %.1f words/packet over the \
        no-policy baseline\n"

@@ -81,6 +81,36 @@ let merge_flow ~msg_id flow_classes b =
   let classes = push_classes (push_classes [] flow_classes) (List.rev b.classes) in
   { msg_id; fields = b.fields; classes }
 
+(* [cs] newest first, each class kept at its oldest occurrence, as
+   [add_class] keeps it; the list itself when no class repeats. *)
+let rec distinct = function
+  | [] -> true
+  | c :: older -> (not (List.exists (Class_name.equal c) older)) && distinct older
+
+let rec oldest_once = function
+  | [] -> []
+  | c :: older ->
+    if List.exists (Class_name.equal c) older then oldest_once older else c :: oldest_once older
+
+(* Each name bound at most once: [find] is a function of the name, so
+   the order the names come in does not change a binding. *)
+let rec bind_names find d fields = function
+  | [] -> fields
+  | f :: rest ->
+    let fields = match find f d with Some v -> Smap.add f v fields | None -> fields in
+    bind_names find d fields rest
+
+let rec bind_rules find d fields = function
+  | [] -> fields
+  | names :: rest -> bind_rules find d (bind_names find d fields names) rest
+
+let classified ~msg_id classes names find d =
+  {
+    msg_id = Some msg_id;
+    fields = bind_rules find d Smap.empty names;
+    classes = (if distinct classes then classes else oldest_once classes);
+  }
+
 let pp fmt t =
   let pp_field fmt (k, v) = Format.fprintf fmt "%s=%a" k pp_value v in
   Format.fprintf fmt "@[<h>{id=%s; classes=[%a]; %a}@]"

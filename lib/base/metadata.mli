@@ -67,6 +67,30 @@ val merge_flow : msg_id:int64 -> Class_name.t list -> t -> t
     first) come before [md]'s, each class once.  The enclave merges a
     flow's memoised flow-stage classes into stage metadata this way. *)
 
+val classified :
+  msg_id:int64 ->
+  Class_name.t list ->
+  string list list ->
+  (string -> 'd -> value option) ->
+  'd ->
+  t
+(** A stage's classification of one message, built as one record.
+    [classes] holds the class of each matching rule and [names] the
+    fields each of those rules attaches, both newest first (one entry
+    per rule); [find f d] is field [f]'s value in descriptor [d].
+    [classified ~msg_id classes names find d] equals
+    {[
+      List.fold_left2
+        (fun md c fs ->
+          List.fold_left
+            (fun md f -> match find f d with Some v -> add f v md | None -> md)
+            (add_class c md) fs)
+        (with_msg_id msg_id empty) (List.rev classes) (List.rev names)
+    ]}
+    for a pure [find], without building the intermediate records: the
+    message id is [msg_id], each class is kept once in that order, and
+    each named field present in [d] is bound to its value. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Conventional field names used by the built-in stages. *)

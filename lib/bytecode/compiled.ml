@@ -26,7 +26,8 @@
      does.
 
    The closures run on the interpreter's machine ([Interp.scratch]),
-   entered and published through its [reset]/[publish], allocating
+   entered and published through its [reset]/[publish] (scalars in and
+   out through the machine's unboxed I/O slots), allocating
    through [Interp.alloc] and faulting with [Interp.Fault].  When a
    block's remaining step budget cannot cover the whole block, the block
    hands over to [Interp.resume] at its first instruction and entry
@@ -420,21 +421,32 @@ let compile ?strict (p : P.t) =
   | Ok _ -> Ok { cp_program = p; cp_entry = build p; cp_machine = Interp.make_scratch p }
 
 (* The interpreter's entry and publish, unchecked and inlined: a
-   verified program and a machine made for it need only the env's slot
-   counts checked. *)
-let exec t ~(env : Interp.env) ~now ~rng =
+   verified program and a machine made for it need only the array count
+   checked. *)
+let invoke t ~arrays ~now ~rng =
   let p = t.cp_program in
   let st = t.cp_machine in
+  if Array.length arrays <> Array.length p.P.array_slots then
+    invalid_arg "Compiled.invoke: arrays do not match the program's slot table";
+  Interp.reset p st ~arrays ~now ~rng;
+  match t.cp_entry st with
+  | () ->
+    Interp.publish p st;
+    None
+  | exception Interp.Fault f -> Some f
+
+let exec t ~(env : Interp.env) ~now ~rng =
+  let p = t.cp_program in
   if
     Array.length env.Interp.scalars <> Array.length p.P.scalar_slots
     || Array.length env.Interp.arrays <> Array.length p.P.array_slots
   then invalid_arg "Compiled.exec: env does not match the program's slot tables";
-  Interp.reset p st ~env ~now ~rng;
-  match t.cp_entry st with
-  | () ->
-    Interp.publish p st env;
+  Interp.scalars_in p t.cp_machine env;
+  match invoke t ~arrays:env.Interp.arrays ~now ~rng with
+  | None ->
+    Interp.scalars_out p t.cp_machine env;
     None
-  | exception Interp.Fault f -> Some f
+  | Some _ as fault -> fault
 
 let last_steps t = t.cp_machine.steps
 let last_max_stack t = t.cp_machine.max_sp

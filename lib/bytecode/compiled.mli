@@ -36,6 +36,18 @@ val machine : t -> Interp.scratch
 (** The machine the compiled code runs on; after {!exec} it holds the
     run's statistics, as {!Interp.exec}'s machine does. *)
 
+val invoke :
+  t ->
+  arrays:int64 array array ->
+  now:Eden_base.Time.t ->
+  rng:Eden_base.Rng.t ->
+  Interp.fault option
+(** The unboxed entry, as {!Interp.invoke}: scalars in and out through
+    [(machine t).io], one array per [Program.array_slots] entry.
+    Allocation-free on success ([None]); the returned fault (if any) is
+    freshly allocated only on the fault path.
+    @raise Invalid_argument on an array count mismatch. *)
+
 val run :
   t ->
   env:Interp.env ->
@@ -43,8 +55,7 @@ val run :
   rng:Eden_base.Rng.t ->
   (Interp.stats, Interp.fault * Interp.stats) result
 (** Drop-in for {!Interp.run} (same env mutation and publication
-    contract). Allocates only the [stats] record / result constructor;
-    use {!exec} on paths that must not allocate. *)
+    contract). *)
 
 val exec :
   t ->
@@ -52,15 +63,15 @@ val exec :
   now:Eden_base.Time.t ->
   rng:Eden_base.Rng.t ->
   Interp.fault option
-(** Like {!run} but allocation-free on success ([None]); read the
-    statistics of the completed run from the accessors below. The
-    returned fault (if any) is freshly allocated only on the fault
-    path. *)
+(** {!invoke} wrapped as {!Interp.exec} wraps {!Interp.invoke}: the
+    env's scalars are copied into the I/O slots first and, on success,
+    the writable ones back (boxing each).  Read the statistics of the
+    completed run from the accessors below. *)
 
 val last_steps : t -> int
 val last_max_stack : t -> int
 val last_heap_cells : t -> int
-(** Statistics of the most recent {!run}/{!exec} on this [t]. *)
+(** Statistics of the most recent {!invoke}/{!run}/{!exec} on this [t]. *)
 
 val stats : t -> Interp.stats
 (** Allocates a fresh record from the three accessors above. *)

@@ -56,11 +56,13 @@ type stats = { steps : int; max_stack : int; heap_cells : int }
 (* The bytecode machine: one per program, made at install and reset per
    run, shared by both engines ([Compiled] runs its closure code over it
    and hands a block it cannot finish back to [resume]).  The operand
-   stack and locals are unboxed 8-byte slots in a [Bytes.t], so operands
-   move between slots without boxing and without the write barrier. *)
+   stack, the locals and the scalar I/O slots are unboxed 8-byte slots in
+   a [Bytes.t], so values move between the caller, the slots and the
+   code without boxing and without the write barrier. *)
 type scratch = {
   stack : Bytes.t;
   locals : Bytes.t;
+  io : Bytes.t;
   mutable env_arrays : int64 array array;
   mutable heap : int64 array array;
   mutable n_heap : int;
@@ -75,6 +77,7 @@ let make_scratch (p : Program.t) =
   {
     stack = Bytes.make (8 * max p.stack_limit 1) '\000';
     locals = Bytes.make (8 * max p.n_locals 1) '\000';
+    io = Bytes.make (8 * max (Array.length p.scalar_slots) 1) '\000';
     env_arrays = [||];
     heap = Array.make 16 [||];
     n_heap = 0;
@@ -93,15 +96,14 @@ external b64set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let stats m = { steps = m.steps; max_stack = m.max_sp; heap_cells = m.heap_cells }
 
 (* Entry work is per call, so it is kept to what a call changes: the
-   env and rng fields are re-stored (a write barrier each) only when the
-   caller passes different objects, the heap is reset only if the last
-   run allocated, and the locals are zeroed by an inline loop rather
-   than a C call.  Scalars are copied into locals here, so the machine
-   keeps no reference to [env.scalars].  Unchecked: [exec] validates
-   the machine and env first; [Compiled.exec] runs verified programs
-   only. *)
-let[@inline] reset (p : Program.t) m ~(env : env) ~now ~rng =
-  if not (m.env_arrays == env.arrays) then m.env_arrays <- env.arrays;
+   arrays and rng fields are re-stored (a write barrier each) only when
+   the caller passes different objects, the heap is reset only if the
+   last run allocated, and the locals are zeroed by an inline loop rather
+   than a C call.  Scalars are copied from the I/O slots into locals
+   here, unboxed.  Unchecked: [invoke] validates the machine first;
+   [Compiled.invoke] runs verified programs only. *)
+let[@inline] reset (p : Program.t) m ~arrays ~now ~rng =
+  if not (m.env_arrays == arrays) then m.env_arrays <- arrays;
   if not (m.rng == rng) then m.rng <- rng;
   let now_ns = Eden_base.Time.to_ns now in
   if not (m.now_ns == now_ns) then m.now_ns <- now_ns;
@@ -118,17 +120,31 @@ let[@inline] reset (p : Program.t) m ~(env : env) ~now ~rng =
   done;
   let scalar_slots = p.scalar_slots in
   for i = 0 to Array.length scalar_slots - 1 do
-    b64set locals ((Array.unsafe_get scalar_slots i).s_local lsl 3)
-      (Array.unsafe_get env.scalars i)
+    b64set locals ((Array.unsafe_get scalar_slots i).s_local lsl 3) (b64get m.io (i lsl 3))
   done
 
-(* Successful completion: publish writable scalar slots. *)
-let[@inline] publish (p : Program.t) m (env : env) =
+(* Successful completion: copy the writable scalar locals to their I/O
+   slots.  Read-only slots keep what the caller wrote. *)
+let[@inline] publish (p : Program.t) m =
   let scalar_slots = p.scalar_slots in
   for i = 0 to Array.length scalar_slots - 1 do
     let s = Array.unsafe_get scalar_slots i in
     if s.s_access = Program.Read_write then
-      Array.unsafe_set env.scalars i (b64get m.locals (s.s_local lsl 3))
+      b64set m.io (i lsl 3) (b64get m.locals (s.s_local lsl 3))
+  done
+
+(* The boxed edge, for [exec ~env]: the env's scalars into the I/O slots,
+   and after a successful run the writable slots back. *)
+let scalars_in (p : Program.t) m (env : env) =
+  for i = 0 to Array.length p.scalar_slots - 1 do
+    b64set m.io (i lsl 3) (Array.unsafe_get env.scalars i)
+  done
+
+let scalars_out (p : Program.t) m (env : env) =
+  let scalar_slots = p.scalar_slots in
+  for i = 0 to Array.length scalar_slots - 1 do
+    if (Array.unsafe_get scalar_slots i).s_access = Program.Read_write then
+      Array.unsafe_set env.scalars i (b64get m.io (i lsl 3))
   done
 
 (* The one heap allocator; returns the new array's reference. *)
@@ -378,25 +394,40 @@ let rec resume (p : Program.t) m ~pc ~sp =
     | Opcode.Halt -> ()
   end
 
-let check_fits (p : Program.t) m (env : env) =
-  if Bytes.length m.stack lsr 3 < p.stack_limit || Bytes.length m.locals lsr 3 < p.n_locals
+let check_fits (p : Program.t) m =
+  if
+    Bytes.length m.stack lsr 3 < p.stack_limit
+    || Bytes.length m.locals lsr 3 < p.n_locals
+    || Bytes.length m.io lsr 3 < Array.length p.scalar_slots
   then invalid_arg "Interp.run: scratch buffers too small for this program";
-  if Array.length env.scalars < Array.length p.scalar_slots then
-    invalid_arg "Interp.run: env has fewer scalars than the program's slot table";
   for i = 0 to Array.length p.scalar_slots - 1 do
     let l = p.scalar_slots.(i).s_local in
     if l < 0 || l >= Bytes.length m.locals lsr 3 then
       invalid_arg "Interp.run: scalar slot bound to a local outside the machine"
   done
 
-let exec ~scratch:m p ~env ~now ~rng =
-  check_fits p m env;
-  reset p m ~env ~now ~rng;
+let run_fitted p m ~arrays ~now ~rng =
+  reset p m ~arrays ~now ~rng;
   match resume p m ~pc:0 ~sp:0 with
   | () ->
-    publish p m env;
+    publish p m;
     None
   | exception Fault f -> Some f
+
+let invoke ~scratch:m p ~arrays ~now ~rng =
+  check_fits p m;
+  run_fitted p m ~arrays ~now ~rng
+
+let exec ~scratch:m p ~env ~now ~rng =
+  check_fits p m;
+  if Array.length env.scalars < Array.length p.scalar_slots then
+    invalid_arg "Interp.run: env has fewer scalars than the program's slot table";
+  scalars_in p m env;
+  match run_fitted p m ~arrays:env.arrays ~now ~rng with
+  | None ->
+    scalars_out p m env;
+    None
+  | Some _ as fault -> fault
 
 let run ?scratch p ~env ~now ~rng =
   let m = match scratch with Some m -> m | None -> make_scratch p in

@@ -1,11 +1,16 @@
 (** The enclave's bytecode machine and its interpreter.
 
-    Executes a program against an environment snapshot.  The
-    environment is whatever copy of packet / message / global state the
-    enclave state store prepared (copy-in / copy-out is the store's job;
-    the machine mutates the [env] it is handed and writes scalar locals
-    back on successful completion only, so a faulting program never
-    publishes partial scalar updates).
+    Executes a program against the scalar and array state the enclave
+    copied in for it (copy-in / copy-out is the enclave's job).  The
+    boundary is unboxed: the caller writes each scalar input into the
+    machine's I/O slots ({!scratch}[.io], one 8-byte slot per
+    [Program.scalar_slots] entry), {!invoke} runs the program, and on
+    successful completion only the writable scalars are published back
+    into those slots, so a faulting program never publishes partial
+    scalar updates and a warm invocation boxes no [int64].  {!exec} and
+    {!run} keep the boxed [env] interface as thin wrappers over the same
+    entry: they copy [env.scalars] into the I/O slots and, on success,
+    the writable slots back.
 
     One machine ({!scratch}) serves both engines: the interpreter here
     and {!Compiled}, which runs closure code over the same machine state
@@ -56,7 +61,11 @@ type stats = {
 type scratch = {
   stack : Bytes.t;  (** Operand stack: unboxed 8-byte slots. *)
   locals : Bytes.t;  (** Locals: unboxed 8-byte slots. *)
-  mutable env_arrays : int64 array array;  (** The running env's arrays. *)
+  io : Bytes.t;
+      (** Scalar I/O: slot [i] (bytes [8i .. 8i+7], native-endian
+          [int64]) holds [Program.scalar_slots.(i)]'s value.  Read at
+          entry; its writable slots are overwritten on success. *)
+  mutable env_arrays : int64 array array;  (** The running invocation's arrays. *)
   mutable heap : int64 array array;  (** Program-local arrays, [n_heap] live. *)
   mutable n_heap : int;
   mutable heap_cells : int;
@@ -67,9 +76,23 @@ type scratch = {
 }
 (** The machine: made once per program and reset by every run, so the
     data path allocates nothing per invocation.  Its fields are exposed
-    for {!Compiled}; other callers only make and pass it. *)
+    for {!Compiled} and for callers that marshal into [io]; other callers
+    only make and pass it. *)
 
 val make_scratch : Program.t -> scratch
+
+val invoke :
+  scratch:scratch ->
+  Program.t ->
+  arrays:int64 array array ->
+  now:Eden_base.Time.t ->
+  rng:Eden_base.Rng.t ->
+  fault option
+(** The unboxed entry: run the program on the scalars in [scratch.io]
+    and the given arrays (one per [Program.array_slots] entry).  On
+    success ([None]) the writable scalars are in [scratch.io]; on a fault
+    [io] is as the caller left it.  Allocation-free on success; read the
+    statistics off the machine.  Checked as {!run} is. *)
 
 val run :
   ?scratch:scratch ->
@@ -79,16 +102,19 @@ val run :
     one faults (operand-stack overflow or underflow, array bounds, ...)
     or raises [Invalid_argument] (a local, env slot or jump target out of
     range), though its faults may differ from what the verifier would
-    have reported.  A [scratch] made for this program (or a larger one)
-    removes the per-run allocations; locals are zeroed between runs so no
-    state leaks across invocations. *)
+    have reported.  A [scratch] made for this program (or one with at
+    least as many operand, local and scalar slots) removes the per-run
+    allocations; locals are zeroed between runs so no
+    state leaks across invocations.  On success the env's writable
+    scalars hold the published values. *)
 
 val exec :
   scratch:scratch ->
   Program.t -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t ->
   fault option
-(** [run] without the result: allocation-free on success ([None]); read
-    the statistics off the machine. *)
+(** [run] without the result: {!invoke} between copying [env.scalars]
+    into the I/O slots and, on success ([None]), the writable slots back
+    (which boxes them); read the statistics off the machine. *)
 
 val stats : scratch -> stats
 (** The statistics of the machine's last run. *)
@@ -96,18 +122,30 @@ val stats : scratch -> stats
 (** {2 The machine's parts, shared with {!Compiled}}
 
     [reset] and [publish] are unchecked: they trust that the machine was
-    made for the program and that the env matches its slot tables.
-    {!exec} checks both first. *)
+    made for the program.  {!invoke} checks that first. *)
 
 exception Fault of fault
 
 val reset :
-  Program.t -> scratch -> env:env -> now:Eden_base.Time.t -> rng:Eden_base.Rng.t -> unit
-(** Start a run: bind the env's arrays, the clock and the rng, empty the
-    heap, zero the counters and locals, copy the env's scalars in. *)
+  Program.t ->
+  scratch ->
+  arrays:int64 array array ->
+  now:Eden_base.Time.t ->
+  rng:Eden_base.Rng.t ->
+  unit
+(** Start a run: bind the arrays, the clock and the rng, empty the heap,
+    zero the counters and locals, copy the I/O slots into their locals. *)
 
-val publish : Program.t -> scratch -> env -> unit
-(** Finish a successful run: copy the writable scalar locals out. *)
+val publish : Program.t -> scratch -> unit
+(** Finish a successful run: copy the writable scalar locals to their
+    I/O slots. *)
+
+val scalars_in : Program.t -> scratch -> env -> unit
+(** Copy [env.scalars] into the I/O slots (the boxed edge of {!exec}).
+    Unchecked: the env holds at least one scalar per slot. *)
+
+val scalars_out : Program.t -> scratch -> env -> unit
+(** Copy the writable I/O slots into [env.scalars], boxing each. *)
 
 val alloc : scratch -> heap_limit:int -> pc:int -> int -> int
 (** [alloc m ~heap_limit ~pc n] allocates a zeroed [n]-cell heap array
@@ -118,6 +156,6 @@ val resume : Program.t -> scratch -> pc:int -> sp:int -> unit
 (** Interpret from [pc] with [sp] values on the operand stack until
     control leaves the code, charging steps and stack peaks to the
     machine.  The machine must hold [stack_limit] operand slots, as
-    {!exec} checks.  [exec] starts it at 0 and 0; {!Compiled} enters it
+    {!invoke} checks.  [invoke] starts it at 0 and 0; {!Compiled} enters it
     at a block leader and that block's entry depth.
     @raise Fault on a fault. *)

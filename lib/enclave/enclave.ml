@@ -314,7 +314,10 @@ let brk_record k cfg ~now ~faulted =
    so the per-packet copy-in / copy-out is an integer dispatch with no
    string comparison or hashing. *)
 
-let proto_code = function Addr.Tcp -> 6L | Addr.Udp -> 17L
+external b64get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external b64set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let proto_code = function Addr.Tcp -> 6 | Addr.Udp -> 17
 
 let packet_field_code = function
   | "Size" -> 0
@@ -333,26 +336,31 @@ let packet_field_code = function
   | "GotoTable" -> 13
   | _ -> -1
 
+(* Every readable packet field is an [int]: returning it unconverted
+   keeps the copy-in from boxing an [int64] on the way to the I/O slot. *)
 let packet_field_by_code (pkt : Packet.t) = function
-  | 0 -> Int64.of_int (Packet.wire_size pkt)
-  | 1 -> Int64.of_int pkt.Packet.payload
-  | 2 -> Int64.of_int pkt.Packet.priority
-  | 3 -> (match pkt.Packet.route_label with Some l -> Int64.of_int l | None -> -1L)
-  | 4 -> Int64.of_int pkt.Packet.flow.Addr.src.Addr.host
-  | 5 -> Int64.of_int pkt.Packet.flow.Addr.src.Addr.port
-  | 6 -> Int64.of_int pkt.Packet.flow.Addr.dst.Addr.host
-  | 7 -> Int64.of_int pkt.Packet.flow.Addr.dst.Addr.port
+  | 0 -> Packet.wire_size pkt
+  | 1 -> pkt.Packet.payload
+  | 2 -> pkt.Packet.priority
+  | 3 -> (match pkt.Packet.route_label with Some l -> l | None -> -1)
+  | 4 -> pkt.Packet.flow.Addr.src.Addr.host
+  | 5 -> pkt.Packet.flow.Addr.src.Addr.port
+  | 6 -> pkt.Packet.flow.Addr.dst.Addr.host
+  | 7 -> pkt.Packet.flow.Addr.dst.Addr.port
   | 8 -> proto_code pkt.Packet.flow.Addr.proto
-  | 9 -> if Packet.is_data pkt then 1L else 0L
-  | 10 -> 0L
-  | 11 | 12 | 13 -> -1L
-  | _ -> 0L
+  | 9 -> if Packet.is_data pkt then 1 else 0
+  | 10 -> 0
+  | 11 | 12 | 13 -> -1
+  | _ -> 0
 
 let packet_field_writable = function
   | "Priority" | "Path" | "Drop" | "Queue" | "Charge" | "GotoTable" -> true
   | _ -> false
 
-let apply_packet_field_code (out : outputs) code v =
+(* Reads the value from the I/O slot at byte offset [off] itself, so no
+   [int64] is passed boxed. *)
+let apply_packet_field_code (out : outputs) code io off =
+  let v = b64get io off in
   match code with
   | 2 -> out.o_priority <- max 0 (min 7 (Int64.to_int v))
   | 3 -> out.o_path <- Int64.to_int v
@@ -408,10 +416,8 @@ type plan = {
   pl_in : scalar_in array;  (* per scalar slot *)
   pl_out : scalar_out array;  (* per scalar slot *)
   pl_abind : array_kind array;  (* per array slot *)
-  pl_scalars : int64 array;  (* preallocated env.scalars *)
-  pl_arrays : int64 array array;  (* preallocated env.arrays *)
+  pl_arrays : int64 array array;  (* preallocated invocation arrays *)
   pl_live : int64 array array;  (* live aliases for scratch blits *)
-  pl_env : Interp.env;
   pl_msg_in : bool;  (* some [In_msg_state] slot *)
   pl_msg_out : bool;  (* some [Out_msg] slot *)
   mutable pl_entry : State.entry;  (* the invocation's message, if [pl_msg_in] *)
@@ -431,7 +437,6 @@ let make_plan (p : P.t) sources =
      [shared_local] falls back to copying everything (the verifier does
      not forbid it, but no compiler emits it). *)
   let fp = P.footprint p in
-  let n_scalars = Array.length p.P.scalar_slots in
   let n_arrays = Array.length p.P.array_slots in
   let pl_in =
     Array.map
@@ -472,17 +477,13 @@ let make_plan (p : P.t) sources =
         else A_scratch)
       p.P.array_slots
   in
-  let pl_scalars = Array.make n_scalars 0L in
-  let pl_arrays = Array.make n_arrays [||] in
   {
     pl_prog = p;
     pl_in;
     pl_out;
     pl_abind;
-    pl_scalars;
-    pl_arrays;
+    pl_arrays = Array.make n_arrays [||];
     pl_live = Array.make n_arrays [||];
-    pl_env = { Interp.scalars = pl_scalars; arrays = pl_arrays };
     pl_msg_in = Array.exists (function In_msg_state _ -> true | _ -> false) pl_in;
     pl_msg_out = Array.exists (function Out_msg _ -> true | _ -> false) pl_out;
     pl_entry = State.no_entry;
@@ -1255,29 +1256,33 @@ let record_fault t action fault now =
   Tel.Counter.inc t.m_faults;
   Tel.Ring.push t.e_faults { fr_action = action; fr_fault = fault; fr_time = now }
 
-(* Copy-in per the plan; elided slots keep whatever the buffer holds
-   (the program provably never reads them, and the plan never publishes
-   them).  The message entry is looked up once and kept for copy-out.
-   Metadata-sourced slots are copied only when [md] is not the object
-   they were copied from: [Metadata.t] is immutable, those slots are
-   read-only (install rejects writable ones), and neither engine
-   publishes a read-only slot, so the buffer still holds their values. *)
-let marshal_in a plan pkt md msg_id ~now =
-  let s = plan.pl_scalars in
+(* Copy-in per the plan, into the machine's unboxed I/O slots ([io],
+   slot [i] at byte offset [8i]); elided slots keep whatever the slot
+   holds (the program provably never reads them, and the plan never
+   publishes them).  The message entry is looked up once and kept for
+   copy-out.  Metadata-sourced slots are copied only when [md] is not
+   the object they were copied from: [Metadata.t] is immutable, those
+   slots are read-only (install rejects writable ones), and neither
+   engine publishes a read-only slot, so [io] still holds their
+   values. *)
+let marshal_in a plan io pkt md msg_id ~now =
   let st = a.a_state in
   if plan.pl_msg_in then plan.pl_entry <- State.msg_entry st ~msg:msg_id ~now;
   let e = plan.pl_entry in
   let md_fresh = not (md == plan.pl_md) in
   if md_fresh then plan.pl_md <- md;
   for i = 0 to Array.length plan.pl_in - 1 do
+    let off = i lsl 3 in
     match Array.unsafe_get plan.pl_in i with
     | In_zero -> ()
-    | In_pkt code -> s.(i) <- packet_field_by_code pkt code
-    | In_msg_state r -> s.(i) <- State.entry_get e r.fslot ~default:r.default
-    | In_msg_meta_int field -> if md_fresh then s.(i) <- Metadata.int_field field ~default:0L md
+    | In_pkt code -> b64set io off (Int64.of_int (packet_field_by_code pkt code))
+    | In_msg_state r -> State.entry_load e r.fslot ~default:r.default io off
+    | In_msg_meta_int field ->
+      if md_fresh then b64set io off (Metadata.int_field field ~default:0L md)
     | In_msg_meta_flag (field, expected) ->
-      if md_fresh then s.(i) <- (if Metadata.str_field_is field ~expected md then 1L else 0L)
-    | In_global r -> s.(i) <- State.global_get_slot st r.gslot
+      if md_fresh then
+        b64set io off (if Metadata.str_field_is field ~expected md then 1L else 0L)
+    | In_global r -> State.global_load st r.gslot io off
   done;
   for i = 0 to Array.length plan.pl_abind - 1 do
     match plan.pl_abind.(i) with
@@ -1287,12 +1292,11 @@ let marshal_in a plan pkt md msg_id ~now =
     | A_alias -> ()
   done
 
-(* Publish on success only: writable scalars the program stored, plus
-   scratch arrays blitted back over the live binding (the binding itself
-   is unchanged, so dependent plans need not rebind).  The values are
-   stored as the engine published them, boxes included. *)
-let marshal_out a plan out msg_id ~now =
-  let s = plan.pl_scalars in
+(* Publish on success only: writable scalars the program stored, copied
+   unboxed from [io] into the outputs and the store, plus scratch arrays
+   blitted back over the live binding (the binding itself is unchanged,
+   so dependent plans need not rebind). *)
+let marshal_out a plan io out msg_id ~now =
   let st = a.a_state in
   let e =
     if not plan.pl_msg_out then State.no_entry
@@ -1300,11 +1304,12 @@ let marshal_out a plan out msg_id ~now =
     else State.msg_entry st ~msg:msg_id ~now
   in
   for i = 0 to Array.length plan.pl_out - 1 do
+    let off = i lsl 3 in
     match Array.unsafe_get plan.pl_out i with
     | Out_none -> ()
-    | Out_pkt code -> apply_packet_field_code out code s.(i)
-    | Out_msg r -> State.entry_set e r.fslot s.(i)
-    | Out_global r -> State.global_set_slot st r.gslot s.(i)
+    | Out_pkt code -> apply_packet_field_code out code io off
+    | Out_msg r -> State.entry_store e r.fslot io off
+    | Out_global r -> State.global_store st r.gslot io off
   done;
   for i = 0 to Array.length plan.pl_abind - 1 do
     match plan.pl_abind.(i) with
@@ -1315,24 +1320,25 @@ let marshal_out a plan out msg_id ~now =
   done
 
 (* One runner for both bytecode engines: rebind and copy in, run the
-   machine (through the compiled code when there is one), read the steps
-   off it, then record the fault or publish.  The engine kind picks the
-   per-step cost here: a [float] argument would be boxed at every
-   call. *)
+   machine through its unboxed entry (the compiled code when there is
+   one), read the steps off it, then record the fault or publish.  The
+   engine kind picks the per-step cost here: a [float] argument would be
+   boxed at every call. *)
 let run_bytecode t a ~machine ~compiled plan pkt md msg_id out ~now =
   rebind_plan plan a.a_state;
   match plan.pl_undersized with
   | Some fault -> record_fault t a.a_name fault now
   | None -> (
-    marshal_in a plan pkt md msg_id ~now;
+    let io = machine.Interp.io in
+    marshal_in a plan io pkt md msg_id ~now;
     Tel.Counter.inc t.m_marshals;
-    let env = plan.pl_env and rng = t.e_rng in
+    let arrays = plan.pl_arrays and rng = t.e_rng in
     let fault =
       match compiled with
       | Some c ->
         Tel.Counter.inc t.m_compiled_invocations;
-        Compiled.exec c ~env ~now ~rng
-      | None -> Interp.exec ~scratch:machine plan.pl_prog ~env ~now ~rng
+        Compiled.invoke c ~arrays ~now ~rng
+      | None -> Interp.invoke ~scratch:machine plan.pl_prog ~arrays ~now ~rng
     in
     let steps = machine.Interp.steps in
     let is_compiled = Option.is_some compiled in
@@ -1346,7 +1352,7 @@ let run_bytecode t a ~machine ~compiled plan pkt md msg_id out ~now =
            *. if is_compiled then m.Cost.compiled_step_ns else m.Cost.per_step_ns));
     match fault with
     | Some fault -> record_fault t a.a_name fault now
-    | None -> marshal_out a plan out msg_id ~now)
+    | None -> marshal_out a plan io out msg_id ~now)
 
 let run_native t a f pkt md msg_id out ~now =
   Tel.Counter.inc t.m_native_invocations;

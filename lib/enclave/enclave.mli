@@ -424,7 +424,11 @@ val process : t -> now:Eden_base.Time.t -> Eden_base.Packet.t -> decision
     recorded; the rest of the system is unaffected (§3.4.3).
 
     A bytecode action's copy-in and copy-out run by the marshal plan
-    built at install: state names are resolved to {!State} slots when
+    built at install, unboxed: values move between the packet, the
+    metadata, {!State}'s slots and the machine's I/O slots as raw
+    [int64] bits, so a warm invocation allocates only what its program
+    does ([Newarr]).  State names
+    are resolved to slots when
     the plan binds to a store, the message entry is looked up once per
     invocation, and metadata-sourced fields are copied only when the
     packet's merged metadata is not the object they were last copied

@@ -1,23 +1,48 @@
 module Time = Eden_base.Time
 
-(* A field or global that was never written holds [unset], compared with
-   [==].  It is a box of its own, made at run time, so no value a caller
-   passes in can be it, and no read returns it. *)
-let unset : int64 = Int64.of_string "-1"
+(* Bounds-checked: a slot or buffer offset out of range raises rather
+   than reaching past the bytes. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* Scalar values are stored unboxed.  A slot vector of capacity [cap] is
+   one [Bytes.t]: [cap] native-endian 8-byte values, then [cap] flag
+   bytes, nonzero once the slot is written.  The flag, not the value,
+   says whether a slot was written, so every [int64] is an ordinary
+   value.  Writes store the value's bits, so neither a write nor a copy
+   to or from the enclave's I/O slots allocates. *)
+module Slots = struct
+  let make cap = Bytes.make (9 * cap) '\000'
+  let[@inline] cap b = Bytes.length b / 9
+  let[@inline] written b s = s < cap b && Bytes.get b ((8 * cap b) + s) <> '\000'
+  let[@inline] get b s = get64 b (s lsl 3)
+
+  let[@inline] set b s v =
+    set64 b (s lsl 3) v;
+    Bytes.set b ((8 * cap b) + s) '\001'
+
+  (* [b] with capacity at least [n], written flags kept. *)
+  let grow b n =
+    let c = cap b in
+    let b' = make (max n (2 * c)) in
+    Bytes.blit b 0 b' 0 (8 * c);
+    Bytes.blit b (8 * c) b' (8 * cap b') c;
+    b'
+end
 
 type entry = {
   e_id : int64;
-  mutable e_vals : int64 array;  (* per field slot; [unset] if never written *)
+  mutable e_vals : Bytes.t;  (* slot vector, per field slot *)
   mutable e_touch : Time.t;
   mutable e_next : entry;  (* bucket chain, ended by [no_entry] *)
 }
 
-let rec no_entry = { e_id = 0L; e_vals = [||]; e_touch = Time.zero; e_next = no_entry }
+let rec no_entry = { e_id = 0L; e_vals = Bytes.empty; e_touch = Time.zero; e_next = no_entry }
 
 type t = {
   g_slots : (string, int) Hashtbl.t;
   mutable g_names : string array;  (* per global slot *)
-  mutable g_vals : int64 array;  (* per global slot; [unset] if never written *)
+  mutable g_vals : Bytes.t;  (* slot vector, per global slot *)
   global_arrays : (string, int64 array) Hashtbl.t;
   f_slots : (string, int) Hashtbl.t;
   mutable n_fields : int;
@@ -30,7 +55,7 @@ let create () =
   {
     g_slots = Hashtbl.create 16;
     g_names = [||];
-    g_vals = [||];
+    g_vals = Slots.make 0;
     global_arrays = Hashtbl.create 8;
     f_slots = Hashtbl.create 8;
     n_fields = 0;
@@ -52,12 +77,11 @@ let global_slot t name =
   match slot_of t.g_slots name with
   | -1 ->
     let s = Hashtbl.length t.g_slots in
-    if s = Array.length t.g_vals then begin
+    if s = Slots.cap t.g_vals then begin
       let cap = max 8 (2 * s) in
-      let vals = Array.make cap unset and names = Array.make cap "" in
-      Array.blit t.g_vals 0 vals 0 s;
+      let names = Array.make cap "" in
       Array.blit t.g_names 0 names 0 s;
-      t.g_vals <- vals;
+      t.g_vals <- Slots.grow t.g_vals cap;
       t.g_names <- names
     end;
     t.g_names.(s) <- name;
@@ -65,16 +89,15 @@ let global_slot t name =
     s
   | s -> s
 
-let global_get_slot t s =
-  let v = t.g_vals.(s) in
-  if v == unset then 0L else v
+let[@inline] global_value t s = if Slots.written t.g_vals s then Slots.get t.g_vals s else 0L
+let global_load t s dst off = set64 dst off (global_value t s)
 
-let global_set_slot t s v = t.g_vals.(s) <- v
+let global_store t s src off =
+  if s < 0 || s >= Hashtbl.length t.g_slots then invalid_arg "State: no such global slot";
+  Slots.set t.g_vals s (get64 src off)
 
-let global_get t name =
-  match slot_of t.g_slots name with -1 -> 0L | s -> global_get_slot t s
-
-let global_set t name v = global_set_slot t (global_slot t name) v
+let global_get t name = match slot_of t.g_slots name with -1 -> 0L | s -> global_value t s
+let global_set t name v = Slots.set t.g_vals (global_slot t name) v
 
 let global_array t name =
   match Hashtbl.find t.global_arrays name with a -> a | exception Not_found -> [||]
@@ -88,8 +111,7 @@ let array_version t = t.array_version
 let global_bindings t =
   let acc = ref [] in
   for s = Hashtbl.length t.g_slots - 1 downto 0 do
-    let v = t.g_vals.(s) in
-    if not (v == unset) then acc := (t.g_names.(s), v) :: !acc
+    if Slots.written t.g_vals s then acc := (t.g_names.(s), Slots.get t.g_vals s) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
@@ -142,7 +164,7 @@ let msg_entry t ~msg ~now =
     let e =
       {
         e_id = msg;
-        e_vals = Array.make t.n_fields unset;
+        e_vals = Slots.make t.n_fields;
         e_touch = now;
         e_next = t.buckets.(b);
       }
@@ -157,31 +179,38 @@ let msg_entry t ~msg ~now =
   end
 
 let ensure_slot e s =
-  let n = Array.length e.e_vals in
-  if s >= n then begin
+  if s >= Slots.cap e.e_vals then begin
     if e == no_entry then invalid_arg "State: field access through no_entry";
-    let vals = Array.make (max (s + 1) (2 * n)) unset in
-    Array.blit e.e_vals 0 vals 0 n;
-    e.e_vals <- vals
+    e.e_vals <- Slots.grow e.e_vals (s + 1)
   end
 
-let entry_get e s ~default =
-  let v = if s < Array.length e.e_vals then e.e_vals.(s) else unset in
-  if v == unset then begin
+(* A field never written reads [default] and stores it. *)
+let[@inline] entry_fill e s ~default =
+  if not (Slots.written e.e_vals s) then begin
     ensure_slot e s;
-    e.e_vals.(s) <- default;
-    default
+    Slots.set e.e_vals s default
   end
-  else v
 
-let entry_set e s v =
+let entry_load e s ~default dst off =
+  entry_fill e s ~default;
+  set64 dst off (Slots.get e.e_vals s)
+
+let entry_store e s src off =
   ensure_slot e s;
-  e.e_vals.(s) <- v
+  Slots.set e.e_vals s (get64 src off)
 
 let msg_get t ~msg ~field ~default ~now =
-  entry_get (msg_entry t ~msg ~now) (field_slot t field) ~default
+  let s = field_slot t field in
+  let e = msg_entry t ~msg ~now in
+  entry_fill e s ~default;
+  Slots.get e.e_vals s
 
-let msg_set t ~msg ~field v ~now = entry_set (msg_entry t ~msg ~now) (field_slot t field) v
+let msg_set t ~msg ~field v ~now =
+  let s = field_slot t field in
+  let e = msg_entry t ~msg ~now in
+  ensure_slot e s;
+  Slots.set e.e_vals s v
+
 let msg_known t ~msg = not (msg_find t ~msg == no_entry)
 let msg_count t = t.n_msgs
 

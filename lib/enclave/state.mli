@@ -8,13 +8,18 @@
 
     Names are resolved to slots.  A global scalar or message field name
     gets a dense slot the first time anything names it, and keeps it for
-    the store's lifetime.  Global scalars live in one array indexed by
-    global slot; each message entry holds an array indexed by field slot.
-    Messages are found through an [int64]-keyed table with a
+    the store's lifetime.  Scalar values are stored unboxed, with a
+    written flag per slot: global scalars in one slot vector indexed by
+    global slot, each message entry's fields in one indexed by field
+    slot.  Any [int64], [-1L] and the extremes included, is an ordinary
+    value.  Messages are found through an [int64]-keyed table with a
     multiplicative hash and [Int64.equal].  The enclave's marshal plans
-    resolve their names once, when bound to a store, and then read and
-    write by slot; the by-name functions below are thin wrappers over the
-    same store, for native actions, tests and tools.
+    resolve their names once, when bound to a store, and then copy
+    values by slot between the store and the machine's unboxed I/O slots
+    ({!entry_load}, {!entry_store}, {!global_load}, {!global_store}), so
+    copy-in and write-back box nothing.  The by-name functions below are
+    the boxed [int64] interface over the same store, for native actions,
+    the controller, tests and tools.
 
     Message entries record their last-touch time so idle messages can be
     expired, and are dropped eagerly when the transport signals message
@@ -73,18 +78,25 @@ val expire : t -> now:Eden_base.Time.t -> idle:Eden_base.Time.t -> int
 (** {2 Slot-resolved access}
 
     What the by-name functions do, split so that the name lookups happen
-    once.  A slot is valid for the store that issued it, for as long as
-    that store lives.  Nothing here hashes a string or raises on a
-    present message. *)
+    once, and unboxed: a value moves between a slot and the 8 bytes of a
+    caller's buffer at a byte offset ([Bytes.get_int64_ne] layout) with
+    no [int64] boxed.  A slot is valid for the store that issued it, for
+    as long as that store lives.  Nothing here hashes a string or raises
+    on a present message.  A buffer offset out of range raises
+    [Invalid_argument]. *)
 
 val global_slot : t -> string -> int
 (** The slot of a global scalar, registering the name if new.  A new
     slot reads as never written. *)
 
-val global_get_slot : t -> int -> int64
-(** 0 for a never-written slot, like {!global_get}. *)
+val global_load : t -> int -> Bytes.t -> int -> unit
+(** [global_load t slot buf off] writes the global's value at [off], 0
+    for a never-written slot, like {!global_get}. *)
 
-val global_set_slot : t -> int -> int64 -> unit
+val global_store : t -> int -> Bytes.t -> int -> unit
+(** [global_store t slot buf off] sets the global to the value at [off]
+    and marks it written, as {!global_set} does.
+    @raise Invalid_argument on a slot the store did not issue. *)
 
 val field_slot : t -> string -> int
 (** The slot of a message field, registering the name if new.  Entries
@@ -101,10 +113,9 @@ val no_entry : entry
 val msg_entry : t -> msg:int64 -> now:Eden_base.Time.t -> entry
 (** The message's entry, created if absent, touched at [now]. *)
 
-val entry_get : entry -> int -> default:int64 -> int64
-(** [msg_get] by slot: a never-written field returns [default] and
-    stores it. *)
+val entry_load : entry -> int -> default:int64 -> Bytes.t -> int -> unit
+(** [msg_get] by slot, into [buf] at [off]: a never-written field reads
+    [default] and stores it. *)
 
-val entry_set : entry -> int -> int64 -> unit
-(** [msg_set] by slot.  The value is stored as given (the same box), so
-    a value read back is the one written. *)
+val entry_store : entry -> int -> Bytes.t -> int -> unit
+(** [msg_set] by slot, from [buf] at [off]. *)

@@ -49,24 +49,22 @@ let new_msg_id t =
 let qualified_class t ~ruleset cls = Class_name.v ~stage:t.name ~ruleset ~name:cls
 
 (* Both entry points look each classifier field up once, then run every
-   rule-set's compiled tests over that row. *)
+   rule-set's compiled tests over that row.  [classify] collects the
+   matching rules' classes and field names and builds the metadata once
+   ({!Metadata.classified}), rather than one record per class and per
+   field. *)
+let rec classify_in ~msg_id descriptor row classes names = function
+  | [] -> Metadata.classified ~msg_id classes names Classifier.Descriptor.find descriptor
+  | rs :: rest -> (
+    match Ruleset.classify_row rs row with
+    | None -> classify_in ~msg_id descriptor row classes names rest
+    | Some r ->
+      classify_in ~msg_id descriptor row (r.Ruleset.qualified :: classes)
+        (r.Ruleset.metadata_fields :: names) rest)
+
 let classify ?msg_id t descriptor =
   let msg_id = match msg_id with Some id -> id | None -> new_msg_id t in
-  let md = Metadata.with_msg_id msg_id Metadata.empty in
-  let row = Classifier.row t.fields descriptor in
-  List.fold_left
-    (fun md rs ->
-      match Ruleset.classify_row rs row with
-      | None -> md
-      | Some rule ->
-        let md = Metadata.add_class rule.Ruleset.qualified md in
-        List.fold_left
-          (fun md field ->
-            match Classifier.Descriptor.find field descriptor with
-            | Some v -> Metadata.add field v md
-            | None -> md)
-          md rule.Ruleset.metadata_fields)
-    md t.rulesets
+  classify_in ~msg_id descriptor (Classifier.row t.fields descriptor) [] [] t.rulesets
 
 let rec classes_in rulesets row =
   match rulesets with

@@ -70,6 +70,68 @@ let test_state_expiry () =
   check_int "one expired" 1 dropped;
   check_bool "recent kept" true (State.msg_known s ~msg:2L)
 
+(* [-1L] was the value of the box that once marked an unwritten slot; a
+   written flag per slot makes it, and the extremes, ordinary values, on
+   the by-name path and on the data path's unboxed write-back alike. *)
+let test_state_int64_edges () =
+  let s = State.create () in
+  let now = Time.us 1 in
+  List.iter
+    (fun v ->
+      State.msg_set s ~msg:1L ~field:"F" v ~now;
+      check_i64 "message field reads back" v
+        (State.msg_get s ~msg:1L ~field:"F" ~default:7L ~now);
+      State.global_set s "G" v;
+      check_i64 "global reads back" v (State.global_get s "G"))
+    [ Int64.max_int; Int64.min_int; -1L ];
+  check_i64 "never-written field reads its default" 7L
+    (State.msg_get s ~msg:1L ~field:"H" ~default:7L ~now);
+  ignore (State.global_slot s "Unwritten");
+  check_i64 "never-written global reads 0" 0L (State.global_get s "Unwritten");
+  check_bool "written -1 listed, never-written not" true
+    (State.global_bindings s = [ ("G", -1L) ]);
+  (* Slots and buffer offsets are checked, not trusted. *)
+  let buf = Bytes.make 8 '\000' in
+  let raises what f =
+    check_bool what true (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "unissued global slot" (fun () -> State.global_store s 99 buf 0);
+  raises "negative field slot" (fun () ->
+      State.entry_store (State.msg_entry s ~msg:1L ~now) (-1) buf 0);
+  raises "offset past the buffer" (fun () ->
+      State.global_load s (State.global_slot s "G") buf 1);
+  (* Through an action: the program writes -1 to a message field and a
+     global and reads a global nobody wrote. *)
+  let e = Enclave.create ~host:1 () in
+  let schema =
+    let rw = Schema.field ~access:Schema.Read_write in
+    Schema.with_standard_packet ~message:[ rw "F" ] ~global:[ rw "G"; Schema.field "Unset" ] ()
+  in
+  let act =
+    let open Dsl in
+    action "edges"
+      (set_msg "F" (neg (int 1)) ^^ set_glob "G" (neg (int 1))
+      ^^ set_pkt "Priority" (glob "Unset" + int 3))
+  in
+  let p = get_ok (Result.map_error Compile.error_to_string (Compile.compile schema act)) in
+  get_ok
+    (Enclave.install_action e
+       {
+         Enclave.i_name = "edges";
+         i_impl = Enclave.Compiled p;
+         i_msg_sources = [ ("F", Enclave.Stateful 5L) ];
+       });
+  ignore (get_ok (Enclave.add_table_rule e ~pattern:(pat "*.*.*") ~action:"edges" ()));
+  let md = tagged_metadata ~msg_id:3L [ "GET" ] in
+  let pkt = data_packet ~metadata:md (flow ()) in
+  ignore (Enclave.process e ~now pkt);
+  check_int "never-written global read as 0" 3 pkt.Packet.priority;
+  let st = Option.get (Enclave.action_state e "edges") in
+  check_i64 "field written -1 by the action" (-1L)
+    (State.msg_get st ~msg:3L ~field:"F" ~default:5L ~now);
+  check_bool "snapshot lists the -1 global only" true
+    (List.assoc "edges" (Enclave.snapshot e).Enclave.sn_globals = [ ("G", -1L) ])
+
 (* The store as it was when every message held a string-keyed
    [Hashtbl]: the reference the slot-indexed store is checked against. *)
 module Model = struct
@@ -158,7 +220,13 @@ let gen_state_op =
   let msg = map Int64.of_int (int_range 0 5) in
   let field = oneofl [ "f0"; "f1"; "f2"; "f3" ] in
   let name = oneofl [ "g0"; "g1"; "g2"; "g3" ] in
-  let v = map Int64.of_int (int_range (-3) 40) in
+  let v =
+    frequency
+      [
+        (8, map Int64.of_int (int_range (-3) 40));
+        (1, oneofl [ -1L; Int64.min_int; Int64.max_int ]);
+      ]
+  in
   frequency
     [
       (5, map4 (fun by_slot msg field default -> Get { by_slot; msg; field; default })
@@ -173,6 +241,11 @@ let gen_state_op =
       (1, return Gbindings);
     ]
 
+(* The by-slot ops move values through this buffer, as the enclave moves
+   them through a machine's I/O slots; offset 8 of 24, so an access that
+   ignored the offset would read a neighbour. *)
+let slot_buf = Bytes.make 24 '\xff'
+
 (* Runs one op on both stores (time advancing by [dt] µs first);
    returns a description of any disagreement. *)
 let run_state_op st model now (dt, op) =
@@ -183,13 +256,19 @@ let run_state_op st model now (dt, op) =
   match op with
   | Get { by_slot; msg; field; default } ->
     let got =
-      if by_slot then
-        State.entry_get (State.msg_entry st ~msg ~now) (State.field_slot st field) ~default
+      if by_slot then begin
+        State.entry_load (State.msg_entry st ~msg ~now) (State.field_slot st field) ~default
+          slot_buf 8;
+        Bytes.get_int64_ne slot_buf 8
+      end
       else State.msg_get st ~msg ~field ~default ~now
     in
     same i64 got (Model.msg_get model ~msg ~field ~default ~now)
   | Set { by_slot; msg; field; v } ->
-    if by_slot then State.entry_set (State.msg_entry st ~msg ~now) (State.field_slot st field) v
+    if by_slot then begin
+      Bytes.set_int64_ne slot_buf 8 v;
+      State.entry_store (State.msg_entry st ~msg ~now) (State.field_slot st field) slot_buf 8
+    end
     else State.msg_set st ~msg ~field v ~now;
     Model.msg_set model ~msg ~field v ~now;
     None
@@ -205,12 +284,18 @@ let run_state_op st model now (dt, op) =
   | Count -> same string_of_int (State.msg_count st) (Model.msg_count model)
   | Gget { by_slot; name } ->
     let got =
-      if by_slot then State.global_get_slot st (State.global_slot st name)
+      if by_slot then begin
+        State.global_load st (State.global_slot st name) slot_buf 8;
+        Bytes.get_int64_ne slot_buf 8
+      end
       else State.global_get st name
     in
     same i64 got (Model.global_get model name)
   | Gset { by_slot; name; v } ->
-    if by_slot then State.global_set_slot st (State.global_slot st name) v
+    if by_slot then begin
+      Bytes.set_int64_ne slot_buf 8 v;
+      State.global_store st (State.global_slot st name) slot_buf 8
+    end
     else State.global_set st name v;
     Model.global_set model name v;
     None
@@ -939,6 +1024,7 @@ let () =
           Alcotest.test_case "globals" `Quick test_state_globals;
           Alcotest.test_case "messages" `Quick test_state_messages;
           Alcotest.test_case "expiry" `Quick test_state_expiry;
+          Alcotest.test_case "int64 edges" `Quick test_state_int64_edges;
           Qcheck_seed.qcheck prop_state_model;
         ] );
       ( "table",

@@ -856,14 +856,31 @@ let fig9_fingerprint scheme engine =
           (Int64.to_int fc.Tcp.Sender.fc_completed))
       17 completions
   in
-  (!events, host_tx, link_drops, retransmits, List.length completions, completions_hash)
+  (* Enclave totals over every host's scrape, egress and ingress. *)
+  let enclave_total name =
+    sum
+      (fun h ->
+        sum
+          (fun (x : Eden_telemetry.Registry.sample) ->
+            match x.s_value with
+            | Eden_telemetry.Registry.Counter n when String.equal x.s_name name -> n
+            | _ -> 0)
+          (Host.scrape h))
+      hosts
+  in
+  ( (!events, host_tx, link_drops, retransmits, List.length completions, completions_hash),
+    (enclave_total "eden_enclave_marshals_total", enclave_total "eden_enclave_faults_total") )
 
 (* Pinned when the calendar and links still allocated per event; a
    faster simulator must replay the same simulation exactly. *)
 let test_fig9_fingerprint scheme engine expected () =
-  let events, host_tx, link_drops, retransmits, completed, hash =
+  let (events, host_tx, link_drops, retransmits, completed, hash), (marshals, faults) =
     fig9_fingerprint scheme engine
   in
+  (* A marshalling fault fails open, so without this it would show only
+     as a moved hash. *)
+  if engine = Fig9.Eden then check_bool "actions ran on the enclaves" true (marshals > 0);
+  check_int "enclave faults" 0 faults;
   let e_events, e_host_tx, e_link_drops, e_retransmits, e_completed, e_hash = expected in
   check_int "events" e_events events;
   check_int "host-transmitted packets" e_host_tx host_tx;

@@ -435,6 +435,103 @@ let prop_stage_classes_reference =
       && List.equal Class_name.equal expected
            (Metadata.classes (Stage.classify ~msg_id:0L st d)))
 
+(* [Stage.classify] builds its metadata in one record; the fold it
+   replaced, one record per class and per field, is the reference: same
+   message id, same field bindings, same class order. *)
+let fold_classify ~msg_id st d =
+  List.fold_left
+    (fun md rs ->
+      match Ruleset.classify rs d with
+      | None -> md
+      | Some rule ->
+        let md = Metadata.add_class rule.Ruleset.qualified md in
+        List.fold_left
+          (fun md field ->
+            match Classifier.Descriptor.find field d with
+            | Some v -> Metadata.add field v md
+            | None -> md)
+          md rule.Ruleset.metadata_fields)
+    (Metadata.with_msg_id msg_id Metadata.empty)
+    (Stage.rulesets st)
+
+let same_metadata a b =
+  Metadata.msg_id a = Metadata.msg_id b
+  && List.equal Class_name.equal (Metadata.classes a) (Metadata.classes b)
+  && List.equal
+       (fun (f, v) (g, w) -> String.equal f g && Metadata.equal_value v w)
+       (Metadata.fields a) (Metadata.fields b)
+
+let md_fields = [ "a"; "b"; "z" ]
+
+let prop_classify_one_record =
+  let gen_rule = G.pair gen_classifier (G.list_size (G.int_bound 3) (G.oneofl md_fields)) in
+  let gen_rulesets = G.list_size (G.int_range 1 3) (G.list_size (G.int_range 1 5) gen_rule) in
+  let print (rulesets, ds) =
+    String.concat " | "
+      (List.map
+         (fun rules ->
+           String.concat "; "
+             (List.map
+                (fun (c, fs) -> Classifier.to_string c ^ " -> {" ^ String.concat "," fs ^ "}")
+                rules))
+         rulesets)
+    ^ " on "
+    ^ String.concat ", " (List.map print_descriptor ds)
+  in
+  QCheck.Test.make ~name:"classify builds what the per-field fold built" ~count:500
+    (QCheck.make ~print (G.pair gen_rulesets (G.list_size (G.int_range 1 6) gen_descriptor)))
+    (fun (rulesets, ds) ->
+      let st =
+        Stage.create ~name:"s" ~classifier_fields:diff_fields ~metadata_fields:md_fields
+      in
+      List.iteri
+        (fun i rules ->
+          List.iteri
+            (fun k (classifier, metadata_fields) ->
+              ignore
+                (get_ok
+                   (Stage.Api.create_stage_rule st ~ruleset:(Printf.sprintf "r%d" i) ~classifier
+                      ~class_name:(Printf.sprintf "C%d" k) ~metadata_fields)))
+            rules)
+        rulesets;
+      List.for_all
+        (fun d ->
+          same_metadata (Stage.classify ~msg_id:9L st d) (fold_classify ~msg_id:9L st d)
+          &&
+          let md = Stage.classify st d in
+          same_metadata md (fold_classify ~msg_id:(Option.get (Metadata.msg_id md)) st d))
+        ds)
+
+(* The constructor on its own, classes repeating included: a class is
+   kept at its first (oldest) occurrence, as [add_class] keeps it. *)
+let prop_classified_is_the_fold =
+  let cls =
+    G.map (fun n -> Class_name.v ~stage:"s" ~ruleset:"r" ~name:n) (G.oneofl [ "A"; "B"; "C" ])
+  in
+  let entry = G.pair cls (G.list_size (G.int_bound 3) (G.oneofl ("x" :: md_fields))) in
+  QCheck.Test.make ~name:"Metadata.classified = its documented fold" ~count:500
+    (QCheck.make
+       ~print:(fun (es, d) ->
+         String.concat "; "
+           (List.map
+              (fun (c, fs) -> Class_name.to_string c ^ " {" ^ String.concat "," fs ^ "}")
+              es)
+         ^ " on " ^ print_descriptor d)
+       (G.pair (G.list_size (G.int_bound 5) entry) gen_descriptor))
+    (fun (entries, d) ->
+      let classes = List.rev_map fst entries and names = List.rev_map snd entries in
+      let find = Classifier.Descriptor.find in
+      let fold =
+        List.fold_left2
+          (fun md c fs ->
+            List.fold_left
+              (fun md f -> match find f d with Some v -> Metadata.add f v md | None -> md)
+              (Metadata.add_class c md) fs)
+          (Metadata.with_msg_id 4L Metadata.empty)
+          (List.rev classes) (List.rev names)
+      in
+      same_metadata (Metadata.classified ~msg_id:4L classes names find d) fold)
+
 (* The enclave classifies a new flow from its five-tuple; that must agree
    with classifying [Builtin.flow_descriptor]. *)
 let prop_flow_row_classes =
@@ -541,6 +638,8 @@ let () =
           Alcotest.test_case "metadata attached" `Quick test_classify_attaches_metadata;
           Alcotest.test_case "msg ids unique" `Quick test_msg_ids_unique;
           Alcotest.test_case "first match wins" `Quick test_first_match_wins;
+          qcheck prop_classify_one_record;
+          qcheck prop_classified_is_the_fold;
         ] );
       ( "api",
         [
