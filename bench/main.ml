@@ -241,21 +241,24 @@ let program_steps p =
 let invocation_words_budget = 2.0
 
 (* The no-policy path itself has an absolute bound: flow classification
-   runs once per flow and the merged metadata once per message, so a
-   packet that repeats its predecessor's flow and metadata allocates 10
-   words, the decision and the loop's boxed timestamp among them: the cost
-   model only bumps int cells.  The budget has ~20% headroom; classifying
-   every packet again costs about 200, so a regression fails on any
-   machine. *)
-let no_policy_words_budget = 12.0
+   runs once per flow and the merged metadata once per message, the flow
+   lookup is one probe and the trace verdict is built only for a sampled
+   packet, so a packet that repeats its predecessor's flow and metadata
+   allocates 6 words: the decision record and the loop's boxed
+   timestamp.  The cost model only bumps int cells.  The budget of 8
+   fails on a single stray 3-word box; classifying every packet again
+   costs about 200. *)
+let no_policy_words_budget = 8.0
 
-(* A packet that opens a new flow pays for its flow-table entry, its
-   flow-stage classification (compiled rule-sets over the five-tuple's
-   row) and its merged metadata.  Over churn-like flow-stage rules (32
-   source-port and 8 destination-port buckets) that is about 93 words.  The budget has
+(* A packet that opens a new flow pays for its flow record (the
+   flow table is one array of records, so an entry allocates nothing
+   more), its flow-stage classification (compiled rule-sets over the
+   five-tuple's row, whose boxed values alone are 34 words) and its
+   merged metadata.  Over churn-like flow-stage rules (32 source-port and 8
+   destination-port buckets) that is about 87 words.  The budget has
    ~20% headroom; building and interpreting a descriptor per flow costs
    about 300 and fails it on any machine. *)
-let new_flow_words_budget = 112.0
+let new_flow_words_budget = 104.0
 
 let new_flow_enclave () =
   let e = Enclave.create ~host:1 () in

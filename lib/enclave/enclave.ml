@@ -551,12 +551,8 @@ type installed = {
 let no_rule = max_int
 let unresolved = -1
 
-module Class_tbl = Hashtbl.Make (struct
-  type t = Class_name.t
-
-  let equal = Class_name.equal
-  let hash = Class_name.hash
-end)
+module Flows = Open_table.Flows
+module Class_memo = Open_table.Class_memo
 
 (* A match-action table and its class memo.  [Table.lookup] fires the
    first rule matching any of the packet's classes, so a packet resolves
@@ -565,7 +561,7 @@ end)
 type table = {
   mutable tb_rules : Table.t;  (* built from [e_config] *)
   mutable tb_run : installed array;  (* each rule's action, in match order *)
-  tb_memo : int Class_tbl.t;
+  tb_memo : Class_memo.t;
   mutable tb_slot : int;  (* the resolution of the slot's classes *)
 }
 
@@ -573,16 +569,21 @@ let make_table id =
   {
     tb_rules = Table.make ~id [];
     tb_run = [||];
-    tb_memo = Class_tbl.create 16;
+    tb_memo = Class_memo.create ();
     tb_slot = unresolved;
   }
 
-(* A flow's enclave-assigned message id and its flow-stage classes.  The
-   classes are a pure function of the five-tuple and the flow stage's
-   rules, so they are computed once per flow and kept until the stage's
-   generation moves.  The lists are shared between flows (hash-consed),
-   so an entry costs three words, no more than a boxed [int64] id. *)
-type flow = { f_id : int; mutable f_classes : Class_name.t list }
+(* A flow's entry holds its five-tuple, packed, its enclave-assigned
+   message id and its flow-stage classes.  The classes are a pure
+   function of the five-tuple and the flow stage's rules, so they are
+   computed once per flow and kept until the stage's generation moves.
+   The lists are shared between flows (hash-consed). *)
+type flow = Open_table.flow = {
+  f_src : int;
+  f_dst : int;
+  f_id : int;
+  mutable f_classes : Class_name.t list;
+}
 
 (* [f_classes] of a flow not classified since it opened or since the
    flow stage's rules last changed; compared with [==]. *)
@@ -599,7 +600,7 @@ type slot = {
   mutable s_md : Metadata.t;  (* merged *)
 }
 
-let no_flow = { f_id = -1; f_classes = unclassified }
+let no_flow = Flows.vacant
 
 (* Flow-class lists, hash-consed.  The hash mixes every class's
    precomputed hash, so neither hashing nor comparing a list walks the
@@ -624,7 +625,7 @@ type t = {
   e_rng : Rng.t;
   e_cache_cap : int;  (* per-table class-memo capacity *)
   e_flow_stage : Stage.t;
-  e_flow_ids : flow Addr.Flow_table.t;
+  e_flow_ids : Flows.t;
   mutable e_next_flow_id : int;
   mutable e_flow_gen : int;  (* flow-stage generation the [f_classes] memos hold for *)
   e_flow_lists : Class_name.t list Vec_tbl.t;
@@ -685,7 +686,7 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_rng = Rng.create (Int64.add seed (Int64.of_int host));
       e_cache_cap = flow_cache_capacity;
       e_flow_stage = Builtin.flow ();
-      e_flow_ids = Addr.Flow_table.create 64;
+      e_flow_ids = Flows.create ();
       e_next_flow_id = flow_id_base;
       e_flow_gen = -1;
       e_flow_lists = Vec_tbl.create 8;
@@ -837,7 +838,7 @@ let invalidate_memos t =
   List.iter
     (fun (id, rules) ->
       let tb = t.e_tables.(id) in
-      Class_tbl.clear tb.tb_memo;
+      Class_memo.clear tb.tb_memo;
       tb.tb_rules <- Table.make ~id rules;
       let action (r : Table.rule) = Hashtbl.find t.e_actions r.Table.action in
       tb.tb_run <- Array.of_list (List.map action rules))
@@ -1098,7 +1099,7 @@ let restart t =
   t.e_config <- empty;
   Hashtbl.reset t.e_actions;
   t.e_tables <- [| make_table 0 |];
-  Addr.Flow_table.reset t.e_flow_ids;
+  Flows.reset t.e_flow_ids;
   Vec_tbl.reset t.e_flow_lists;
   t.e_next_flow_id <- flow_id_base;
   forget_slot t;
@@ -1222,13 +1223,13 @@ let config_equal a b = diff ~desired:a ~actual:b = [] && diff ~desired:b ~actual
 (* Data path *)
 
 let flow_entry t five_tuple =
-  match Addr.Flow_table.find t.e_flow_ids five_tuple with
-  | f -> f
-  | exception Not_found ->
-    let f = { f_id = t.e_next_flow_id; f_classes = unclassified } in
-    t.e_next_flow_id <- f.f_id + 1;
-    Addr.Flow_table.replace t.e_flow_ids five_tuple f;
-    f
+  let f = Flows.find t.e_flow_ids five_tuple in
+  if f != Flows.vacant then f
+  else begin
+    let id = t.e_next_flow_id in
+    t.e_next_flow_id <- id + 1;
+    Flows.add t.e_flow_ids five_tuple ~id ~classes:unclassified
+  end
 
 (* The flow's flow-stage classes, classified on first use.  Any rule
    change at the flow stage (through its API or directly on one of its
@@ -1236,7 +1237,7 @@ let flow_entry t five_tuple =
 let flow_classes t five_tuple f =
   let gen = Stage.generation t.e_flow_stage in
   if gen <> t.e_flow_gen then begin
-    Addr.Flow_table.iter (fun _ f -> f.f_classes <- unclassified) t.e_flow_ids;
+    Flows.iter (fun f -> f.f_classes <- unclassified) t.e_flow_ids;
     Vec_tbl.reset t.e_flow_lists;
     forget_slot t;
     t.e_flow_gen <- gen
@@ -1400,12 +1401,12 @@ let rec first_match c pos = function
 
 (* A full memo is cleared; its entries count as evictions. *)
 let memoise t tb c pos =
-  let n = Class_tbl.length tb.tb_memo in
+  let n = Class_memo.length tb.tb_memo in
   if n >= t.e_cache_cap then begin
     Tel.Counter.add t.m_cache_evictions n;
-    Class_tbl.clear tb.tb_memo
+    Class_memo.clear tb.tb_memo
   end;
-  Class_tbl.add tb.tb_memo c pos
+  Class_memo.add tb.tb_memo c pos
 
 (* The earliest of the classes' first matches, each from the memo or
    scanned on first sight.  Counts one hit, or one miss when some class
@@ -1415,13 +1416,14 @@ let rec resolve t tb classes best missed =
   | [] ->
     Tel.Counter.inc (if missed then t.m_cache_misses else t.m_cache_hits);
     best
-  | c :: rest -> (
-    match Class_tbl.find tb.tb_memo c with
-    | pos -> resolve t tb rest (if pos < best then pos else best) missed
-    | exception Not_found ->
+  | c :: rest ->
+    let pos = Class_memo.find tb.tb_memo c in
+    if pos >= 0 then resolve t tb rest (if pos < best then pos else best) missed
+    else begin
       let pos = first_match c 0 (Table.rules tb.tb_rules) in
       memoise t tb c pos;
-      resolve t tb rest (if pos < best then pos else best) true)
+      resolve t tb rest (if pos < best then pos else best) true
+    end
 
 (* Table walk: a table's resolution of the slot's classes — which rule
    fires, and so which installed action runs — is invariant until the
@@ -1458,6 +1460,15 @@ let rec walk t ~now pkt md msg_id classes out table_id hops =
             walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
         end
     end
+  end
+
+(* Close a sampled packet's trace record. *)
+let finish_trace t verdict =
+  if t.e_trace_armed then begin
+    (match t.e_trace with
+    | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:(last_process_cost_ns t)
+    | None -> ());
+    t.e_trace_armed <- false
   end
 
 (* [charge_classify] is false for the non-leading packets of a batch
@@ -1515,21 +1526,13 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
        let residual = walk_ns -. Tel.Trace.current_action_ns tr in
        Tel.Trace.set_match tr (if residual > 0.0 then residual else 0.0)
      | None -> ());
-  let finish_trace verdict =
-    if t.e_trace_armed then begin
-      (match t.e_trace with
-      | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:(last_process_cost_ns t)
-      | None -> ());
-      t.e_trace_armed <- false
-    end
-  in
   if not t.e_enforce then begin
-    finish_trace Tel.Trace.Forwarded;
+    finish_trace t Tel.Trace.Forwarded;
     Forward { queue = None; charge = Packet.wire_size pkt }
   end
   else if out.o_drop then begin
     Tel.Counter.inc t.m_dropped;
-    finish_trace Tel.Trace.Dropped;
+    finish_trace t Tel.Trace.Dropped;
     Dropped "action function set Drop"
   end
   else begin
@@ -1537,8 +1540,9 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
     if out.o_path >= 0 then pkt.Packet.route_label <- Some out.o_path;
     let queue = if out.o_queue >= 0 then Some out.o_queue else None in
     let charge = if out.o_charge >= 0 then out.o_charge else Packet.wire_size pkt in
-    finish_trace
-      (match queue with Some q -> Tel.Trace.Queued q | None -> Tel.Trace.Forwarded);
+    if t.e_trace_armed then
+      finish_trace t
+        (if out.o_queue >= 0 then Tel.Trace.Queued out.o_queue else Tel.Trace.Forwarded);
     Forward { queue; charge }
   end
 
@@ -1572,16 +1576,20 @@ let process_batch t ~now pkts =
       process_one t ~now ~charge_classify pkt)
     pkts
 
-let note_message_end t ~msg_id =
-  Hashtbl.iter (fun _ a -> State.msg_end a.a_state ~msg:msg_id) t.e_actions
+(* The message id rides in [fold]'s accumulator, so ending a message
+   builds no closure. *)
+let end_message _ a msg =
+  State.msg_end a.a_state ~msg;
+  msg
+
+let note_message_end t ~msg_id = ignore (Hashtbl.fold end_message t.e_actions msg_id)
 
 let note_flow_closed t five_tuple =
-  match Addr.Flow_table.find_opt t.e_flow_ids five_tuple with
-  | None -> ()
-  | Some f ->
-    Addr.Flow_table.remove t.e_flow_ids five_tuple;
+  let f = Flows.remove t.e_flow_ids five_tuple in
+  if f != Flows.vacant then begin
     if t.e_slot.s_flow == f then forget_slot t;
     note_message_end t ~msg_id:(Int64.of_int f.f_id)
+  end
 
 let expire_messages t ~now ~idle =
   Hashtbl.fold (fun _ a acc -> acc + State.expire a.a_state ~now ~idle) t.e_actions 0

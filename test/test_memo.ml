@@ -11,8 +11,10 @@
    [Stage.classify] and the stage metadata — and walks the tables with
    [Table.lookup], no cache involved.
 
-   The footprint test bounds what each flow costs the enclave, so a memo
-   that keeps per-flow metadata cannot slip in.
+   The footprint tests bound what each flow costs the enclave, so a memo
+   that keeps per-flow metadata cannot slip in, and check that closed
+   flows leave nothing behind.  The flow-table property checks the
+   open-addressed flow table's ids against a map model.
 
    The class-memo tests check that the memo is bounded by the classes,
    not by the class vectors traffic builds from them, and that the
@@ -373,10 +375,11 @@ let test_differential () =
 
 (* Words the enclave holds per flow it has seen, measured by
    [Obj.reachable_words] over [n] unique flows that never close: the
-   flow-table binding, the flow's entry and its five-tuple key.  17.82
-   words is the figure for the boxed [int64] flow id the memo replaced;
-   the memo may add at most one word.  Per-flow metadata would add at
-   least four. *)
+   flow's entry, which holds its five-tuple packed, and its slots in the
+   flow table (8.28 words).  17.82 words is the figure for the boxed
+   [int64] flow id the memo replaced, when the table kept each flow's
+   five-tuple; the memo may add at most one word.  Per-flow metadata
+   would add at least four. *)
 let words_per_flow_before_memo = 17.82
 
 let test_footprint () =
@@ -404,6 +407,168 @@ let test_footprint () =
   if per_flow > words_per_flow_before_memo +. 1.0 then
     Alcotest.failf "the enclave keeps %.3f words per flow, over %.2f + 1" per_flow
       words_per_flow_before_memo
+
+(* Closed flows leave nothing behind: [n] flows opened and closed one
+   after another, each closed before the next opens, leave the enclave
+   within a few words of one that saw a single flow.  A table that kept
+   tombstones, or anything of a closed flow, would grow with [n]. *)
+let test_closed_flows_footprint () =
+  let n = 100_000 in
+  let packet i =
+    Packet.make ~id:(Int64.of_int i)
+      ~flow:
+        (Addr.five_tuple
+           ~src:(Addr.endpoint (1 + (i / 60_000)) (1 + (i mod 60_000)))
+           ~dst:(Addr.endpoint 2 80) ~proto:Addr.Tcp)
+      ~kind:Packet.Data ~payload:100 ()
+  in
+  let open_and_close e i =
+    let pkt = packet i in
+    ignore (Enclave.process e ~now:(Time.us (i + 1)) pkt);
+    Enclave.note_flow_closed e pkt.Packet.flow
+  in
+  let one = Enclave.create ~host:1 () in
+  open_and_close one 0;
+  let many = Enclave.create ~host:1 () in
+  for i = 0 to n - 1 do
+    open_and_close many i
+  done;
+  let words e = Obj.reachable_words (Obj.repr e) in
+  Printf.printf "enclave words after 1 closed flow: %d, after %d: %d\n" (words one) n
+    (words many);
+  if words many > words one + 16 then
+    Alcotest.failf "%d closed flows leave %d words, over %d + 16" n (words many) (words one)
+
+(* ------------------------------------------------------------------ *)
+(* Flow table *)
+
+(* The flow table against a model: a map from five-tuple to the message
+   id [process] must leave on the flow's packets, and the counter that
+   numbers new flows from 2^40.  Closing a flow drops it from the map,
+   so its next packet takes a fresh id; a restart empties the map and
+   resets the counter; a flow-stage rule changes no id.  Tuples come
+   from structured pools as well as at random: sequential source ports
+   from one host (a port scan) and one port on many hosts, the shapes
+   that cluster a weak hash, and hosts and ports too wide to pack,
+   which the table keeps aside.  [Thin] closes every other open flow and
+   re-sends the rest, each of which must keep its id: the closes shift
+   entries back over the holes, and a shift that stops early strands
+   an entry past a free slot. *)
+type flow_op =
+  | F_send of Addr.five_tuple
+  | F_close of Addr.five_tuple
+  | F_scan of int * int  (* first source port, count *)
+  | F_thin
+  | F_restart
+  | F_stage_rule of int  (* low end of a destination-port range *)
+
+let scan_tuple port =
+  Addr.five_tuple ~src:(Addr.endpoint 7 port) ~dst:(Addr.endpoint 2 443) ~proto:Addr.Tcp
+
+let host_tuple host =
+  Addr.five_tuple ~src:(Addr.endpoint host 5_000) ~dst:(Addr.endpoint 3 80) ~proto:Addr.Udp
+
+let show_flow_op = function
+  | F_send k -> Format.asprintf "send %a" Addr.pp_five_tuple k
+  | F_close k -> Format.asprintf "close %a" Addr.pp_five_tuple k
+  | F_scan (p, n) -> Printf.sprintf "scan %d+%d" p n
+  | F_thin -> "thin"
+  | F_restart -> "restart"
+  | F_stage_rule lo -> Printf.sprintf "stage rule %d" lo
+
+let gen_flow_tuple =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map scan_tuple (int_range 1_000 1_300));
+        (2, map host_tuple (int_range 1 300));
+        ( 1,
+          map3
+            (fun h p q ->
+              Addr.five_tuple ~src:(Addr.endpoint h p) ~dst:(Addr.endpoint 4 q)
+                ~proto:(if p land 1 = 0 then Addr.Tcp else Addr.Udp))
+            (int_range 0 3) (int_range 0 15) (int_range 0 3) );
+        ( 1,
+          map2
+            (fun h p ->
+              Addr.five_tuple ~src:(Addr.endpoint h p) ~dst:(Addr.endpoint 4 80) ~proto:Addr.Tcp)
+            (oneofl [ 5; -3; 1 lsl 40; max_int ])
+            (oneofl [ 22; -1; 65_536; 1 lsl 20 ]) );
+      ])
+
+let gen_flow_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 300)
+      (frequency
+         [
+           (10, map (fun k -> F_send k) gen_flow_tuple);
+           (4, map (fun k -> F_close k) gen_flow_tuple);
+           (1, map2 (fun p n -> F_scan (p, n)) (int_range 1_000 1_300) (int_range 1 120));
+           (1, return F_thin);
+           (1, map (fun lo -> F_stage_rule lo) (int_range 0 60_000));
+           (1, return F_restart);
+         ]))
+
+let prop_flow_table =
+  let print ops = String.concat "; " (List.map show_flow_op ops) in
+  QCheck.Test.make ~name:"flow ids follow the flow-table model" ~count:200
+    (QCheck.make ~print gen_flow_ops)
+    (fun ops ->
+      let e = Enclave.create ~host:1 () in
+      let base = Int64.shift_left 1L 40 in
+      let model = ref Addr.Flow_map.empty and next = ref base and sent = ref 0 in
+      let send k =
+        incr sent;
+        let want, fresh =
+          match Addr.Flow_map.find_opt k !model with
+          | Some id -> (id, false)
+          | None ->
+            let id = !next in
+            next := Int64.add id 1L;
+            model := Addr.Flow_map.add k id !model;
+            (id, true)
+        in
+        let pkt =
+          Packet.make ~id:(Int64.of_int !sent) ~flow:k ~kind:Packet.Data ~payload:64 ()
+        in
+        ignore (Enclave.process e ~now:(Time.us !sent) pkt);
+        match Metadata.msg_id pkt.Packet.metadata with
+        | Some got when got = want -> ()
+        | got ->
+          QCheck.Test.fail_reportf "packet %d of %a: message id %s, model %Ld (%s flow)" !sent
+            Addr.pp_five_tuple k
+            (Option.fold ~none:"none" ~some:Int64.to_string got)
+            want
+            (if fresh then "new" else "open")
+      in
+      let close k =
+        Enclave.note_flow_closed e k;
+        model := Addr.Flow_map.remove k !model
+      in
+      List.iter
+        (function
+          | F_send k -> send k
+          | F_close k -> close k
+          | F_scan (p, n) ->
+            for i = 0 to n - 1 do
+              send (scan_tuple (p + i))
+            done
+          | F_thin ->
+            let open_flows = List.map fst (Addr.Flow_map.bindings !model) in
+            List.iteri (fun i k -> if i land 1 = 0 then close k) open_flows;
+            Addr.Flow_map.iter (fun k _ -> send k) !model
+          | F_restart ->
+            Enclave.restart e;
+            model := Addr.Flow_map.empty;
+            next := base
+          | F_stage_rule lo ->
+            ignore
+              (get_ok
+                 (Stage.Api.create_stage_rule (Enclave.flow_stage e) ~ruleset:"ports"
+                    ~classifier:(port_range Builtin.Field.dst_port lo (lo + 5_000))
+                    ~class_name:"LOW" ~metadata_fields:[])))
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Class memo *)
@@ -615,7 +780,10 @@ let () =
         [
           Alcotest.test_case "memo matches fresh classification" `Quick test_differential;
           Alcotest.test_case "words per flow" `Quick test_footprint;
+          Alcotest.test_case "closed flows leave nothing behind" `Quick
+            test_closed_flows_footprint;
         ] );
+      ("flow-table", [ Qcheck_seed.qcheck prop_flow_table ]);
       ( "class-memo",
         [
           Alcotest.test_case "bounded by classes, not vectors" `Quick test_class_memo_bounded;
