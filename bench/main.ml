@@ -22,6 +22,8 @@ module Metadata = Eden_base.Metadata
 module Addr = Eden_base.Addr
 module Packet = Eden_base.Packet
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
+module Breaker = Eden_enclave.Breaker
 module Interp = Eden_bytecode.Interp
 module P = Eden_bytecode.Program
 module Stage = Eden_stage.Stage
@@ -855,7 +857,7 @@ let resilience () =
   let pkt = bench_packet () in
   let e_off = pias_process_enclave `Compiled in
   let e_on = pias_process_enclave `Compiled in
-  Enclave.set_breaker e_on (Some Enclave.default_breaker);
+  Enclave.set_breaker e_on (Some Breaker.default);
   (* An action that faults on every invocation (division by a zeroed
      global), so the breaker trips and steady state is the quarantined
      fall-through. *)
@@ -878,7 +880,7 @@ let resilience () =
     e
   in
   Enclave.set_breaker e_quar
-    (Some { Enclave.default_breaker with Enclave.br_cooldown = Eden_base.Time.ms 100_000 });
+    (Some { Breaker.default with Breaker.br_cooldown = Eden_base.Time.ms 100_000 });
   for i = 1 to 100 do
     ignore (send e_quar ~now:(Eden_base.Time.us i) pkt)
   done;
@@ -908,7 +910,7 @@ let resilience () =
              ch_op_id := Int64.add !ch_op_id 1L;
              ignore
                (Channel.send ch ~op_id:!ch_op_id ~gen:1
-                  (Enclave.Set_global { action = "pias"; name = "K"; value = 1L }))));
+                  (Config.Set_global { action = "pias"; name = "K"; value = 1L }))));
       Test.make ~name:"control/set_global_everywhere"
         (Staged.stage (fun () ->
              ignore (Controller.set_global_everywhere ctl ~action:"pias" "K" 1L)));

@@ -1,4 +1,5 @@
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
 module Tel = Eden_telemetry
@@ -35,7 +36,7 @@ let is_transient = function Rejected _ -> false | Lost | Timeout | Crashed | Par
 
 (* An op held back by [Delay n]: delivered just before the [n]th
    subsequent protocol interaction on this channel. *)
-type delayed = { dl_op_id : int64; dl_gen : int; dl_op : Enclave.op; mutable dl_left : int }
+type delayed = { dl_op_id : int64; dl_gen : int; dl_op : Config.op; mutable dl_left : int }
 
 (* The memo table makes delivery exactly-once over an at-least-once
    transport: retries and duplicates of an op id replay the recorded

@@ -17,7 +17,7 @@
     controller's desired state — not the channel — is the source of
     truth, and reconciliation the repair mechanism.
 
-    Ops are {!Eden_enclave.Enclave.op}s, which the receiver applies with
+    Ops are {!Eden_enclave.Config.op}s, which the receiver applies with
     {!Eden_enclave.Enclave.apply}.  [Commit_generation] changes no
     configuration; on delivery it also advances the acked generation
     watermark. *)
@@ -87,7 +87,7 @@ val inject_restart : t -> unit
 
 (** {2 Transport} *)
 
-val send : t -> op_id:int64 -> gen:int -> Eden_enclave.Enclave.op -> (int64, error) result
+val send : t -> op_id:int64 -> gen:int -> Eden_enclave.Config.op -> (int64, error) result
 (** One delivery attempt.  [op_id] must be globally unique per logical
     op and reused verbatim on retry; [gen] is the generation the op
     belongs to, acknowledged monotonically on successful application.
@@ -105,7 +105,7 @@ val read : t -> (Eden_enclave.Enclave.t -> 'a) -> ('a, error) result
 (** Monitoring read ([Partitioned] when unreachable).  Reads are not
     fault-injected — monitoring noise is not what this model studies. *)
 
-val pull_state : t -> (Eden_enclave.Enclave.snapshot * int, error) result
+val pull_state : t -> (Eden_enclave.Config.snapshot * int, error) result
 (** The reconciliation read: the enclave's programmed configuration and
     its acked generation watermark. *)
 

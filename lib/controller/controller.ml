@@ -1,4 +1,5 @@
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
 module Stage = Eden_stage.Stage
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
@@ -25,7 +26,7 @@ type t = {
   topo : Topology.t;
   mutable chans : Channel.t list;  (* newest first *)
   mutable stgs : Stage.t list;
-  mutable desired : Enclave.snapshot;
+  mutable desired : Config.snapshot;
   mutable generation : int;
   retry : retry_policy;
   jitter : Rng.t;
@@ -54,7 +55,7 @@ let create ?topology ?(retry = default_retry) ?(seed = 0xC0DEL) () =
     topo;
     chans = [];
     stgs = [];
-    desired = Enclave.empty;
+    desired = Config.empty;
     generation = 0;
     retry;
     jitter = Rng.create seed;
@@ -185,7 +186,7 @@ let undo_of t op payload =
     Option.bind (List.assoc_opt action per_action) (List.assoc_opt name)
   in
   match op with
-  | Enclave.Install_action spec -> Enclave.Remove_action spec.Enclave.i_name
+  | Config.Install_action spec -> Config.Remove_action spec.Config.i_name
   | Add_rule { table; _ } -> Remove_rule { table; rule_id = Int64.to_int payload }
   | Set_global { action; name; _ } ->
     let value = Option.value ~default:0L (desired t.desired.sn_globals ~action name) in
@@ -232,13 +233,13 @@ let commit_watermark t applied =
   let gen = t.generation in
   List.iter
     (fun (ch, _) ->
-      match send_with_retry t ch ~gen Enclave.Commit_generation with
+      match send_with_retry t ch ~gen Config.Commit_generation with
       | Ok _ -> ()
       | Error _ -> Channel.mark_divergent ch)
     applied
 
 (* The push driver, two-phase so that no enclave ever acknowledges a
-   generation that did not commit.  [op] is taken through [Enclave.next]
+   generation that did not commit.  [op] is taken through [Config.next]
    on the desired state once; an op it refuses is not sent.  Otherwise
    broadcast [op] at the *current* generation; on acceptance commit that
    desired state, bump the generation and only then advance the
@@ -246,7 +247,7 @@ let commit_watermark t applied =
    change never touched any watermark, preserving acked <= desired.
    Returns the desired state's payload. *)
 let push t op =
-  match Enclave.next t.desired op with
+  match Config.next t.desired op with
   | Error msg -> Error msg
   | Ok (desired, payload) -> (
     match broadcast t ~gen:t.generation op with
@@ -257,7 +258,7 @@ let push t op =
       Ok payload
     | `Rejected (host, msg, applied) -> (
       let refusal =
-        Printf.sprintf "host %d rejected %s: %s" host (Enclave.op_to_string op) msg
+        Printf.sprintf "host %d rejected %s: %s" host (Config.op_to_string op) msg
       in
       match undo_on t op applied with
       | [] -> Error refusal
@@ -267,33 +268,33 @@ let push t op =
              "%s; rollback failed on hosts [%s], left divergent pending reconciliation" refusal
              (hosts_to_string divergent))))
 
-let install_action_everywhere t spec = Result.map ignore (push t (Enclave.Install_action spec))
+let install_action_everywhere t spec = Result.map ignore (push t (Config.Install_action spec))
 
 let remove_action_everywhere t name =
-  let held s = String.equal s.Enclave.i_name name in
+  let held s = String.equal s.Config.i_name name in
   if not (List.exists held t.desired.sn_actions) then
     Error (Printf.sprintf "action %S is not in the desired state" name)
   else begin
     (* Removal is idempotent at the enclave, so there is no rejection to
        roll back from: commit the desired change, push best-effort, and
        let reconciliation catch stragglers. *)
-    let op = Enclave.Remove_action name in
-    t.desired <- fst (Result.get_ok (Enclave.next t.desired op));
+    let op = Config.Remove_action name in
+    t.desired <- fst (Result.get_ok (Config.next t.desired op));
     t.generation <- t.generation + 1;
     ignore (broadcast t ~gen:t.generation op);
     Ok ()
   end
 
-let add_table_everywhere t = Result.map Int64.to_int (push t Enclave.Add_table)
+let add_table_everywhere t = Result.map Int64.to_int (push t Config.Add_table)
 
 let add_rule_everywhere t ?(table = 0) ~pattern ~action () =
-  Result.map ignore (push t (Enclave.Add_rule { table; pattern; action }))
+  Result.map ignore (push t (Config.Add_rule { table; pattern; action }))
 
 let set_global_everywhere t ~action name value =
-  Result.map ignore (push t (Enclave.Set_global { action; name; value }))
+  Result.map ignore (push t (Config.Set_global { action; name; value }))
 
 let set_global_array_everywhere t ~action name value =
-  Result.map ignore (push t (Enclave.Set_global_array { action; name; value }))
+  Result.map ignore (push t (Config.Set_global_array { action; name; value }))
 
 (* ------------------------------------------------------------------ *)
 (* Stage programming (stages are in-process; the fault model covers the
@@ -321,7 +322,7 @@ let program_stage t ~stage ~ruleset ~rules =
 (* Anti-entropy reconciliation *)
 
 (* The ops that take a pulled configuration to the desired one. *)
-let drift t sn = Enclave.diff ~desired:t.desired ~actual:sn
+let drift t sn = Config.diff ~desired:t.desired ~actual:sn
 
 type reconcile_outcome =
   | In_sync
@@ -354,10 +355,10 @@ let reconcile_enclave t ch =
         | op :: rest -> (
           match send_with_retry t ch ~gen op with
           | Ok _ -> replay (n + 1) rest
-          | Error (`Rejected msg) -> Error (Enclave.op_to_string op ^ ": rejected: " ^ msg)
-          | Error (`Unreachable msg) -> Error (Enclave.op_to_string op ^ ": " ^ msg))
+          | Error (`Rejected msg) -> Error (Config.op_to_string op ^ ": rejected: " ^ msg)
+          | Error (`Unreachable msg) -> Error (Config.op_to_string op ^ ": " ^ msg))
       in
-      match replay 0 (repair @ [ Enclave.Commit_generation ]) with
+      match replay 0 (repair @ [ Config.Commit_generation ]) with
       | Error msg -> Repair_failed msg
       | Ok n -> (
         (* Verify: the proof of convergence is the re-pulled config, not
@@ -373,7 +374,7 @@ let reconcile_enclave t ch =
           | residual ->
             Repair_failed
               (Printf.sprintf "residual drift: [%s]; generation: desired %d, acked %d"
-                 (String.concat "; " (List.map Enclave.op_to_string residual))
+                 (String.concat "; " (List.map Config.op_to_string residual))
                  gen acked)))))
 
 let reconcile t =

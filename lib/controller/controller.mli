@@ -10,10 +10,10 @@
     backoff and seeded jitter.  Production SDN controllers do not treat
     a push as the truth: they keep the intended configuration and
     reconcile devices against it.  Here that is the desired state, one
-    {!Eden_enclave.Enclave.snapshot} for the whole fleet (every enclave
+    {!Eden_enclave.Config.snapshot} for the whole fleet (every enclave
     is programmed identically by the broadcast API) stamped with the
     generation counter, and every accepted change moves it with
-    {!Eden_enclave.Enclave.next}, the same function each enclave applies
+    {!Eden_enclave.Config.next}, the same function each enclave applies
     the op with.  Enclaves the controller could not reach keep
     forwarding on their last-known policy (the consistency story of
     §2.2) and are marked divergent; the anti-entropy {!reconcile} pass
@@ -68,8 +68,8 @@ val generation : t -> int
 (** Incremented once per accepted desired-state change — never by
     retries or duplicate delivery. *)
 
-val desired : t -> Eden_enclave.Enclave.snapshot
-(** The desired state.  Its rule ids are the ones {!Eden_enclave.Enclave.next}
+val desired : t -> Eden_enclave.Config.snapshot
+(** The desired state.  Its rule ids are the ones {!Eden_enclave.Config.next}
     gives, not necessarily any enclave's. *)
 
 val stats : t -> retry_stats
@@ -81,9 +81,9 @@ val divergent_hosts : t -> Eden_base.Addr.host list
 
 (** {2 Enclave programming (broadcast)}
 
-    Every broadcast below is one {!Eden_enclave.Enclave.op} sent through
+    Every broadcast below is one {!Eden_enclave.Config.op} sent through
     one push driver, which takes it through
-    {!Eden_enclave.Enclave.next} on the desired state once, before the
+    {!Eden_enclave.Config.next} on the desired state once, before the
     broadcast.  An op [next] refuses (a duplicate install, a rule or
     state write for an action or table the desired state does not hold)
     fails without a send.  A push is accepted or refused
@@ -105,7 +105,7 @@ val divergent_hosts : t -> Eden_base.Addr.host list
     acked generation <= desired generation is an invariant. *)
 
 val install_action_everywhere :
-  t -> Eden_enclave.Enclave.install_spec -> (unit, string) result
+  t -> Eden_enclave.Config.install_spec -> (unit, string) result
 
 val remove_action_everywhere : t -> string -> (unit, string) result
 (** Idempotent at the enclave, so never rejected: commits the desired
@@ -139,7 +139,7 @@ val reconcile_outcome_to_string : reconcile_outcome -> string
 
 val reconcile_enclave : t -> Channel.t -> reconcile_outcome
 (** One anti-entropy round: pull the enclave's configuration and acked
-    generation, take {!Eden_enclave.Enclave.diff} of it against the
+    generation, take {!Eden_enclave.Config.diff} of it against the
     desired snapshot, send that op list in order (extra rules and
     actions removed first, then missing tables, actions in install
     order, state, then rules) followed by [Commit_generation], and verify

@@ -17,7 +17,7 @@ let ( let* ) = Result.bind
    does not leave a half-policy behind; enclaves the withdrawal could not
    reach are converged by reconciliation. *)
 let deploy ctl ~spec ~pattern ~arrays =
-  let name = spec.Eden_enclave.Enclave.i_name in
+  let name = spec.Eden_enclave.Config.i_name in
   let* () = Controller.install_action_everywhere ctl spec in
   let cleanup_on e =
     match e with

@@ -30,7 +30,7 @@ type decision =
     and write the same state store and the same outputs, so the only
     difference from bytecode is the execution engine. *)
 module Native_ctx : sig
-  type t
+  type t = Config.Native_ctx.t
 
   val packet : t -> Eden_base.Packet.t
   val metadata : t -> Eden_base.Metadata.t
@@ -49,30 +49,11 @@ module Native_ctx : sig
   val set_charge : t -> int -> unit
 end
 
-type impl =
-  | Interpreted of Eden_bytecode.Program.t
-  | Compiled of Eden_bytecode.Program.t
-      (** Same bytecode, verified identically, but translated to threaded
-          closure code at install time ({!Eden_bytecode.Compiled}) —
-          observationally identical to [Interpreted], without the
-          per-step dispatch cost. *)
-  | Native of (Native_ctx.t -> unit)
-
-(** Where a message-entity scalar comes from when marshalled into an
-    invocation environment. *)
-type msg_field_source =
-  | Stateful of int64  (** Enclave message state; the payload is the default. *)
-  | Metadata_int of string  (** An integer metadata field of the packet. *)
-  | Metadata_flag of string * string
-      (** [Metadata_flag (field, v)]: 1 when the (string) metadata field
-          equals [v], else 0 — e.g. [("operation", "READ")]. *)
-
-type install_spec = {
-  i_name : string;
-  i_impl : impl;
-  i_msg_sources : (string * msg_field_source) list;
-      (** Message fields not listed default to [Stateful 0L]. *)
-}
+(** {!Config}'s action and configuration types: [impl], [msg_field_source],
+    [install_spec] and [snapshot]. *)
+include module type of struct
+  include Config.Types
+end
 
 type counters = {
   mutable packets : int;
@@ -142,8 +123,16 @@ val set_budget_ns : t -> float -> unit
 
 (** {2 Enclave API (controller-facing, §3.4.5)}
 
-    Each call that programs the enclave below is one {!op} through
-    {!apply}. *)
+    Each call that programs the enclave below is one {!Config.op}
+    through {!apply}. *)
+
+val apply : t -> Config.op -> (int64, string) result
+(** Apply one op as {!Config.next} does to the enclave's configuration.
+    An action or rule op builds a new generation (the tables, their run
+    arrays and empty class memos) and swaps it in whole; an install also
+    builds and verifies the engine, and fails as {!install_action} does.
+    A state write goes to the action's {!State} and keeps the
+    generation, with its memos.  Errors and payloads are {!Config.next}'s. *)
 
 (** Why an install was refused, for structured controller diagnostics. *)
 type install_error =
@@ -159,7 +148,6 @@ type install_error =
           writable metadata-sourced message fields, ...). *)
 
 val install_error_to_string : install_error -> string
-val pp_install_error : Format.formatter -> install_error -> unit
 
 val install_action_full : t -> install_spec -> (unit, install_error) result
 (** Verifies interpreted bytecode, validates the environment contract
@@ -207,7 +195,9 @@ val add_table_rule :
 (** Fails when the action is not installed or the table does not exist. *)
 
 val remove_table_rule : t -> ?table:int -> int -> bool
+
 val tables : t -> Table.t list
+(** By id; the same list until an action or rule op swaps the tables. *)
 
 val set_global : t -> action:string -> string -> int64 -> (unit, string) result
 val get_global : t -> action:string -> string -> int64 option
@@ -219,11 +209,8 @@ val get_global_array : t -> action:string -> string -> int64 array option
 (** The live binding, which the action may write. *)
 
 val counters : t -> counters
-(** Snapshot of the data-path counters.  Deprecated: the counters now
-    live in the telemetry registry ({!telemetry} / {!scrape}); this
-    record is rebuilt from the registry cells on every call and is kept
-    for existing callers.  Note the change from earlier releases: the
-    returned record is a point-in-time copy, not a live view. *)
+(** A point-in-time copy of the data-path counters, read from the
+    telemetry registry's cells ({!telemetry} / {!scrape}). *)
 
 (** {2 Telemetry}
 
@@ -247,8 +234,6 @@ val set_timing : t -> bool -> unit
 (** Toggle the two model histograms (counters are always on).  Used by
     the bench harness to measure the instrumentation's own cost. *)
 
-val timing : t -> bool
-
 val set_trace : t -> Eden_telemetry.Trace.t option -> unit
 (** Attach (or detach) a packet-path flight recorder.  With a recorder
     attached, each processed packet costs one sampling check; sampled
@@ -259,28 +244,11 @@ val trace : t -> Eden_telemetry.Trace.t option
 
 (** {2 Graceful degradation (circuit breaker)} *)
 
-(** Per-action breaker over the fault ring: a single faulting invocation
-    fails open (§3.4.3); a {e persistently} faulting action is
-    quarantined so matching packets stop paying for it and fall through
-    to default forwarding, with a half-open probe after a cooldown to
-    detect recovery (e.g. the controller fixed the state that made it
-    fault). *)
-type breaker_config = {
-  br_window : int;  (** Sliding window of invocation outcomes, 1–62. *)
-  br_min_samples : int;  (** Don't judge before this many outcomes. *)
-  br_threshold : float;  (** Fault fraction in (0, 1] that trips it. *)
-  br_cooldown : Eden_base.Time.t;  (** Quarantine length before the probe. *)
-}
-
-val default_breaker : breaker_config
-
-val set_breaker : t -> breaker_config option -> unit
-(** Enable (or disable with [None], the initial state) the breaker for
+val set_breaker : t -> Breaker.config option -> unit
+(** Enable (or disable with [None], the initial state) a {!Breaker} for
     every installed and future action; resets all breaker windows.  With
     the breaker off the data path is byte-for-byte the pre-existing one.
     @raise Invalid_argument on an out-of-range configuration. *)
-
-val breaker : t -> breaker_config option
 
 val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ] option
 (** [None] when no such action is installed or no breaker is
@@ -289,71 +257,7 @@ val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ] option
 val breaker_trips : t -> string -> int
 (** How many times the named action's breaker has opened. *)
 
-(** {2 Configuration}
-
-    One op is the one change to a programmed configuration, and {!next}
-    the one statement of what it does.  An enclave holds its
-    configuration as a {!snapshot} value and moves it with {!next} on
-    every {!apply}; the control channel delivers ops with {!apply},
-    {!restore} replays them, {!diff} produces them, and the controller
-    moves its desired configuration with the same {!next}.  The
-    configuration an enclave holds keeps actions and rules only: its
-    global bindings live in each action's {!State}, which is also where
-    the actions write at run time, and {!snapshot} reads them from
-    there. *)
-
-type op =
-  | Install_action of install_spec
-  | Remove_action of string
-  | Add_table
-  | Add_rule of {
-      table : int;
-      pattern : Eden_base.Class_name.Pattern.t;
-      action : string;
-    }
-  | Remove_rule of { table : int; rule_id : int }
-  | Set_global of { action : string; name : string; value : int64 }
-  | Set_global_array of { action : string; name : string; value : int64 array }
-  | Commit_generation
-      (** No-op at the enclave; the control channel advances its acked
-          generation watermark on it.  Closes a reconciliation round. *)
-
-val op_to_string : op -> string
-
-(** Programmed configuration as a value: what an enclave reports to the
-    reconciliation plane, and the controller's desired state. *)
-type snapshot = {
-  sn_actions : install_spec list;  (** Install order. *)
-  sn_globals : (string * (string * int64) list) list;
-      (** Per action: written global scalars, sorted by name. *)
-  sn_arrays : (string * (string * int64 array) list) list;
-      (** Per action: bound global arrays (copied), sorted by name. *)
-  sn_rules : (int * Table.rule list) list;
-      (** Every table, by id, with its rules in match order. *)
-}
-
-val empty : snapshot
-(** A fresh enclave's configuration: no actions, table 0 empty. *)
-
-val next : snapshot -> op -> (snapshot * int64, string) result
-(** [op] applied to a configuration, with the payload an enclave acks.
-    Refused: installing an action the configuration holds, a rule or
-    state write naming an absent action, and a rule for an absent table.
-    Removes are idempotent (removing an absent action or rule succeeds).
-    The payload is op-specific: the new table's id for [Add_table]; for
-    [Add_rule] the new rule's id, one more than the largest rule id in
-    any table (0 when there is none); the number of rules dropped for
-    [Remove_action] and [Remove_rule]; else 0.  [Set_global_array]
-    binds a copy of the array. *)
-
-val apply : t -> op -> (int64, string) result
-(** Apply one op: {!next} on the enclave's configuration, then the
-    runtime, only where the op reaches.  An install also builds and
-    verifies the engine, and fails as {!install_action} does; a state
-    write goes to the action's {!State} and keeps every match memo.
-    Otherwise errors and payloads are {!next}'s. *)
-
-(** {2 Soft state: restart, snapshot, diff, restore} *)
+(** {2 Soft state: restart, snapshot, restore} *)
 
 val restart : t -> unit
 (** Model a host/enclave reboot honestly: drop every installed action,
@@ -370,26 +274,9 @@ val snapshot : t -> snapshot
 (** The configuration the enclave holds, with each action's global
     bindings read from its {!State}. *)
 
-val diff : desired:snapshot -> actual:snapshot -> op list
-(** The ops that take an enclave configured as [actual] to [desired], in
-    the order they must be sent: extra rules and extra actions removed,
-    missing tables added, missing actions installed (in install order),
-    stale scalars then arrays written, missing rules added (table by
-    table, in match order).  An action is identified by its name, engine
-    kind, program name and message sources; a rule by its table, pattern
-    and action — rule ids are not configuration.  A table's rules are
-    compared as a sequence in match order.  The comparison is asymmetric
-    on state: only the bindings [desired] holds are compared, so state an
-    action writes at run time never shows as drift.  [[]] means [actual]
-    is in sync with [desired]. *)
-
 val restore : t -> snapshot -> (unit, string) result
-(** [restart], then {!apply} [diff ~desired:sn ~actual:(snapshot t)].
+(** [restart], then {!apply} [Config.diff ~desired:sn ~actual:(snapshot t)].
     Counts as a restart.  Rule ids are reassigned. *)
-
-val config_equal : snapshot -> snapshot -> bool
-(** [diff] is empty both ways: the same actions, the same state bindings,
-    the same tables holding the same (pattern, action) rules. *)
 
 val faults : t -> fault_record list
 (** The fault log, most recent first; bounded (a fixed-size
@@ -423,17 +310,9 @@ val process : t -> now:Eden_base.Time.t -> Eden_base.Packet.t -> decision
     the packet unmodified and forwarded (fail-open), with the fault
     recorded; the rest of the system is unaffected (§3.4.3).
 
-    A bytecode action's copy-in and copy-out run by the marshal plan
-    built at install, unboxed: values move between the packet, the
-    metadata, {!State}'s slots and the machine's I/O slots as raw
-    [int64] bits, so a warm invocation allocates only what its program
-    does ([Newarr]).  State names
-    are resolved to slots when
-    the plan binds to a store, the message entry is looked up once per
-    invocation, and metadata-sourced fields are copied only when the
-    packet's merged metadata is not the object they were last copied
-    from.  Metadata is immutable and such fields are read-only, so this
-    is exact. *)
+    A bytecode action's copy-in and copy-out follow the {!Marshal} plan
+    built at install, so a warm invocation allocates only what its
+    program does ([Newarr]). *)
 
 val process_batch :
   t -> now:Eden_base.Time.t -> Eden_base.Packet.t list -> decision list

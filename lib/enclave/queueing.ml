@@ -2,7 +2,7 @@ module Time = Eden_base.Time
 
 module Token_bucket = struct
   type t = {
-    mutable rate_bps : float;
+    rate_bps : float;
     burst_bytes : int;
     mutable tokens : float;  (* bytes *)
     mutable last_update : Time.t;
@@ -11,10 +11,6 @@ module Token_bucket = struct
   let create ~rate_bps ~burst_bytes =
     if rate_bps <= 0.0 then invalid_arg "Token_bucket.create: rate must be positive";
     { rate_bps; burst_bytes; tokens = float_of_int burst_bytes; last_update = Time.zero }
-
-  let set_rate t ~rate_bps =
-    if rate_bps <= 0.0 then invalid_arg "Token_bucket.set_rate: rate must be positive";
-    t.rate_bps <- rate_bps
 
   let refill t ~now =
     if Time.( > ) now t.last_update then begin
@@ -28,11 +24,6 @@ module Token_bucket = struct
 
   let wait_for t deficit_bytes =
     Time.of_float_ns (deficit_bytes *. 8.0 /. t.rate_bps *. 1e9)
-
-  let ready_at t ~now ~cost_bytes =
-    refill t ~now;
-    let deficit = float_of_int cost_bytes -. t.tokens in
-    if deficit <= 0.0 then now else Time.add now (wait_for t deficit)
 
   let consume t ~now ~cost_bytes =
     refill t ~now;

@@ -12,12 +12,6 @@ module Token_bucket : sig
   val create : rate_bps:float -> burst_bytes:int -> t
   (** [rate_bps] is the drain rate in bits per second. *)
 
-  val set_rate : t -> rate_bps:float -> unit
-
-  val ready_at : t -> now:Eden_base.Time.t -> cost_bytes:int -> Eden_base.Time.t
-  (** Earliest time a packet costing [cost_bytes] may leave; does not
-      consume tokens. *)
-
   val consume : t -> now:Eden_base.Time.t -> cost_bytes:int -> Eden_base.Time.t
   (** Consumes the tokens and returns the departure time (≥ [now]).
       Callers must release packets no earlier than that. *)

@@ -27,8 +27,7 @@ type item =
       res : Enclave.decision option array;
     }
   | I_fire of { pkt : Packet.t; now : Time.t }
-  | I_set_global of { action : string; name : string; value : int64 }
-  | I_set_global_array of { action : string; name : string; values : int64 array }
+  | I_op of Config.op
   | I_stop
 
 type worker = {
@@ -89,15 +88,12 @@ let route t (pkt : Packet.t) =
 
 (* ------------------------------------------------------------------ *)
 (* Item execution — shared verbatim by worker domains and serial replay.
-   [Enclave.set_global_array] binds a copy, so live arrays never alias
+   [Set_global_array] binds a copy, so live arrays never alias
    across shards. *)
 let exec_item w = function
   | I_packet { pkt; now; idx; res } -> res.(idx) <- Some (Enclave.process w.w_enclave ~now pkt)
   | I_fire { pkt; now } -> ignore (Enclave.process w.w_enclave ~now pkt)
-  | I_set_global { action; name; value } ->
-    ignore (Enclave.set_global w.w_enclave ~action name value)
-  | I_set_global_array { action; name; values } ->
-    ignore (Enclave.set_global_array w.w_enclave ~action name values)
+  | I_op op -> ignore (Enclave.apply w.w_enclave op)
   | I_none | I_stop -> ()
 
 let worker_loop w batch =
@@ -163,10 +159,10 @@ let create ?shards ?(parallel = true) ?(ring_capacity = 1024) ?(batch = 64) sour
     let snap = Enclave.snapshot source in
     let classes =
       List.map
-        (fun (s : Enclave.install_spec) ->
-          let name = s.Enclave.i_name in
+        (fun (s : Config.install_spec) ->
+          let name = s.Config.i_name in
           (name, Option.value (Enclave.concurrency_of source name) ~default:`Serial))
-        snap.Enclave.sn_actions
+        snap.Config.sn_actions
     in
     (* A serial action (global writes, or native) keeps the whole enclave
        on one replica, so its invocations run in stream order. *)
@@ -277,15 +273,16 @@ let drain t = if t.s_parallel then Array.iter drain_worker t.s_workers
 (* Hand an item to its worker's ring, or run it inline in serial mode. *)
 let send t w item = if t.s_parallel then enqueue t w item else exec_item w item
 
+let broadcast t op =
+  let item = I_op op in
+  Array.iter (fun w -> send t w item) t.s_workers
+
 let dispatch t res idx ev =
   match ev with
   | Ev_packet (now, pkt) -> send t t.s_workers.(route t pkt) (I_packet { pkt; now; idx; res })
-  | Ev_set_global { action; name; value } ->
-    let item = I_set_global { action; name; value } in
-    Array.iter (fun w -> send t w item) t.s_workers
+  | Ev_set_global { action; name; value } -> broadcast t (Set_global { action; name; value })
   | Ev_set_global_array { action; name; values } ->
-    let item = I_set_global_array { action; name; values } in
-    Array.iter (fun w -> send t w item) t.s_workers
+    broadcast t (Set_global_array { action; name; value = values })
 
 let process_stream t events =
   check_live t "Shard.process_stream";
@@ -303,39 +300,20 @@ let feed t ~now pkt =
 
 let counters t =
   drain t;
-  let acc =
-    {
-      Enclave.packets = 0;
-      dropped = 0;
-      invocations = 0;
-      native_invocations = 0;
-      compiled_invocations = 0;
-      faults = 0;
-      interp_steps = 0;
-      quarantined = 0;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_evictions = 0;
-    }
-  in
-  Array.iter
-    (fun w ->
-      let c = Enclave.counters w.w_enclave in
-      acc.Enclave.packets <- acc.Enclave.packets + c.Enclave.packets;
-      acc.Enclave.dropped <- acc.Enclave.dropped + c.Enclave.dropped;
-      acc.Enclave.invocations <- acc.Enclave.invocations + c.Enclave.invocations;
-      acc.Enclave.native_invocations <-
-        acc.Enclave.native_invocations + c.Enclave.native_invocations;
-      acc.Enclave.compiled_invocations <-
-        acc.Enclave.compiled_invocations + c.Enclave.compiled_invocations;
-      acc.Enclave.faults <- acc.Enclave.faults + c.Enclave.faults;
-      acc.Enclave.interp_steps <- acc.Enclave.interp_steps + c.Enclave.interp_steps;
-      acc.Enclave.quarantined <- acc.Enclave.quarantined + c.Enclave.quarantined;
-      acc.Enclave.cache_hits <- acc.Enclave.cache_hits + c.Enclave.cache_hits;
-      acc.Enclave.cache_misses <- acc.Enclave.cache_misses + c.Enclave.cache_misses;
-      acc.Enclave.cache_evictions <- acc.Enclave.cache_evictions + c.Enclave.cache_evictions)
-    t.s_workers;
-  acc
+  let sum f = Array.fold_left (fun n w -> n + f (Enclave.counters w.w_enclave)) 0 t.s_workers in
+  {
+    Enclave.packets = sum (fun c -> c.Enclave.packets);
+    dropped = sum (fun c -> c.dropped);
+    invocations = sum (fun c -> c.invocations);
+    native_invocations = sum (fun c -> c.native_invocations);
+    compiled_invocations = sum (fun c -> c.compiled_invocations);
+    faults = sum (fun c -> c.faults);
+    interp_steps = sum (fun c -> c.interp_steps);
+    quarantined = sum (fun c -> c.quarantined);
+    cache_hits = sum (fun c -> c.cache_hits);
+    cache_misses = sum (fun c -> c.cache_misses);
+    cache_evictions = sum (fun c -> c.cache_evictions);
+  }
 
 (* A global is written only by a serial action, which runs on the one
    replica; every other global is read-only and the same on each. *)

@@ -3,7 +3,10 @@ module Packet = Eden_base.Packet
 module Metadata = Eden_base.Metadata
 module Time = Eden_base.Time
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
 module Table = Eden_enclave.Table
+module Breaker = Eden_enclave.Breaker
+module Registry = Eden_telemetry.Registry
 module Net = Eden_netsim.Net
 module Host = Eden_netsim.Host
 module Switch = Eden_netsim.Switch
@@ -24,6 +27,7 @@ type report = {
   r_faults_injected : int;
   r_retries : int;
   r_restarts : int;
+  r_enclave_faults : int;
 }
 
 let passed r = List.for_all (fun c -> c.ck_ok) r.r_checks
@@ -69,10 +73,19 @@ let snapshot_wellformed sn =
       List.for_all
         (fun (r : Table.rule) ->
           List.exists
-            (fun s -> String.equal s.Enclave.i_name r.Table.action)
-            sn.Enclave.sn_actions)
+            (fun s -> String.equal s.Config.i_name r.Table.action)
+            sn.Config.sn_actions)
         rules)
-    sn.Enclave.sn_rules
+    sn.Config.sn_rules
+
+(* A counter's total in a scrape. *)
+let scraped name samples =
+  List.fold_left
+    (fun acc (x : Registry.sample) ->
+      match x.s_value with
+      | Registry.Counter n when String.equal x.s_name name -> acc + n
+      | _ -> acc)
+    0 samples
 
 let observe cx =
   let g = Controller.generation cx.ctl in
@@ -86,22 +99,6 @@ let observe cx =
       if not (snapshot_wellformed (Enclave.snapshot (Channel.enclave ch))) then
         cx.rules_wellformed <- false)
     (Controller.channels cx.ctl)
-
-let finish cx ~scenario ~seed =
-  check cx "generation monotone" cx.gen_monotone "desired generation never decreased";
-  check cx "acked <= desired" cx.acked_bounded "no enclave acked a generation ahead of desired";
-  check cx "no half-installed action matchable" cx.rules_wellformed
-    "every rule on every enclave names a fully installed action";
-  let sum f = List.fold_left (fun acc ch -> acc + f ch) 0 (Controller.channels cx.ctl) in
-  {
-    r_scenario = scenario;
-    r_seed = seed;
-    r_checks = List.rev cx.checks;
-    r_ops_sent = sum Channel.ops_sent;
-    r_faults_injected = sum Channel.faults_injected;
-    r_retries = (Controller.stats cx.ctl).Controller.rs_retries;
-    r_restarts = sum (fun ch -> Enclave.restarts (Channel.enclave ch));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Shared scaffolding: two hosts behind one switch, both with OS-placed
@@ -135,6 +132,26 @@ let build_fleet ~seed ~hosts () =
         e)
   in
   { fl_net = net; fl_ctl = ctl; fl_enclaves = enclaves }
+
+let finish fl cx ~scenario ~seed =
+  check cx "generation monotone" cx.gen_monotone "desired generation never decreased";
+  check cx "acked <= desired" cx.acked_bounded "no enclave acked a generation ahead of desired";
+  check cx "no half-installed action matchable" cx.rules_wellformed
+    "every rule on every enclave names a fully installed action";
+  let sum f = List.fold_left (fun acc ch -> acc + f ch) 0 (Controller.channels cx.ctl) in
+  {
+    r_scenario = scenario;
+    r_seed = seed;
+    r_checks = List.rev cx.checks;
+    r_ops_sent = sum Channel.ops_sent;
+    r_faults_injected = sum Channel.faults_injected;
+    r_retries = (Controller.stats cx.ctl).Controller.rs_retries;
+    r_restarts = sum (fun ch -> Enclave.restarts (Channel.enclave ch));
+    r_enclave_faults =
+      List.fold_left
+        (fun acc h -> acc + scraped "eden_enclave_faults_total" (Host.scrape h))
+        0 (Net.hosts fl.fl_net);
+  }
 
 let channel fl host = Option.get (Controller.channel_for fl.fl_ctl host)
 
@@ -209,7 +226,7 @@ let scenario_partition ~seed =
   ignore (Enclave.process fl.fl_enclaves.(1) ~now:(Time.ms 60) p1');
   check cx "healed host runs new policy" (p1'.Packet.priority < 7)
     (Printf.sprintf "priority %d" p1'.Packet.priority);
-  finish cx ~scenario:"partition-during-pias-push" ~seed
+  finish fl cx ~scenario:"partition-during-pias-push" ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 2: enclave crash in the middle of a WCMP matrix update.
@@ -244,7 +261,7 @@ let scenario_crash_mid_update ~seed =
   check cx "generation unchanged by failed push" (Controller.generation fl.fl_ctl = gen0) "";
   check cx "desired state keeps old matrix"
     (let desired = Controller.desired fl.fl_ctl in
-     Option.bind (List.assoc_opt "wcmp" desired.Enclave.sn_arrays) (List.assoc_opt "Paths")
+     Option.bind (List.assoc_opt "wcmp" desired.Config.sn_arrays) (List.assoc_opt "Paths")
      = Some m0)
     "";
   check cx "survivor rolled back to old matrix"
@@ -281,7 +298,7 @@ let scenario_crash_mid_update ~seed =
     && Enclave.get_global_array fl.fl_enclaves.(1) ~action:"wcmp" "Paths" = Some m1)
     "";
   check cx "fleet converged on new matrix" (Controller.converged fl.fl_ctl) "";
-  finish cx ~scenario:"crash-mid-wcmp-update" ~seed
+  finish fl cx ~scenario:"crash-mid-wcmp-update" ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: duplicate delivery and lost acks during installs.
@@ -322,7 +339,7 @@ let scenario_duplicate_installs ~seed =
         (Enclave.action_names e = [ "pias" ])
         (String.concat "," (Enclave.action_names e));
       let nrules =
-        List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.Enclave.sn_rules
+        List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.Config.sn_rules
       in
       check cx (Printf.sprintf "host %d has exactly one rule" i) (nrules = 1)
         (Printf.sprintf "%d rules" nrules))
@@ -333,7 +350,7 @@ let scenario_duplicate_installs ~seed =
        (fun ch -> Channel.acked_generation ch = Controller.generation fl.fl_ctl)
        (Controller.channels fl.fl_ctl))
     "";
-  finish cx ~scenario:"duplicate-installs" ~seed
+  finish fl cx ~scenario:"duplicate-installs" ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 4: action fault storm trips the circuit breaker.
@@ -361,7 +378,7 @@ let scenario_breaker ~seed =
   let deployed =
     let* () =
       Controller.install_action_everywhere fl.fl_ctl
-        { Enclave.i_name = "divider"; i_impl = Enclave.Interpreted program; i_msg_sources = [] }
+        { Config.i_name = "divider"; i_impl = Config.Interpreted program; i_msg_sources = [] }
     in
     let* () = Controller.set_global_everywhere fl.fl_ctl ~action:"divider" "D" 2L in
     Controller.add_rule_everywhere fl.fl_ctl
@@ -369,7 +386,7 @@ let scenario_breaker ~seed =
   in
   check cx "divider deployed" (deployed = Ok ()) "";
   let cfg =
-    { Enclave.br_window = 16; br_min_samples = 4; br_threshold = 0.5; br_cooldown = Time.us 50 }
+    { Breaker.br_window = 16; br_min_samples = 4; br_threshold = 0.5; br_cooldown = Time.us 50 }
   in
   Enclave.set_breaker e (Some cfg);
   observe cx;
@@ -396,16 +413,17 @@ let scenario_breaker ~seed =
     (Controller.set_global_everywhere fl.fl_ctl ~action:"divider" "D" 0L = Ok ())
     "";
   observe cx;
-  let faults_before = (Enclave.counters e).Enclave.faults in
+  let counter name = scraped name (Enclave.scrape e) in
+  let faults_before = counter "eden_enclave_faults_total" in
   let d1 = shoot ~from:(Time.us 10) ~n:30 ~port:4002 in
-  let faults_during = (Enclave.counters e).Enclave.faults - faults_before in
-  check cx "storm faults recorded" (faults_during >= cfg.Enclave.br_min_samples)
+  let faults_during = counter "eden_enclave_faults_total" - faults_before in
+  let quarantined = counter "eden_enclave_quarantined_total" in
+  check cx "storm faults recorded" (faults_during >= cfg.Breaker.br_min_samples)
     (Printf.sprintf "%d faults" faults_during);
   check cx "breaker opened" (Enclave.breaker_state e "divider" = Some `Open)
     (Printf.sprintf "%d trips" (Enclave.breaker_trips e "divider"));
-  check cx "quarantined packets fell through"
-    ((Enclave.counters e).Enclave.quarantined > 0)
-    (Printf.sprintf "%d quarantined" (Enclave.counters e).Enclave.quarantined);
+  check cx "quarantined packets fell through" (quarantined > 0)
+    (Printf.sprintf "%d quarantined" quarantined);
   check cx "fail open throughout" (d1 = 0) (Printf.sprintf "%d dropped" d1);
   check cx "quarantine bounds the fault storm"
     (faults_during < 30)
@@ -426,7 +444,7 @@ let scenario_breaker ~seed =
     (Printf.sprintf "priority %d (6/2)" p.Packet.priority);
   check cx "no drops after recovery" (d2 = 0) (Printf.sprintf "%d dropped" d2);
   check cx "fleet converged" (Controller.converged fl.fl_ctl) "";
-  finish cx ~scenario:"fault-storm-breaker" ~seed
+  finish fl cx ~scenario:"fault-storm-breaker" ~seed
 
 (* ------------------------------------------------------------------ *)
 

@@ -32,6 +32,9 @@ type report = {
   r_faults_injected : int;
   r_retries : int;
   r_restarts : int;
+  r_enclave_faults : int;
+      (** [eden_enclave_faults_total] summed over every host's scrape at
+          the end of the run (a restart resets the count). *)
 }
 
 val passed : report -> bool

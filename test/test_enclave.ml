@@ -2,6 +2,7 @@
    and the full process() pipeline with interpreted and native actions. *)
 
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
 module State = Eden_enclave.State
 module Table = Eden_enclave.Table
 module Queueing = Eden_enclave.Queueing
@@ -342,7 +343,7 @@ let prop_state_model =
 (* Tables *)
 
 (* Table 0 with [(pattern, action)] rules inserted in order, ids
-   counting up, as [Enclave.next] inserts them. *)
+   counting up, as [Config.next] inserts them. *)
 let table_of rules =
   Table.make ~id:0
     (List.fold_left
@@ -374,14 +375,14 @@ let test_table_multi_class_packet () =
 
 let test_table_remove () =
   let step sn op =
-    match Enclave.next sn op with
+    match Config.next sn op with
     | Ok r -> r
     | Error msg -> Alcotest.fail msg
   in
   let spec = { Enclave.i_name = "a"; i_impl = Enclave.Native ignore; i_msg_sources = [] } in
-  let sn, _ = step Enclave.empty (Enclave.Install_action spec) in
-  let sn, id = step sn (Enclave.Add_rule { table = 0; pattern = pat "*.*.*"; action = "a" }) in
-  let sn, removed = step sn (Enclave.Remove_rule { table = 0; rule_id = Int64.to_int id }) in
+  let sn, _ = step Config.empty (Config.Install_action spec) in
+  let sn, id = step sn (Config.Add_rule { table = 0; pattern = pat "*.*.*"; action = "a" }) in
+  let sn, removed = step sn (Config.Remove_rule { table = 0; rule_id = Int64.to_int id }) in
   check_bool "removed" true (removed = 1L);
   check_bool "no match" true
     (Table.lookup (Table.make ~id:0 (List.assoc 0 sn.Enclave.sn_rules)) [ cls "GET" ] = None)

@@ -19,9 +19,14 @@
    The class-memo tests check that the memo is bounded by the classes,
    not by the class vectors traffic builds from them, and that the
    earliest of a vector's per-class first matches is always the rule
-   [Table.lookup] fires, equal-specificity ties included. *)
+   [Table.lookup] fires, equal-specificity ties included.
+
+   The generation tests check which ops swap the tables the data path
+   reads: an action or rule op does, and the next packet resolves afresh
+   against the new rules; a binding op does not, and keeps every memo. *)
 
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
 module Table = Eden_enclave.Table
 module Stage = Eden_stage.Stage
 module Ruleset = Eden_stage.Ruleset
@@ -772,6 +777,93 @@ let prop_tie_break =
         ops;
       true)
 
+
+(* ------------------------------------------------------------------ *)
+(* Generation *)
+
+(* [Enclave.tables] is the generation's list: the same value until an
+   action or rule op swaps it, whatever binding ops come between. *)
+let test_tables_follow_generation () =
+  let e = Enclave.create ~host:1 () in
+  install e;
+  let before = Enclave.tables e in
+  Alcotest.(check bool) "same list on a second call" true (Enclave.tables e == before);
+  get_ok (Enclave.set_global e ~action:"jump" "Next" 1L);
+  get_ok (Enclave.set_global_array e ~action:"jump" "Unused" [| 1L |]);
+  Alcotest.(check bool) "binding ops keep the list" true (Enclave.tables e == before);
+  let id = get_ok (Enclave.add_table_rule e ~pattern:(pattern "app.kind.PUT") ~action:"prio6" ()) in
+  let after = Enclave.tables e in
+  Alcotest.(check bool) "Add_rule makes a new list" true (after != before);
+  Alcotest.(check bool) "the new list holds the rule" true
+    (List.exists (fun r -> r.Table.rule_id = id) (Table.rules (List.hd after)))
+
+(* Table 0 routes every [app] class to [low] (priority 3); [high]
+   (priority 6) has no rule.  [runs] counts [low]'s invocations. *)
+let generation_enclave () =
+  let e = Enclave.create ~host:1 () in
+  let runs = ref 0 in
+  let native name f = { Enclave.i_name = name; i_impl = Enclave.Native f; i_msg_sources = [] } in
+  get_ok
+    (Enclave.install_action e
+       (native "low" (fun ctx ->
+            incr runs;
+            Enclave.Native_ctx.set_priority ctx 3)));
+  get_ok (Enclave.install_action e (native "high" (fun ctx -> Enclave.Native_ctx.set_priority ctx 6)));
+  ignore (get_ok (Enclave.add_table_rule e ~pattern:(pattern "app.*.*") ~action:"low" ()));
+  (e, runs)
+
+(* Two packets of one message, the same flow and the same stage
+   metadata object, so the second reuses the first's slot; [op] is
+   applied between them.  The second packet's table visits as (hits,
+   misses), its priority, and whether [low] ran for it. *)
+let across_op op =
+  let e, runs = generation_enclave () in
+  let md =
+    Metadata.add_class (Class_name.v ~stage:"app" ~ruleset:"kind" ~name:"GET") Metadata.empty
+  in
+  let flow =
+    Addr.five_tuple ~src:(Addr.endpoint 1 1_000) ~dst:(Addr.endpoint 2 80) ~proto:Addr.Tcp
+  in
+  let send id =
+    let pkt =
+      Packet.make ~id ~flow ~kind:Packet.Data ~payload:100 ~priority:0 ~metadata:md ()
+    in
+    ignore (Enclave.process e ~now:(Time.us 1) pkt);
+    pkt.Packet.priority
+  in
+  Alcotest.(check int) "first packet runs low" 3 (send 1L);
+  (match Enclave.apply e op with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s refused: %s" (Config.op_to_string op) msg);
+  let hits, misses, _ = stats e and ran = !runs in
+  let priority = send 2L in
+  let hits', misses', _ = stats e in
+  (hits' - hits, misses' - misses, priority, !runs > ran)
+
+let test_ops_across_a_message () =
+  let spec name =
+    { Enclave.i_name = name; i_impl = Enclave.Native ignore; i_msg_sources = [] }
+  in
+  List.iter
+    (fun (op, want) ->
+      let name = Config.op_to_string op in
+      let hits, misses, priority, ran = across_op op in
+      let show (h, m, p, r) = Printf.sprintf "%d hits, %d misses, priority %d, low %s" h m p
+          (if r then "ran" else "did not run") in
+      if (hits, misses, priority, ran) <> want then
+        Alcotest.failf "%s: second packet %s, want %s" name (show (hits, misses, priority, ran))
+          (show want))
+    [
+      (Config.Set_global { action = "low"; name = "K"; value = 1L }, (1, 0, 3, true));
+      (Config.Set_global_array { action = "low"; name = "A"; value = [| 1L |] }, (1, 0, 3, true));
+      (Config.Install_action (spec "other"), (0, 1, 3, true));
+      (Config.Remove_action "low", (0, 1, 0, false));
+      (Config.Remove_action "high", (0, 1, 3, true));
+      ( Config.Add_rule { table = 0; pattern = pattern "app.kind.GET"; action = "high" },
+        (0, 1, 6, false) );
+      (Config.Remove_rule { table = 0; rule_id = 0 }, (0, 1, 0, false));
+    ]
+
 let () =
   Qcheck_seed.announce ();
   Alcotest.run "eden_memo"
@@ -788,5 +880,12 @@ let () =
         [
           Alcotest.test_case "bounded by classes, not vectors" `Quick test_class_memo_bounded;
           Qcheck_seed.qcheck prop_tie_break;
+        ] );
+      ( "generation",
+        [
+          Alcotest.test_case "tables change only with the generation" `Quick
+            test_tables_follow_generation;
+          Alcotest.test_case "ops between two packets of a message" `Quick
+            test_ops_across_a_message;
         ] );
     ]

@@ -4,6 +4,8 @@
    scenarios under their CI seed. *)
 
 module Enclave = Eden_enclave.Enclave
+module Config = Eden_enclave.Config
+module Breaker = Eden_enclave.Breaker
 module Channel = Eden_controller.Channel
 module Controller = Eden_controller.Controller
 module Policy = Eden_controller.Policy
@@ -60,7 +62,7 @@ let divider_enclave ~d =
   let _ = get_ok (Enclave.add_table_rule e ~pattern:Pattern.any ~action:"divider" ()) in
   e
 
-let set_d = Enclave.Set_global { action = "divider"; name = "D"; value = 7L }
+let set_d = Config.Set_global { action = "divider"; name = "D"; value = 7L }
 
 (* ------------------------------------------------------------------ *)
 (* Channel fault semantics *)
@@ -90,7 +92,7 @@ let test_channel_ack_lost_then_retry () =
 let test_channel_duplicate_is_exactly_once () =
   let ch = Channel.create (divider_enclave ~d:1L) in
   Channel.script ch [ (0, Channel.Duplicate) ];
-  let rule = Enclave.Add_rule { table = 0; pattern = Pattern.any; action = "divider" } in
+  let rule = Config.Add_rule { table = 0; pattern = Pattern.any; action = "divider" } in
   let _ = get_sent (Channel.send ch ~op_id:1L ~gen:1 rule) in
   let sn = Enclave.snapshot (Channel.enclave ch) in
   let nrules = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.Enclave.sn_rules in
@@ -110,7 +112,7 @@ let test_channel_delay () =
   let _ =
     get_sent
       (Channel.send ch ~op_id:2L ~gen:2
-         (Enclave.Set_global { action = "divider"; name = "D"; value = 9L }))
+         (Config.Set_global { action = "divider"; name = "D"; value = 9L }))
   in
   check_int "nothing still delayed" 0 (Channel.delayed_count ch);
   check_bool "delayed op landed before the later one" true
@@ -176,7 +178,7 @@ let test_breaker_disabled_by_default () =
   check_bool "no breaker state" true (Enclave.breaker_state e "divider" = None)
 
 let breaker_cfg =
-  { Enclave.br_window = 8; br_min_samples = 4; br_threshold = 0.5; br_cooldown = Time.us 100 }
+  { Breaker.br_window = 8; br_min_samples = 4; br_threshold = 0.5; br_cooldown = Time.us 100 }
 
 let test_breaker_trips_and_quarantines () =
   let e = divider_enclave ~d:0L in
@@ -218,7 +220,7 @@ let test_breaker_config_validation () =
   let e = divider_enclave ~d:1L in
   Alcotest.check_raises "window too large"
     (Invalid_argument "Enclave.set_breaker: window must be in [1, 62]") (fun () ->
-      Enclave.set_breaker e (Some { breaker_cfg with Enclave.br_window = 63 }))
+      Enclave.set_breaker e (Some { breaker_cfg with Breaker.br_window = 63 }))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore *)
@@ -232,7 +234,7 @@ let test_snapshot_restore_roundtrip () =
   let e2 = Enclave.create ~host:2 () in
   get_ok (Enclave.restore e2 sn);
   check_bool "restored configuration equals the original" true
-    (Enclave.config_equal sn (Enclave.snapshot e2));
+    (Config.config_equal sn (Enclave.snapshot e2));
   (* And it behaves: the restored divider applies 6/5 = 1. *)
   let p = data_packet (flow ()) in
   ignore (Enclave.process e2 ~now:Time.zero p);
@@ -456,7 +458,7 @@ let test_reconcile_restores_rule_order () =
     "host 1 matches in host 0's order" (order enclaves.(0)) (order enclaves.(1));
   check_bool "converged" true (Controller.converged ctl);
   check_bool "configurations equal" true
-    (Enclave.config_equal (Enclave.snapshot enclaves.(0)) (Enclave.snapshot enclaves.(1)))
+    (Config.config_equal (Enclave.snapshot enclaves.(0)) (Enclave.snapshot enclaves.(1)))
 
 (* Stage rules are not enclave configuration: programming a stage must
    not leave a converged fleet looking out of date. *)
@@ -535,7 +537,7 @@ let test_stats_equal_scrape () =
   check_int "host 0 crashed once" 1 (Enclave.restarts enclaves.(0))
 
 (* ------------------------------------------------------------------ *)
-(* One op model: the enclave follows [Enclave.next] *)
+(* One op model: the enclave follows [Config.next] *)
 
 (* The model's two actions.  "a" sets Priority 5 and jumps to table 1;
    "b" sets Path 3 and jumps to table 2.  A packet's priority, path and
@@ -569,25 +571,25 @@ let op_gen =
   in
   frequency
     [
-      (3, map2 (fun compiled a -> Enclave.Install_action (model_spec ~compiled a)) bool action);
-      (1, map (fun a -> Enclave.Remove_action a) action);
-      (1, return Enclave.Add_table);
+      (3, map2 (fun compiled a -> Config.Install_action (model_spec ~compiled a)) bool action);
+      (1, map (fun a -> Config.Remove_action a) action);
+      (1, return Config.Add_table);
       ( 4,
         map3
-          (fun table pattern action -> Enclave.Add_rule { table; pattern; action })
+          (fun table pattern action -> Config.Add_rule { table; pattern; action })
           (int_bound 2) pattern action );
       ( 2,
         map3
-          (fun action name v -> Enclave.Set_global { action; name; value = Int64.of_int v })
+          (fun action name v -> Config.Set_global { action; name; value = Int64.of_int v })
           action name small_signed_int );
       ( 2,
         map3
           (fun action name n ->
-            Enclave.Set_global_array { action; name; value = Array.init n Int64.of_int })
+            Config.Set_global_array { action; name; value = Array.init n Int64.of_int })
           action name (int_bound 3) );
     ]
 
-let ops_to_string ops = String.concat "; " (List.map Enclave.op_to_string ops)
+let ops_to_string ops = String.concat "; " (List.map Config.op_to_string ops)
 
 (* Fixed probes: a packet's stage classes (the enclave adds its flow
    class). *)
@@ -647,7 +649,7 @@ let check_routing e sn ~after =
     probe_classes
 
 (* The same op stream through [Enclave.apply] on a fresh enclave and
-   [Enclave.next] from [Enclave.empty]: each op is accepted or refused
+   [Config.next] from [Config.empty]: each op is accepted or refused
    alike, with the same table and rule ids; after every op the two
    configurations are equal and the probes run the rules [next]'s
    configuration holds; and restoring the enclave's snapshot reproduces
@@ -660,32 +662,32 @@ let prop_enclave_follows_next =
       let e = Enclave.create ~host:1 () in
       let verdict r = if Result.is_ok r then "accepted" else "refused" in
       let step (i, sn) op =
-        let at_enclave = Enclave.apply e op and by_next = Enclave.next sn op in
+        let at_enclave = Enclave.apply e op and by_next = Config.next sn op in
         let sn =
           match (at_enclave, by_next, op) with
-          | Ok got, Ok (_, want), (Enclave.Add_table | Enclave.Add_rule _) when got <> want ->
+          | Ok got, Ok (_, want), (Config.Add_table | Config.Add_rule _) when got <> want ->
             QCheck.Test.fail_reportf "op %d (%s): enclave acked %Ld, next %Ld" i
-              (Enclave.op_to_string op) got want
+              (Config.op_to_string op) got want
           | Ok _, Ok (sn, _), _ -> sn
           | Error _, Error _, _ -> sn
           | _ ->
             QCheck.Test.fail_reportf "op %d (%s): enclave %s, next %s" i
-              (Enclave.op_to_string op) (verdict at_enclave) (verdict by_next)
+              (Config.op_to_string op) (verdict at_enclave) (verdict by_next)
         in
-        (match Enclave.diff ~desired:sn ~actual:(Enclave.snapshot e) with
+        (match Config.diff ~desired:sn ~actual:(Enclave.snapshot e) with
         | [] ->
-          if not (Enclave.config_equal sn (Enclave.snapshot e)) then
+          if not (Config.config_equal sn (Enclave.snapshot e)) then
             QCheck.Test.fail_reportf "after op %d: configurations differ" i
         | drift -> QCheck.Test.fail_reportf "after op %d: drift [%s]" i (ops_to_string drift));
         check_routing e sn ~after:i;
         (i + 1, sn)
       in
-      ignore (List.fold_left step (0, Enclave.empty) ops);
+      ignore (List.fold_left step (0, Config.empty) ops);
       let e2 = Enclave.create ~host:2 () in
       (match Enclave.restore e2 (Enclave.snapshot e) with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "restore refused: %s" msg);
-      Enclave.config_equal (Enclave.snapshot e) (Enclave.snapshot e2))
+      Config.config_equal (Enclave.snapshot e) (Enclave.snapshot e2))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos scenarios under the CI seed *)
@@ -702,6 +704,21 @@ let test_chaos_scenarios_pass () =
         r.Chaos.r_checks)
     reports;
   check_bool "chaos suite green" true (Chaos.all_passed reports)
+
+(* Faults are bugs unless injected: at two seeds every scenario but the
+   fault storm ends with no enclave fault in any host's scrape, and the
+   storm's injected faults show in the same count. *)
+let test_chaos_faults_only_in_the_storm () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun r ->
+          let storm = String.equal r.Chaos.r_scenario "fault-storm-breaker" in
+          if storm <> (r.Chaos.r_enclave_faults > 0) then
+            Alcotest.failf "seed %Ld, %s: %d enclave faults" seed r.Chaos.r_scenario
+              r.Chaos.r_enclave_faults)
+        (Chaos.run_all ~seed ()))
+    [ 1L; 42L ]
 
 let test_chaos_deterministic () =
   let strip r = (r.Chaos.r_scenario, r.Chaos.r_checks, r.Chaos.r_ops_sent, r.Chaos.r_faults_injected) in
@@ -767,5 +784,7 @@ let () =
         [
           Alcotest.test_case "scenarios pass under CI seed" `Quick test_chaos_scenarios_pass;
           Alcotest.test_case "runs are deterministic" `Quick test_chaos_deterministic;
+          Alcotest.test_case "faults only in the fault storm" `Quick
+            test_chaos_faults_only_in_the_storm;
         ] );
     ]
