@@ -158,6 +158,18 @@ let pias_process_enclave variant =
   | Error msg -> invalid_arg msg);
   e
 
+(* Compiled WCMP over three equal paths: its [rand] draws on every
+   packet, so the allocation check covers the generator as well. *)
+let wcmp_process_enclave () =
+  let e = Enclave.create ~host:1 () in
+  (match
+     Eden_functions.Wcmp.install ~variant:`Compiled e
+       ~matrix:(Eden_functions.Wcmp.ecmp_matrix ~labels:[ 1; 2; 3 ])
+   with
+  | Ok () -> ()
+  | Error msg -> invalid_arg msg);
+  e
+
 (* perfbench's first-table action, [packet.GotoTable <- _global.Next],
    compiled: two steps, so its [process] time is almost all invocation
    overhead (rule lookup, marshal plan, engine entry and exit). *)
@@ -237,9 +249,13 @@ let program_steps p =
    machine's I/O slots and back, and [State] stores them unboxed, so
    compiled and interpreted PIAS allocate what the no-policy baseline
    does (0.4 words more through [process_batch], whose result list and
-   decision records are per batch).  The budget of 2 words over the
-   baseline fails on a single stray 3-word [int64] box, option or
-   closure on the per-packet path. *)
+   decision records are per batch).  Compiled WCMP draws from the
+   machine's generator on every packet, which allocates nothing; its
+   2 words over the baseline are the route-label option its chosen
+   path is written back as.  The budget of 2 words over the baseline
+   fails on a single stray 3-word [int64] box, closure or second
+   option on the per-packet path; a boxing [rand] (14 words per draw)
+   fails it. *)
 let invocation_words_budget = 2.0
 
 (* The no-policy path itself has an absolute bound: flow classification
@@ -307,11 +323,16 @@ let words_per_new_flow () =
 
 (* The simulator's own allocation: minor words per host-transmitted
    packet over a short Fig. 9 Baseline/Native run (no enclave, so netsim,
-   TCP and the workload are all that allocate), about 122.  The budget
-   has the ~20% headroom of [no_policy_words_budget]; a calendar entry,
-   boxed time and option per event and a closure per hop and NIC entry
-   cost about 193 and fail it on any machine. *)
-let sim_words_budget = 146.0
+   TCP and the workload are all that allocate), about 47.  Simulated
+   time stays in integer ticks from transmit to ACK, random draws and
+   route and flow lookups allocate nothing, so what is left is the
+   packet and its id, [Packet.make]'s optional arguments (boxed in this
+   dev profile only), one queue cell per buffer, flight and NIC entry,
+   the send-time entry and the RTO closure.  The budget has the ~20%
+   headroom of [no_policy_words_budget]; a boxed time per calendar
+   event (about five events per packet, 3 words each) fails it, and
+   boxed times, draws and lookups throughout cost about 122. *)
+let sim_words_budget = 56.0
 
 let sim_words_per_packet () =
   let params = { Fig9.default_params with Fig9.runs = 1; duration = Time.ms 60 } in
@@ -363,6 +384,17 @@ let allocation_check () =
       "ALLOCATION REGRESSION: the cached compiled data path allocates %.1f words/packet \
        over the no-policy baseline\n"
       delta;
+    exit 1
+  end;
+  let wcmp = words_per_packet (wcmp_process_enclave ()) in
+  Printf.printf
+    "allocation (minor words/packet): compiled wcmp %.1f, delta %.1f (budget %.0f)\n" wcmp
+    (wcmp -. base) invocation_words_budget;
+  if wcmp -. base > invocation_words_budget then begin
+    Printf.printf
+      "ALLOCATION REGRESSION: compiled WCMP allocates %.1f words/packet over the no-policy \
+       baseline\n"
+      (wcmp -. base);
     exit 1
   end;
   (* The batched entry point must stay on the same budget: its

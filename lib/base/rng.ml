@@ -1,15 +1,25 @@
-type t = { mutable state : int64 }
+(* The state is 8 bytes read and written as an unboxed [int64], so a
+   draw allocates nothing (a mutable [int64] field would box every new
+   state).  The compiler keeps the arithmetic below unboxed only while
+   no [int64] crosses a call, hence the inlined [mix64] and [next]. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Finalizer from Steele et al., "Fast splittable pseudorandom number
    generators" (OOPSLA 2014). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 (mix64 seed);
+  t
 
 (* Shard streams: the SplitMix split construction, applied statically.
    Stream [i] of a seed starts from an independently mixed point of the
@@ -24,30 +34,34 @@ let stream_seed seed index =
        (mix64 (Int64.logxor seed 0x5851F42D4C957F2DL))
        (Int64.mul (Int64.of_int (index + 1)) golden_gamma))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
+
+let int64 t = next t
 
 let split t = create (int64 t)
 
+(* Rejection sampling to avoid modulo bias.  A top-level recursion over
+   the [int] bound, so a retry builds no closure. *)
+let rec below t bound =
+  let b = Int64.of_int bound in
+  let r = Int64.shift_right_logical (next t) 1 in
+  let v = Int64.rem r b in
+  if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then below t bound
+  else Int64.to_int v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let b = Int64.of_int bound in
-  let rec go () =
-    let r = Int64.shift_right_logical (int64 t) 1 in
-    let v = Int64.rem r b in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then go ()
-    else Int64.to_int v
-  in
-  go ()
+  below t bound
 
 let float t bound =
-  let r = Int64.shift_right_logical (int64 t) 11 in
+  let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+let bool t = Int64.logand (next t) 1L = 1L
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 let exponential t mean =
   let u = float t 1.0 in

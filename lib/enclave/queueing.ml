@@ -37,7 +37,12 @@ module Priority = struct
 
   type 'a t = {
     queues : 'a Queue.t array;  (* index = priority *)
-    sizes : int Queue.t array;
+    sizes : int array array;
+        (* per level, a ring of the queued sizes: [heads.(p)] is the
+           oldest, and the ring holds [Queue.length queues.(p)] of them.
+           Ints need no box, so a push allocates only its queue cell.
+           A level's ring is empty until its first push. *)
+    heads : int array;
     capacity_bytes : int option;
     level_bytes : int array;
     mutable total_bytes : int;
@@ -48,13 +53,27 @@ module Priority = struct
   let create ?capacity_bytes () =
     {
       queues = Array.init levels (fun _ -> Queue.create ());
-      sizes = Array.init levels (fun _ -> Queue.create ());
+      sizes = Array.make levels [||];
+      heads = Array.make levels 0;
       capacity_bytes;
       level_bytes = Array.make levels 0;
       total_bytes = 0;
       total_count = 0;
       drop_count = 0;
     }
+
+  let kept_ring = 64
+
+  (* Double level [p]'s full ring (an empty one to 16), oldest size
+     first, so ring lengths stay powers of two. *)
+  let grow_sizes t p =
+    let ring = t.sizes.(p) and head = t.heads.(p) in
+    let n = Array.length ring in
+    let bigger = Array.make (Int.max 16 (2 * n)) 0 in
+    Array.blit ring head bigger 0 (n - head);
+    Array.blit ring 0 bigger (n - head) head;
+    t.sizes.(p) <- bigger;
+    t.heads.(p) <- 0
 
   (* The byte budget applies per priority level (hardware priority queues
      have their own buffers), so bulk low-priority traffic cannot crowd
@@ -67,8 +86,12 @@ module Priority = struct
       | Some cap -> t.level_bytes.(prio) + size <= cap
     in
     if fits then begin
-      Queue.add x t.queues.(prio);
-      Queue.add size t.sizes.(prio);
+      let q = t.queues.(prio) in
+      let n = Queue.length q in
+      if n = Array.length t.sizes.(prio) then grow_sizes t prio;
+      let ring = t.sizes.(prio) in
+      ring.((t.heads.(prio) + n) land (Array.length ring - 1)) <- size;
+      Queue.add x q;
       t.level_bytes.(prio) <- t.level_bytes.(prio) + size;
       t.total_bytes <- t.total_bytes + size;
       t.total_count <- t.total_count + 1;
@@ -87,17 +110,26 @@ module Priority = struct
     done;
     !p
 
-  let pop t =
+  let take t =
     let p = highest_nonempty t in
-    if p < 0 then None
-    else begin
-      let x = Queue.pop t.queues.(p) in
-      let size = Queue.pop t.sizes.(p) in
-      t.level_bytes.(p) <- t.level_bytes.(p) - size;
-      t.total_bytes <- t.total_bytes - size;
-      t.total_count <- t.total_count - 1;
-      Some x
-    end
+    if p < 0 then raise Queue.Empty;
+    let q = t.queues.(p) in
+    let x = Queue.take q in
+    let ring = t.sizes.(p) and head = t.heads.(p) in
+    let size = ring.(head) in
+    t.heads.(p) <- (head + 1) land (Array.length ring - 1);
+    (* A drained level lets go of a ring grown past [kept_ring], so an
+       idle buffer does not keep its peak depth live. *)
+    if Queue.is_empty q && Array.length ring > kept_ring then begin
+      t.sizes.(p) <- [||];
+      t.heads.(p) <- 0
+    end;
+    t.level_bytes.(p) <- t.level_bytes.(p) - size;
+    t.total_bytes <- t.total_bytes - size;
+    t.total_count <- t.total_count - 1;
+    x
+
+  let pop t = if t.total_count = 0 then None else Some (take t)
 
   let peek t =
     let p = highest_nonempty t in

@@ -31,8 +31,12 @@ module Priority : sig
   val push : 'a t -> prio:int -> size:int -> 'a -> bool
   (** [false] when the packet was dropped for lack of buffer space. *)
 
+  val take : 'a t -> 'a
+  (** Highest priority first, FIFO within a level; raises [Queue.Empty]
+      when every level is empty.  Allocates nothing. *)
+
   val pop : 'a t -> 'a option
-  (** Highest priority first, FIFO within a level. *)
+  (** {!take}, or [None] when empty. *)
 
   val peek : 'a t -> 'a option
   val is_empty : 'a t -> bool

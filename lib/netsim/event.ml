@@ -26,6 +26,7 @@ let create () =
     next_seq = 0;
   }
 
+let now_ticks t = t.clock
 let now t = Int64.of_int t.clock
 
 (* Times beyond the 63-bit int range (146 years of nanoseconds)
@@ -72,14 +73,14 @@ let insert t at fire =
   Array.unsafe_set fires !i fire;
   t.size <- t.size + 1
 
-let schedule_at t at fire =
-  let at = ticks at in
-  insert t (if at < t.clock then t.clock else at) fire
+let schedule_at_ticks t at fire = insert t (if at < t.clock then t.clock else at) fire
 
-let schedule_in t delta fire =
-  let d = ticks delta in
+let schedule_in_ticks t d fire =
   let at = if d <= 0 then t.clock else if d > max_int - t.clock then max_int else t.clock + d in
   insert t at fire
+
+let schedule_at t at fire = schedule_at_ticks t (ticks at) fire
+let schedule_in t delta fire = schedule_in_ticks t (ticks delta) fire
 
 let pending t = t.size
 

@@ -12,8 +12,8 @@ type t = {
   id : Addr.host;
   ev : Event.t;
   rng : Rng.t;
-  mutable tx_jitter : Time.t;
-  mutable nic_clock : Time.t;  (* last scheduled NIC-entry time: keeps egress FIFO *)
+  mutable tx_jitter : int;  (* ticks *)
+  mutable nic_clock : int;  (* last scheduled NIC-entry tick: keeps egress FIFO *)
   nic_queue : Packet.t Queue.t;  (* scheduled NIC entries, oldest first *)
   nic_entry : unit -> unit;  (* the NIC-entry event: [nic_queue]'s head *)
   alloc_packet_id : unit -> int64;
@@ -21,7 +21,7 @@ type t = {
   mutable enclave : Enclave.t option;
   mutable ingress_enclave : Enclave.t option;
   mutable tcp_config : Tcp.config;
-  senders : Tcp.Sender.t Addr.Flow_table.t;
+  senders : Tcp.Sender.t Addr.Flow_table.t;  (* keyed by the tuple their ACKs carry *)
   receivers : Tcp.Receiver.t Addr.Flow_table.t;
   rate_queues : (int, rate_queue) Hashtbl.t;
   mutable next_port : int;
@@ -48,8 +48,8 @@ let create ?(seed = 0x05EAL) ev ~id ~alloc_packet_id =
          simulator exhibits TCP phase effects (Floyd & Jacobson 1992) —
          drop-tail buffers systematically lock out whichever sender has a
          few nanoseconds more fixed latency. *)
-      tx_jitter = Time.ns 200;
-      nic_clock = Time.zero;
+      tx_jitter = 200;
+      nic_clock = 0;
       nic_queue = Queue.create ();
       nic_entry = (fun () -> nic_send t (Queue.pop t.nic_queue));
       alloc_packet_id;
@@ -89,23 +89,25 @@ let define_rate_queue t ~queue ~rate_bps ?burst_bytes () =
   let burst_bytes = Option.value ~default:(64 * 1024) burst_bytes in
   Hashtbl.replace t.rate_queues queue { bucket = Token_bucket.create ~rate_bps ~burst_bytes }
 
-let set_tx_jitter t j = t.tx_jitter <- j
+let set_tx_jitter t j = t.tx_jitter <- Int64.to_int (Time.to_ns j)
 
-let jitter t =
-  let bound = Int64.to_int (Time.to_ns t.tx_jitter) in
-  if bound <= 0 then Time.zero else Time.ns (Rng.int t.rng (bound + 1))
+(* Ticks of transmit jitter, uniform in [0, tx_jitter]. *)
+let jitter t = if t.tx_jitter <= 0 then 0 else Rng.int t.rng (t.tx_jitter + 1)
+
+(* A modelled CPU cost in ticks, rounded as [Time.of_float_ns] rounds. *)
+let cost_ticks ns = int_of_float (Float.round ns)
 
 (* Hand the packet to the NIC after [delay], without ever reordering this
    host's own submissions: entry times are forced monotonic, so the
    scheduled entries fire in schedule order and one closure per host,
    popping [nic_queue], serves them all. *)
 let nic_send_after t delay pkt =
-  let at = Time.add (Event.now t.ev) delay in
-  let at = Time.max at t.nic_clock in
+  let now = Event.now_ticks t.ev in
+  let at = Int.max (now + delay) t.nic_clock in
   t.nic_clock <- at;
-  if Time.( > ) at (Event.now t.ev) then begin
+  if at > now then begin
     Queue.add pkt t.nic_queue;
-    Event.schedule_at t.ev at t.nic_entry
+    Event.schedule_at_ticks t.ev at t.nic_entry
   end
   else nic_send t pkt
 
@@ -119,7 +121,7 @@ let transmit t pkt =
        interpreted and native action functions differ on the wire the way
        they do on the paper's testbed.  Jitter applies to every egress
        packet, enclave or not. *)
-    let cpu = Time.add (Time.of_float_ns (Enclave.last_process_cost_ns enclave)) (jitter t) in
+    let cpu = cost_ticks (Enclave.last_process_cost_ns enclave) + jitter t in
     match decision with
     | Enclave.Dropped _ ->
       Tel.Counter.inc t.hm_enclave_drops
@@ -135,19 +137,18 @@ let transmit t pkt =
         in
         (* Rate-limited queues have their own pacing; keep the CPU cost
            but let the token bucket set the departure time. *)
-        Event.schedule_at t.ev (Time.add departure cpu) (fun () -> nic_send t pkt)))
+        Event.schedule_at_ticks t.ev (Event.ticks departure + cpu) (fun () -> nic_send t pkt)))
 
 let deliver t (pkt : Packet.t) =
   match pkt.Packet.kind with
   | Packet.Data -> (
-    match Addr.Flow_table.find_opt t.receivers pkt.Packet.flow with
-    | Some rx -> Tcp.Receiver.handle_data rx pkt
-    | None -> ())
+    match Addr.Flow_table.find t.receivers pkt.Packet.flow with
+    | rx -> Tcp.Receiver.handle_data rx pkt
+    | exception Not_found -> ())
   | Packet.Ack -> (
-    (* The ACK's flow is the reverse of the data flow it acknowledges. *)
-    match Addr.Flow_table.find_opt t.senders (Addr.reverse pkt.Packet.flow) with
-    | Some tx -> Tcp.Sender.handle_ack tx pkt
-    | None -> ())
+    match Addr.Flow_table.find t.senders pkt.Packet.flow with
+    | tx -> Tcp.Sender.handle_ack tx pkt
+    | exception Not_found -> ())
   | Packet.Syn | Packet.Syn_ack | Packet.Fin -> ()
 
 (* The receive path: an ingress enclave (when present) filters and
@@ -162,18 +163,19 @@ let receive t (pkt : Packet.t) =
     | Enclave.Dropped _ ->
       Tel.Counter.inc t.hm_enclave_drops
     | Enclave.Forward _ ->
-      let cpu = Time.of_float_ns (Enclave.last_process_cost_ns enclave) in
-      if Time.( > ) cpu Time.zero then
-        Event.schedule_in t.ev cpu (fun () -> deliver t pkt)
+      let cpu = cost_ticks (Enclave.last_process_cost_ns enclave) in
+      if cpu > 0 then Event.schedule_in_ticks t.ev cpu (fun () -> deliver t pkt)
       else deliver t pkt)
 
+(* A sender is found by its ACKs' tuple, the reverse of its own, so an
+   arriving ACK is looked up as it is. *)
 let register_sender t sender =
-  Addr.Flow_table.replace t.senders (Tcp.Sender.flow sender) sender
+  Addr.Flow_table.replace t.senders (Addr.reverse (Tcp.Sender.flow sender)) sender
 
 let register_receiver t ~flow receiver = Addr.Flow_table.replace t.receivers flow receiver
 
 let unregister_flow t flow =
-  Addr.Flow_table.remove t.senders flow;
+  Addr.Flow_table.remove t.senders (Addr.reverse flow);
   Addr.Flow_table.remove t.receivers flow;
   match t.enclave with
   | Some e -> Enclave.note_flow_closed e flow

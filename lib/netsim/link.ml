@@ -11,7 +11,7 @@ type stats = {
 type t = {
   ev : Event.t;
   rate_bps : float;
-  delay : Time.t;
+  delay : int;  (* ticks *)
   name : string;
   ecn_threshold_bytes : int option;
   buffer : Packet.t Priority.t;
@@ -40,7 +40,9 @@ let trace t kind (pkt : Packet.t) =
         priority = pkt.Packet.priority;
       }
 
-let tx_time t bytes = Time.of_float_ns (float_of_int bytes *. 8.0 /. t.rate_bps *. 1e9)
+(* Serialization time in ticks, rounded as [Time.of_float_ns] rounds. *)
+let tx_ticks t bytes =
+  int_of_float (Float.round (float_of_int bytes *. 8.0 /. t.rate_bps *. 1e9))
 
 (* Every delivery is scheduled a constant delay after its packet's
    serialization ends, and serializations end in the order they start, so
@@ -54,18 +56,19 @@ let deliver_head t =
   | None -> ()
 
 let start_tx t =
-  match Priority.pop t.buffer with
-  | None -> t.busy <- false
-  | Some pkt ->
+  if Priority.is_empty t.buffer then t.busy <- false
+  else begin
+    let pkt = Priority.take t.buffer in
     t.busy <- true;
     let bytes = Packet.wire_size pkt in
-    let tx = tx_time t bytes in
+    let tx = tx_ticks t bytes in
     t.stats.tx_packets <- t.stats.tx_packets + 1;
     t.stats.tx_bytes <- t.stats.tx_bytes + bytes;
     (* Delivery happens a propagation delay after serialization ends. *)
     Queue.add pkt t.in_flight;
-    Event.schedule_in t.ev (Time.add tx t.delay) t.deliver_next;
-    Event.schedule_in t.ev tx t.tx_done
+    Event.schedule_in_ticks t.ev (tx + t.delay) t.deliver_next;
+    Event.schedule_in_ticks t.ev tx t.tx_done
+  end
 
 let create ?(capacity_bytes = 512 * 1024) ?(name = "link") ?ecn_threshold_bytes ev
     ~rate_bps ~delay () =
@@ -74,7 +77,7 @@ let create ?(capacity_bytes = 512 * 1024) ?(name = "link") ?ecn_threshold_bytes 
     {
       ev;
       rate_bps;
-      delay;
+      delay = Event.ticks delay;
       name;
       ecn_threshold_bytes;
       buffer = Priority.create ~capacity_bytes ();

@@ -39,28 +39,36 @@ let port t i =
 let set_dst_route t ~dst ~ports = Hashtbl.replace t.dst_routes dst (Array.of_list ports)
 let set_label_route t ~label ~port = Hashtbl.replace t.label_routes label port
 
+(* The output port for a packet, or -1 when there is none: one table
+   probe per lookup, and no option. *)
+let dst_port t (pkt : Packet.t) =
+  match Hashtbl.find t.dst_routes pkt.Packet.flow.Addr.dst.Addr.host with
+  | exception Not_found -> -1
+  | ports -> (
+    match Array.length ports with
+    | 0 -> -1
+    | 1 -> ports.(0)
+    | n ->
+      (* ECMP: deterministic per-flow hashing. *)
+      ports.(Addr.hash_five_tuple pkt.Packet.flow mod n))
+
 let route t (pkt : Packet.t) =
   match pkt.Packet.route_label with
-  | Some label when Hashtbl.mem t.label_routes label ->
-    Some (Hashtbl.find t.label_routes label)
-  | Some _ | None -> (
-    (* A switch with no entry for the packet's label pops it: the label
-       has left its routing domain (the paper's VLAN tags are similarly
-       scoped to the engineered paths). *)
-    if pkt.Packet.route_label <> None then pkt.Packet.route_label <- None;
-    match Hashtbl.find_opt t.dst_routes pkt.Packet.flow.Addr.dst.Addr.host with
-    | None -> None
-    | Some [||] -> None
-    | Some [| p |] -> Some p
-    | Some ports ->
-      (* ECMP: deterministic per-flow hashing. *)
-      Some ports.(Addr.hash_five_tuple pkt.Packet.flow mod Array.length ports))
+  | None -> dst_port t pkt
+  | Some label -> (
+    match Hashtbl.find t.label_routes label with
+    | port -> port
+    | exception Not_found ->
+      (* A switch with no entry for the packet's label pops it: the label
+         has left its routing domain (the paper's VLAN tags are similarly
+         scoped to the engineered paths). *)
+      pkt.Packet.route_label <- None;
+      dst_port t pkt)
 
 let receive t pkt =
   t.rx_packets <- t.rx_packets + 1;
-  match route t pkt with
-  | Some p -> ignore (Link.send t.ports.(p) pkt)
-  | None -> t.no_route_drops <- t.no_route_drops + 1
+  let p = route t pkt in
+  if p < 0 then t.no_route_drops <- t.no_route_drops + 1 else ignore (Link.send t.ports.(p) pkt)
 
 let rx_packets t = t.rx_packets
 let no_route_drops t = t.no_route_drops

@@ -47,6 +47,17 @@ module Sender = struct
     fc_retransmissions : int;
   }
 
+  (* The sender's float state.  OCaml stores an all-float record's
+     fields unboxed, so updating the window or taking an RTT sample
+     allocates nothing; a float field of [t] would box every update. *)
+  type floats = {
+    mutable cwnd : float;  (* bytes *)
+    mutable ssthresh : float;
+    mutable dctcp_alpha : float;
+    mutable srtt : float;  (* ns; nan before the first sample *)
+    mutable rttvar : float;
+  }
+
   type t = {
     cfg : config;
     ev : Event.t;
@@ -64,23 +75,19 @@ module Sender = struct
     mutable una : int;  (* lowest unacknowledged byte *)
     mutable next_seq : int;
     mutable max_sent : int;  (* high-water mark of bytes ever sent *)
-    mutable cwnd : float;  (* bytes *)
-    mutable ssthresh : float;
+    f : floats;  (* cwnd, ssthresh, DCTCP alpha, RTT estimator *)
     mutable dupacks : int;
     mutable in_recovery : bool;
     mutable recover_point : int;
     (* DCTCP (when cfg.ecn) *)
-    mutable dctcp_alpha : float;
     mutable ecn_window_end : int;  (* observation window boundary (seq) *)
     mutable ecn_acked : int;  (* bytes acked in the window *)
     mutable ecn_marked : int;  (* of which carried a mark *)
-    (* RTT / RTO *)
-    mutable srtt : float option;  (* ns *)
-    mutable rttvar : float;
-    mutable rto : Time.t;
+    (* RTO *)
+    mutable rto : int;  (* ticks *)
     mutable rto_generation : int;
     mutable rto_armed : bool;
-    send_times : (int, Time.t) Hashtbl.t;  (* end_seq -> first-tx time *)
+    send_times : (int, int) Hashtbl.t;  (* end_seq -> first-tx tick *)
     (* Stats / lifecycle *)
     mutable retransmissions : int;
     mutable started : Time.t option;
@@ -104,18 +111,21 @@ module Sender = struct
       una = 0;
       next_seq = 0;
       max_sent = 0;
-      cwnd = float_of_int (config.init_cwnd_segments * config.mss);
-      ssthresh = infinity;
+      f =
+        {
+          cwnd = float_of_int (config.init_cwnd_segments * config.mss);
+          ssthresh = infinity;
+          dctcp_alpha = 0.0;
+          srtt = Float.nan;
+          rttvar = 0.0;
+        };
       dupacks = 0;
       in_recovery = false;
       recover_point = 0;
-      dctcp_alpha = 0.0;
       ecn_window_end = 0;
       ecn_acked = 0;
       ecn_marked = 0;
-      srtt = None;
-      rttvar = 0.0;
-      rto = config.min_rto;
+      rto = Event.ticks config.min_rto;
       rto_generation = 0;
       rto_armed = false;
       send_times = Hashtbl.create 64;
@@ -127,24 +137,25 @@ module Sender = struct
   let flow t = t.flow
   let bytes_acked t = t.una
   let bytes_queued t = t.stream_len
-  let cwnd_bytes t = int_of_float t.cwnd
+  let cwnd_bytes t = int_of_float t.f.cwnd
   let retransmissions t = t.retransmissions
   let is_complete t = t.completed
-  let srtt t = Option.map Time.of_float_ns t.srtt
+  let srtt t = if Float.is_nan t.f.srtt then None else Some (Time.of_float_ns t.f.srtt)
 
   let flight t = t.next_seq - t.una
 
-  (* Find the message covering byte [seq] (binary search over starts). *)
+  (* The index of the message covering byte [seq] (binary search over
+     starts), or -1. *)
   let message_at t seq =
     let lo = ref 0 and hi = ref (t.n_messages - 1) in
-    let found = ref None in
+    let found = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let m = t.messages.(mid) in
       if seq < m.m_start then hi := mid - 1
       else if seq >= m.m_start + m.m_len then lo := mid + 1
       else begin
-        found := Some m;
+        found := mid;
         lo := !hi + 1
       end
     done;
@@ -152,28 +163,25 @@ module Sender = struct
 
   let cap_cwnd t =
     (match t.cfg.max_cwnd_bytes with
-    | Some cap -> if t.cwnd > float_of_int cap then t.cwnd <- float_of_int cap
+    | Some cap -> if t.f.cwnd > float_of_int cap then t.f.cwnd <- float_of_int cap
     | None -> ());
-    if t.cwnd < float_of_int t.cfg.mss then t.cwnd <- float_of_int t.cfg.mss
+    if t.f.cwnd < float_of_int t.cfg.mss then t.f.cwnd <- float_of_int t.cfg.mss
 
   let emit_segment t ~seq ~retransmit =
     let remaining = t.stream_len - seq in
     (* Segments never span message boundaries: every packet belongs to
        exactly one message, so the class and metadata carried with it are
        unambiguous (the per-packet association of 4.2). *)
-    let message = message_at t seq in
+    let i = message_at t seq in
     let boundary =
-      match message with
-      | Some m -> m.m_start + m.m_len - seq
-      | None -> remaining
+      if i < 0 then remaining
+      else
+        let m = t.messages.(i) in
+        m.m_start + m.m_len - seq
     in
     let payload = min t.cfg.mss (min remaining boundary) in
     if payload > 0 then begin
-      let metadata =
-        match message with
-        | Some m -> m.m_metadata
-        | None -> Metadata.empty
-      in
+      let metadata = if i < 0 then Metadata.empty else t.messages.(i).m_metadata in
       let pkt =
         Packet.make ~id:(t.alloc_packet_id ()) ~flow:t.flow ~kind:Packet.Data ~seq
           ~payload ~metadata ()
@@ -185,25 +193,28 @@ module Sender = struct
         Hashtbl.remove t.send_times end_seq
       end
       else if not (Hashtbl.mem t.send_times end_seq) then
-        Hashtbl.replace t.send_times end_seq (Event.now t.ev);
+        Hashtbl.replace t.send_times end_seq (Event.now_ticks t.ev);
       t.transmit pkt
     end;
     payload
 
   (* --- RTO management --------------------------------------------- *)
 
-  let update_rto t rtt_ns =
-    (match t.srtt with
-    | None ->
-      t.srtt <- Some rtt_ns;
-      t.rttvar <- rtt_ns /. 2.0
-    | Some srtt ->
-      let err = Float.abs (srtt -. rtt_ns) in
-      t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. err);
-      t.srtt <- Some ((0.875 *. srtt) +. (0.125 *. rtt_ns)));
-    let srtt = Option.value ~default:0.0 t.srtt in
-    let rto = Time.of_float_ns (srtt +. (4.0 *. t.rttvar)) in
-    t.rto <- Time.min t.cfg.max_rto (Time.max t.cfg.min_rto rto)
+  (* A sample of [rtt_ticks]; the RTO is rounded to ticks as
+     [Time.of_float_ns] rounds. *)
+  let update_rto t rtt_ticks =
+    let r = t.f and rtt_ns = float_of_int rtt_ticks in
+    if Float.is_nan r.srtt then begin
+      r.srtt <- rtt_ns;
+      r.rttvar <- rtt_ns /. 2.0
+    end
+    else begin
+      let err = Float.abs (r.srtt -. rtt_ns) in
+      r.rttvar <- (0.75 *. r.rttvar) +. (0.25 *. err);
+      r.srtt <- (0.875 *. r.srtt) +. (0.125 *. rtt_ns)
+    end;
+    let rto = int_of_float (Float.round (r.srtt +. (4.0 *. r.rttvar))) in
+    t.rto <- Int.min (Event.ticks t.cfg.max_rto) (Int.max (Event.ticks t.cfg.min_rto) rto)
 
   let disarm_rto t =
     t.rto_generation <- t.rto_generation + 1;
@@ -213,7 +224,7 @@ module Sender = struct
     t.rto_generation <- t.rto_generation + 1;
     t.rto_armed <- true;
     let gen = t.rto_generation in
-    Event.schedule_in t.ev t.rto (fun () -> on_rto t gen)
+    Event.schedule_in_ticks t.ev t.rto (fun () -> on_rto t gen)
 
   and on_rto t gen =
     if gen = t.rto_generation && (not t.completed) && flight t > 0 then begin
@@ -221,12 +232,12 @@ module Sender = struct
          from the lowest unACKed byte (go-back-N; the receiver's
          out-of-order buffer acknowledges past anything it already has,
          so duplicate coverage costs little). *)
-      t.ssthresh <- Float.max (float_of_int (flight t) /. 2.0) (float_of_int (2 * t.cfg.mss));
-      t.cwnd <- float_of_int t.cfg.mss;
+      t.f.ssthresh <- Float.max (float_of_int (flight t) /. 2.0) (float_of_int (2 * t.cfg.mss));
+      t.f.cwnd <- float_of_int t.cfg.mss;
       cap_cwnd t;
       t.in_recovery <- false;
       t.dupacks <- 0;
-      t.rto <- Time.min t.cfg.max_rto (Time.mul t.rto 2);
+      t.rto <- Int.min (Event.ticks t.cfg.max_rto) (t.rto * 2);
       t.next_seq <- t.una;
       (* Karn's rule: no RTT samples across the rewind. *)
       Hashtbl.reset t.send_times;
@@ -238,7 +249,7 @@ module Sender = struct
   (* --- Sending ------------------------------------------------------ *)
 
   and try_send t =
-    if t.next_seq < t.stream_len && flight t + t.cfg.mss <= int_of_float t.cwnd then begin
+    if t.next_seq < t.stream_len && flight t + t.cfg.mss <= int_of_float t.f.cwnd then begin
       if t.started = None then t.started <- Some (Event.now t.ev);
       let sent = emit_segment t ~seq:t.next_seq ~retransmit:(t.next_seq < t.max_sent) in
       t.next_seq <- min t.stream_len (t.next_seq + max 1 sent);
@@ -283,7 +294,7 @@ module Sender = struct
     while !continue && t.first_incomplete < t.n_messages do
       let m = t.messages.(t.first_incomplete) in
       if m.m_start + m.m_len <= t.una then begin
-        (match m.m_on_complete with Some f -> f now | None -> ());
+        (match m.m_on_complete with Some f -> f (Int64.of_int now) | None -> ());
         t.first_incomplete <- t.first_incomplete + 1
       end
       else continue := false
@@ -291,6 +302,7 @@ module Sender = struct
 
   let check_flow_complete t now =
     if (not t.completed) && t.closed && t.una >= t.stream_len && t.stream_len > 0 then begin
+      let now = Int64.of_int now in
       t.completed <- true;
       disarm_rto t;
       match t.on_flow_complete with
@@ -317,7 +329,7 @@ module Sender = struct
   let handle_ack t (pkt : Packet.t) =
     if t.completed then ()
     else begin
-      let now = Event.now t.ev in
+      let now = Event.now_ticks t.ev in
       let ack = pkt.Packet.ack in
       if ack > t.una then begin
         let newly = ack - t.una in
@@ -334,29 +346,29 @@ module Sender = struct
               if t.ecn_acked = 0 then 0.0
               else float_of_int t.ecn_marked /. float_of_int t.ecn_acked
             in
-            t.dctcp_alpha <- ((1.0 -. g) *. t.dctcp_alpha) +. (g *. fraction);
+            t.f.dctcp_alpha <- ((1.0 -. g) *. t.f.dctcp_alpha) +. (g *. fraction);
             if t.ecn_marked > 0 && not t.in_recovery then begin
-              t.cwnd <- t.cwnd *. (1.0 -. (t.dctcp_alpha /. 2.0));
+              t.f.cwnd <- t.f.cwnd *. (1.0 -. (t.f.dctcp_alpha /. 2.0));
               cap_cwnd t;
               (* Marks mean congestion: leave slow start, as a real
                  ECN-reacting sender does on ECE. *)
-              t.ssthresh <- t.cwnd
+              t.f.ssthresh <- t.f.cwnd
             end;
             t.ecn_window_end <- t.next_seq;
             t.ecn_acked <- 0;
             t.ecn_marked <- 0
           end
         end;
-        (match Hashtbl.find_opt t.send_times ack with
-        | Some sent ->
+        (match Hashtbl.find t.send_times ack with
+        | sent ->
           Hashtbl.remove t.send_times ack;
-          update_rto t (Int64.to_float (Time.sub now sent))
-        | None -> ());
+          update_rto t (now - sent)
+        | exception Not_found -> ());
         gc_send_times t;
         if t.in_recovery then begin
           if ack >= t.recover_point then begin
             t.in_recovery <- false;
-            t.cwnd <- t.ssthresh;
+            t.f.cwnd <- t.f.ssthresh;
             cap_cwnd t
           end
           else
@@ -364,11 +376,11 @@ module Sender = struct
             ignore (emit_segment t ~seq:t.una ~retransmit:true)
         end
         else begin
-          if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int newly
+          if t.f.cwnd < t.f.ssthresh then t.f.cwnd <- t.f.cwnd +. float_of_int newly
           else
-            t.cwnd <-
-              t.cwnd
-              +. (float_of_int t.cfg.mss *. float_of_int t.cfg.mss /. t.cwnd);
+            t.f.cwnd <-
+              t.f.cwnd
+              +. (float_of_int t.cfg.mss *. float_of_int t.cfg.mss /. t.f.cwnd);
           cap_cwnd t
         end;
         if flight t > 0 then arm_rto t else disarm_rto t;
@@ -381,9 +393,9 @@ module Sender = struct
         if t.dupacks = t.cfg.dupack_threshold && not t.in_recovery then begin
           t.in_recovery <- true;
           t.recover_point <- t.next_seq;
-          t.ssthresh <-
+          t.f.ssthresh <-
             Float.max (float_of_int (flight t) /. 2.0) (float_of_int (2 * t.cfg.mss));
-          t.cwnd <- t.ssthresh;
+          t.f.cwnd <- t.f.ssthresh;
           cap_cwnd t;
           ignore (emit_segment t ~seq:t.una ~retransmit:true)
         end
@@ -397,7 +409,7 @@ module Receiver = struct
   type t = {
     cfg : config;
     ev : Event.t;
-    flow : Addr.five_tuple;  (* sender's tuple; ACKs are reversed *)
+    ack_flow : Addr.five_tuple;  (* the sender's tuple reversed, as ACKs carry it *)
     alloc_packet_id : unit -> int64;
     transmit : Packet.t -> unit;
     on_message : (Metadata.t -> Time.t -> unit) option;
@@ -413,7 +425,7 @@ module Receiver = struct
     {
       cfg = config;
       ev;
-      flow;
+      ack_flow = Addr.reverse flow;
       alloc_packet_id;
       transmit;
       on_message;
@@ -512,7 +524,7 @@ module Receiver = struct
         advance_cum t);
       fire_completed_messages t;
       let ack =
-        Packet.make ~id:(t.alloc_packet_id ()) ~flow:(Addr.reverse t.flow) ~kind:Packet.Ack
+        Packet.make ~id:(t.alloc_packet_id ()) ~flow:t.ack_flow ~kind:Packet.Ack
           ~ack:t.cum ~priority:t.cfg.ack_priority ()
       in
       (* ECN echo: the ACK for a marked segment carries the mark back. *)

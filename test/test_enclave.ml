@@ -431,6 +431,53 @@ let test_priority_queue_drop_tail () =
   check_int "drops counted" 1 (Queueing.Priority.drops q);
   check_int "bytes" 30 (Queueing.Priority.bytes q)
 
+(* Each level keeps its sizes in a ring that wraps, grows and is let go
+   when its level drains: interleave pushes and takes over two levels
+   (past several doublings, with the head wrapped) and check order and
+   byte counts against a per-level FIFO model, then drain and refill. *)
+let test_priority_queue_size_ring () =
+  let q = Queueing.Priority.create ~capacity_bytes:max_int () in
+  let model = Array.init 2 (fun _ -> Queue.create ()) in
+  let rng = Eden_base.Rng.create 11L in
+  let next = ref 0 in
+  let expect_bytes () =
+    Array.fold_left (fun acc m -> Queue.fold (fun acc (_, size) -> acc + size) acc m) 0 model
+  in
+  for round = 1 to 2_000 do
+    if Eden_base.Rng.int rng 5 < 3 || Queueing.Priority.is_empty q then begin
+      let level = Eden_base.Rng.int rng 2 and size = 1 + Eden_base.Rng.int rng 1500 in
+      check_bool "pushed" true (Queueing.Priority.push q ~prio:(level * 7) ~size !next);
+      Queue.add (!next, size) model.(level);
+      incr next
+    end
+    else begin
+      let level = if Queue.is_empty model.(1) then 0 else 1 in
+      let id, _ = Queue.take model.(level) in
+      check_int (Printf.sprintf "round %d: highest level, FIFO" round) id
+        (Queueing.Priority.take q)
+    end;
+    check_int "bytes" (expect_bytes ()) (Queueing.Priority.bytes q);
+    check_int "length"
+      (Queue.length model.(0) + Queue.length model.(1))
+      (Queueing.Priority.length q)
+  done;
+  while not (Queueing.Priority.is_empty q) do
+    ignore (Queueing.Priority.take q)
+  done;
+  check_int "drained" 0 (Queueing.Priority.bytes q);
+  (* A drained level that let go of its grown ring starts a new one. *)
+  for round = 1 to 3 do
+    for i = 1 to 100 * round do
+      ignore (Queueing.Priority.push q ~prio:3 ~size:i i)
+    done;
+    check_int "refilled bytes" (50 * round * ((100 * round) + 1)) (Queueing.Priority.bytes q);
+    for i = 1 to 100 * round do
+      check_int "refilled FIFO" i (Queueing.Priority.take q)
+    done
+  done;
+  Alcotest.check_raises "take on empty" Queue.Empty (fun () ->
+      ignore (Queueing.Priority.take q))
+
 (* ------------------------------------------------------------------ *)
 (* Enclave pipeline with interpreted actions *)
 
@@ -1040,6 +1087,7 @@ let () =
           Alcotest.test_case "token bucket refill" `Quick test_token_bucket_refill;
           Alcotest.test_case "priority order" `Quick test_priority_queue_order;
           Alcotest.test_case "drop tail" `Quick test_priority_queue_drop_tail;
+          Alcotest.test_case "size ring" `Quick test_priority_queue_size_ring;
         ] );
       ( "pipeline",
         [

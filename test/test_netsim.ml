@@ -459,6 +459,103 @@ let test_label_routing_overrides_ecmp () =
   check_int "all took trunk2" 5 (Link.stats (Switch.port s1 t2a)).Link.tx_packets;
   check_int "trunk1 unused" 0 (Link.stats (Switch.port s1 t1a)).Link.tx_packets
 
+(* One switch with [n] output ports; each port's far end records the
+   port index and the label every delivered packet carries. *)
+let lone_switch n =
+  let ev = Event.create () in
+  let sw = Switch.create ev ~id:0 in
+  let seen = ref [] in
+  for i = 0 to n - 1 do
+    let link = Link.create ev ~rate_bps:1e9 ~delay:Time.zero () in
+    Link.attach link (fun pkt -> seen := (i, pkt.Packet.route_label) :: !seen);
+    ignore (Switch.add_port sw link)
+  done;
+  (ev, sw, seen)
+
+let switch_packet ?label ~sport dst =
+  let flow =
+    Addr.five_tuple ~src:(Addr.endpoint 0 sport) ~dst:(Addr.endpoint dst 80) ~proto:Addr.Tcp
+  in
+  let pkt = Packet.make ~id:(Int64.of_int sport) ~flow ~kind:Packet.Data ~payload:100 () in
+  pkt.Packet.route_label <- label;
+  pkt
+
+let test_switch_label_hit () =
+  let ev, sw, seen = lone_switch 3 in
+  Switch.set_dst_route sw ~dst:1 ~ports:[ 0 ];
+  Switch.set_label_route sw ~label:5 ~port:2;
+  Switch.receive sw (switch_packet ~label:5 ~sport:1 1);
+  Event.run ev;
+  Alcotest.(check (list (pair int (option int))))
+    "label route wins, label kept" [ (2, Some 5) ] !seen
+
+let test_switch_foreign_label_popped () =
+  let ev, sw, seen = lone_switch 3 in
+  Switch.set_dst_route sw ~dst:1 ~ports:[ 1 ];
+  Switch.set_label_route sw ~label:5 ~port:2;
+  Switch.receive sw (switch_packet ~label:99 ~sport:1 1);
+  Event.run ev;
+  Alcotest.(check (list (pair int (option int))))
+    "destination route, label popped" [ (1, None) ] !seen;
+  check_int "no drop" 0 (Switch.no_route_drops sw)
+
+let test_switch_ecmp_spread () =
+  let ev, sw, seen = lone_switch 3 in
+  Switch.set_dst_route sw ~dst:1 ~ports:[ 0; 1; 2 ];
+  let pkts = List.init 60 (fun i -> switch_packet ~sport:(1000 + i) 1) in
+  List.iter
+    (fun pkt ->
+      Switch.receive sw pkt;
+      Event.run ev;
+      (* A flow's port is its tuple's hash over the ECMP set. *)
+      let port, _ = List.hd !seen in
+      check_int "hashed port" (Addr.hash_five_tuple pkt.Packet.flow mod 3) port)
+    pkts;
+  List.iter
+    (fun p ->
+      check_bool
+        (Printf.sprintf "port %d carried flows" p)
+        true
+        (List.exists (fun (q, _) -> q = p) !seen))
+    [ 0; 1; 2 ]
+
+let test_switch_no_route () =
+  let ev, sw, seen = lone_switch 2 in
+  Switch.set_dst_route sw ~dst:1 ~ports:[ 0 ];
+  Switch.set_dst_route sw ~dst:2 ~ports:[];
+  Switch.receive sw (switch_packet ~sport:1 7);
+  Switch.receive sw (switch_packet ~sport:2 2);
+  Switch.receive sw (switch_packet ~label:9 ~sport:3 7);
+  Switch.receive sw (switch_packet ~sport:4 1);
+  Event.run ev;
+  check_int "received" 4 (Switch.rx_packets sw);
+  check_int "dropped without a route" 3 (Switch.no_route_drops sw);
+  Alcotest.(check (list (pair int (option int)))) "only the routed one" [ (0, None) ] !seen
+
+(* A sender is registered under the tuple its ACKs carry: an ACK reaches
+   it while the flow is registered, and after [unregister_flow] a late or
+   duplicate ACK (and a late data segment) is ignored without raising. *)
+let test_host_ack_after_unregister () =
+  let net, _, _ = star 2 in
+  let src = Net.host net 0 and dst = Net.host net 1 in
+  let f = Net.open_flow net ~src:0 ~dst:1 () in
+  Tcp.Sender.send_message f.Net.f_sender 10_000;
+  let ack n =
+    Packet.make ~id:(Int64.of_int (900 + n)) ~flow:(Addr.reverse f.Net.f_tuple) ~kind:Packet.Ack
+      ~ack:n ()
+  in
+  Host.receive src (ack 1460);
+  check_int "registered sender sees the ACK" 1460 (Tcp.Sender.bytes_acked f.Net.f_sender);
+  Host.unregister_flow src f.Net.f_tuple;
+  Host.unregister_flow dst f.Net.f_tuple;
+  Host.receive src (ack 1460);
+  Host.receive src (ack 2920);
+  Host.receive dst
+    (Packet.make ~id:999L ~flow:f.Net.f_tuple ~kind:Packet.Data ~seq:0 ~payload:1460 ());
+  check_int "unregistered sender sees nothing" 1460 (Tcp.Sender.bytes_acked f.Net.f_sender);
+  check_int "unregistered receiver sees nothing" 0
+    (Tcp.Receiver.bytes_delivered f.Net.f_receiver)
+
 let test_message_receive_callback () =
   let net, _, _ = star 2 in
   let received = ref [] in
@@ -929,6 +1026,12 @@ let () =
         [
           Alcotest.test_case "ecmp spreads" `Quick test_ecmp_spreads_flows;
           Alcotest.test_case "label override" `Quick test_label_routing_overrides_ecmp;
+          Alcotest.test_case "switch label hit" `Quick test_switch_label_hit;
+          Alcotest.test_case "switch foreign label popped" `Quick
+            test_switch_foreign_label_popped;
+          Alcotest.test_case "switch ecmp spread" `Quick test_switch_ecmp_spread;
+          Alcotest.test_case "switch no route" `Quick test_switch_no_route;
+          Alcotest.test_case "ack after unregister" `Quick test_host_ack_after_unregister;
         ] );
       ( "ingress",
         [
