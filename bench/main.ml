@@ -250,12 +250,12 @@ let program_steps p =
    compiled and interpreted PIAS allocate what the no-policy baseline
    does (0.4 words more through [process_batch], whose result list and
    decision records are per batch).  Compiled WCMP draws from the
-   machine's generator on every packet, which allocates nothing; its
-   2 words over the baseline are the route-label option its chosen
-   path is written back as.  The budget of 2 words over the baseline
-   fails on a single stray 3-word [int64] box, closure or second
-   option on the per-packet path; a boxing [rand] (14 words per draw)
-   fails it. *)
+   machine's generator on every packet, which allocates nothing, and
+   its chosen path is written back as one of the route-label options
+   [Packet.label] shares, so it too allocates what the baseline does.
+   The budget of 2 words over the baseline fails on a single stray
+   3-word [int64] box, closure or 2-word option on the per-packet path;
+   a boxing [rand] (14 words per draw) fails it. *)
 let invocation_words_budget = 2.0
 
 (* The no-policy path itself has an absolute bound: flow classification
@@ -270,13 +270,18 @@ let no_policy_words_budget = 8.0
 
 (* A packet that opens a new flow pays for its flow record (the
    flow table is one array of records, so an entry allocates nothing
-   more), its flow-stage classification (compiled rule-sets over the
-   five-tuple's row, whose boxed values alone are 34 words) and its
-   merged metadata.  Over churn-like flow-stage rules (32 source-port and 8
-   destination-port buckets) that is about 87 words.  The budget has
-   ~20% headroom; building and interpreting a descriptor per flow costs
-   about 300 and fails it on any machine. *)
-let new_flow_words_budget = 104.0
+   more), the list of its flow-stage classes (the enclave's flow row is
+   filled from the five-tuple's ints and the compiled tests read it
+   unboxed, so classifying allocates nothing else) and its merged
+   metadata: one record, plus the boxed flow id as message id since
+   these packets carry no stage metadata; the flow's classes are stored
+   in merged order, so the merge conses nothing onto them.  Over
+   churn-like flow-stage rules (32 source-port and 8 destination-port
+   buckets) that is about 29 words with the no-policy baseline's 6.  The
+   budget has ~20% headroom; a boxed row (34 words) or a merge that
+   rebuilds the flow's classes (about 45) fails it, and building and
+   interpreting a descriptor per flow costs about 300. *)
+let new_flow_words_budget = 35.0
 
 let new_flow_enclave () =
   let e = Enclave.create ~host:1 () in

@@ -56,41 +56,52 @@ let str_field_is field ~expected t =
 let mem field t = Smap.mem field t.fields
 let fields t = Smap.bindings t.fields
 
-let add_class c t =
-  if List.exists (Class_name.equal c) t.classes then t
-  else { t with classes = c :: t.classes }
+(* The one membership test of the class-set functions below: a
+   top-level recursion, so no test builds a closure. *)
+let rec mem_class c = function
+  | [] -> false
+  | c' :: rest -> Class_name.equal c c' || mem_class c rest
 
+let add_class c t = if mem_class c t.classes then t else { t with classes = c :: t.classes }
 let classes t = List.rev t.classes
 let classes_rev t = t.classes
-let has_class c t = List.exists (Class_name.equal c) t.classes
+let has_class c t = mem_class c t.classes
 
 (* Push [cs] (oldest first) onto the newest-first [acc], skipping
    classes already present. *)
-let push_classes acc cs =
-  List.fold_left
-    (fun acc c -> if List.exists (Class_name.equal c) acc then acc else c :: acc)
-    acc cs
+let rec push_classes acc = function
+  | [] -> acc
+  | c :: cs -> push_classes (if mem_class c acc then acc else c :: acc) cs
+
+(* [push_classes acc (List.rev cs)] without the reversed copy: [cs] is
+   newest first, as a [t] holds it.  [acc] itself when [cs] adds
+   nothing. *)
+let rec push_rev acc = function
+  | [] -> acc
+  | c :: older ->
+    let acc = push_rev acc older in
+    if mem_class c acc then acc else c :: acc
 
 let union a b =
   let msg_id = match b.msg_id with Some _ as id -> id | None -> a.msg_id in
   let fields = Smap.union (fun _ _ vb -> Some vb) a.fields b.fields in
-  { msg_id; fields; classes = push_classes a.classes (List.rev b.classes) }
+  { msg_id; fields; classes = push_rev a.classes b.classes }
 
-let merge_flow ~msg_id flow_classes b =
-  let msg_id = match b.msg_id with Some _ as id -> id | None -> Some msg_id in
-  let classes = push_classes (push_classes [] flow_classes) (List.rev b.classes) in
-  { msg_id; fields = b.fields; classes }
+let merge_order cs = push_classes [] cs
+
+let merge_flow ~flow_id flow_classes b =
+  let msg_id = match b.msg_id with Some _ as id -> id | None -> Some (Int64.of_int flow_id) in
+  { msg_id; fields = b.fields; classes = push_rev flow_classes b.classes }
 
 (* [cs] newest first, each class kept at its oldest occurrence, as
    [add_class] keeps it; the list itself when no class repeats. *)
 let rec distinct = function
   | [] -> true
-  | c :: older -> (not (List.exists (Class_name.equal c) older)) && distinct older
+  | c :: older -> (not (mem_class c older)) && distinct older
 
 let rec oldest_once = function
   | [] -> []
-  | c :: older ->
-    if List.exists (Class_name.equal c) older then oldest_once older else c :: oldest_once older
+  | c :: older -> if mem_class c older then oldest_once older else c :: oldest_once older
 
 (* Each name bound at most once: [find] is a function of the name, so
    the order the names come in does not change a binding. *)

@@ -59,13 +59,22 @@ val has_class : Class_name.t -> t -> bool
 val union : t -> t -> t
 (** [union a b] merges classes and fields; on field conflict [b] wins. *)
 
-val merge_flow : msg_id:int64 -> Class_name.t list -> t -> t
-(** [merge_flow ~msg_id classes md] equals
-    [union (List.fold_left (fun m c -> add_class c m) (with_msg_id msg_id empty) classes) md]
-    without building the left operand: [md]'s message id wins, else
-    [msg_id]; [md]'s fields are kept as they are; [classes] (oldest
-    first) come before [md]'s, each class once.  The enclave merges a
-    flow's memoised flow-stage classes into stage metadata this way. *)
+val merge_order : Class_name.t list -> Class_name.t list
+(** [merge_order cs] is [cs] (oldest first) newest first with each class
+    once, at its oldest occurrence:
+    [classes_rev (List.fold_left (fun m c -> add_class c m) empty cs)].
+    It is the form {!merge_flow} takes a flow's classes in. *)
+
+val merge_flow : flow_id:int -> Class_name.t list -> t -> t
+(** [merge_flow ~flow_id (merge_order cs) md] equals
+    [union (List.fold_left (fun m c -> add_class c m)
+    (with_msg_id (Int64.of_int flow_id) empty) cs) md] without building
+    the left operand: [md]'s message id wins, else [flow_id], boxed only
+    then; [md]'s fields are kept as they are; [md]'s classes not already
+    among the flow's are consed onto the given list, which is shared,
+    not copied.  The enclave merges a flow's memoised flow-stage classes
+    into stage metadata this way, with [merge_order] computed once per
+    distinct flow-class list. *)
 
 val classified :
   msg_id:int64 ->

@@ -41,6 +41,11 @@ let make ~id ~flow ~kind ?(seq = 0) ?(ack = 0) ?(payload = 0)
     metadata;
   }
 
+(* [Some l] for every VLAN id, built once: setting a route label in that
+   range allocates nothing. *)
+let shared_labels = Array.init 4096 (fun l -> Some l)
+let label l = if l >= 0 && l < Array.length shared_labels then shared_labels.(l) else Some l
+
 let wire_size p = p.payload + p.header
 let is_data p = match p.kind with Data -> true | Syn | Syn_ack | Ack | Fin -> false
 let end_seq p = p.seq + p.payload

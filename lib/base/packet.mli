@@ -42,6 +42,12 @@ val make :
   unit ->
   t
 
+val label : int -> int option
+(** [label l] is [Some l], shared for every label in the VLAN id range
+    0–4095 (built once, when the module initialises), so writing such a
+    label to [route_label] allocates nothing; outside that range it is a
+    fresh [Some l]. *)
+
 val wire_size : t -> int
 (** Bytes occupying the link: [payload + header]. *)
 

@@ -129,7 +129,9 @@ let build (config : Config.snapshot) pool =
    enclave-assigned message id and its flow-stage classes.  The classes
    are a pure function of the five-tuple and the flow stage's rules, so
    they are computed once per flow and kept until the stage's generation
-   moves.  The lists are shared between flows (hash-consed). *)
+   moves.  They are kept in merged order ([Metadata.merge_order]), so a
+   merge conses only the stage's classes on top, and the lists are
+   shared between flows (hash-consed). *)
 
 (* [f_classes] of a flow not classified since it opened or since the
    flow stage's rules last changed; compared with [==]. *)
@@ -147,7 +149,8 @@ type slot = {
   mutable s_md : Metadata.t;  (* merged *)
 }
 
-(* Flow-class lists, hash-consed.  The hash mixes every class's
+(* Flow-class lists, hash-consed: each list the flow stage returns maps
+   to its one shared merged-order copy.  The hash mixes every class's
    precomputed hash, so neither hashing nor comparing a list walks the
    class names' strings unless two lists collide. *)
 module Vec_tbl = Hashtbl.Make (struct
@@ -170,11 +173,12 @@ type t = {
   e_rng : Rng.t;
   e_cache_cap : int;  (* per-table class-memo capacity *)
   e_flow_stage : Stage.t;
+  e_flow_row : Eden_stage.Classifier.row;  (* refilled for each new flow *)
   e_flow_ids : Flows.t;
   mutable e_next_flow_id : int;
   mutable e_flow_gen : int;  (* flow-stage generation the [f_classes] memos hold for *)
   e_flow_lists : Class_name.t list Vec_tbl.t;
-      (* hash-consed flow-class lists, shared by every flow *)
+      (* classified list to its merged-order copy, shared by every flow *)
   e_slot : slot;
   mutable e_gen : generation;
   (* Telemetry: the registry is the directory, the cells below are the
@@ -230,6 +234,7 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_rng = Rng.create (Int64.add seed (Int64.of_int host));
       e_cache_cap = flow_cache_capacity;
       e_flow_stage = Builtin.flow ();
+      e_flow_row = Builtin.flow_row ();
       e_flow_ids = Flows.create ();
       e_next_flow_id = flow_id_base;
       e_flow_gen = -1;
@@ -604,13 +609,15 @@ let flow_classes t five_tuple (f : Open_table.flow) =
     t.e_flow_gen <- gen
   end;
   if f.f_classes == unclassified then begin
-    let cs = Stage.classes_of_row t.e_flow_stage (Builtin.flow_row five_tuple) in
+    Builtin.fill_flow_row t.e_flow_row five_tuple;
+    let cs = Stage.classes_of_row t.e_flow_stage t.e_flow_row in
     f.f_classes <-
       (match Vec_tbl.find t.e_flow_lists cs with
       | shared -> shared
       | exception Not_found ->
-        Vec_tbl.add t.e_flow_lists cs cs;
-        cs)
+        let merged = Metadata.merge_order cs in
+        Vec_tbl.add t.e_flow_lists cs merged;
+        merged)
   end;
   f.f_classes
 
@@ -792,7 +799,7 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   if not (slot.s_flow == flow && slot.s_stage_md == stage_md) then begin
     slot.s_stage_md <- stage_md;
     slot.s_flow <- flow;
-    slot.s_md <- Metadata.merge_flow ~msg_id:(Int64.of_int flow.f_id) flow_classes stage_md;
+    slot.s_md <- Metadata.merge_flow ~flow_id:flow.f_id flow_classes stage_md;
     let tables = t.e_gen.g_tables in
     for i = 0 to Array.length tables - 1 do
       tables.(i).tb_slot <- unresolved
@@ -831,7 +838,7 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   end
   else begin
     pkt.Packet.priority <- out.o_priority;
-    if out.o_path >= 0 then pkt.Packet.route_label <- Some out.o_path;
+    if out.o_path >= 0 then pkt.Packet.route_label <- Packet.label out.o_path;
     let queue = if out.o_queue >= 0 then Some out.o_queue else None in
     let charge = if out.o_charge >= 0 then out.o_charge else Packet.wire_size pkt in
     if t.e_trace_armed then

@@ -11,7 +11,8 @@ type flow = {
   f_src : int;  (** Source host and port, packed. *)
   f_dst : int;  (** Destination host, port and protocol, packed. *)
   f_id : int;  (** The enclave-assigned message id. *)
-  mutable f_classes : Eden_base.Class_name.t list;  (** Flow-stage classes, memoised. *)
+  mutable f_classes : Eden_base.Class_name.t list;
+      (** Flow-stage classes, memoised in {!Eden_base.Metadata.merge_order}. *)
 }
 (** A flow entry carries its five-tuple as two ints, so the table is one
     array of five-word entries and a probe reads one entry and no key.

@@ -51,11 +51,17 @@ val flow_descriptor : Eden_base.Addr.five_tuple -> Classifier.Descriptor.t
 (** The five-tuple as a descriptor, for applications, tests and
     benchmarks that classify through {!Stage.classify}. *)
 
-val flow_row : Eden_base.Addr.five_tuple -> Classifier.row
-(** The five-tuple's values for {!flow}'s classifier fields, in their
-    order, with no descriptor built: the enclave classifies each new flow
-    with [Stage.classes_of_row stage (flow_row ft)], which equals
-    [Stage.classes stage (flow_descriptor ft)]. *)
+val flow_row : unit -> Classifier.row
+(** A row for {!flow}'s classifier fields, to fill with {!fill_flow_row}
+    and reuse. *)
+
+val fill_flow_row : Classifier.row -> Eden_base.Addr.five_tuple -> unit
+(** Stores the five-tuple's values for {!flow}'s classifier fields, in
+    their order, straight from its ints, with no descriptor built and
+    nothing allocated: the enclave classifies each new flow with
+    [Stage.classes_of_row stage row] after [fill_flow_row row ft], which
+    equals [Stage.classes stage (flow_descriptor ft)].
+    @raise Invalid_argument if [row] is not {!flow}'s length. *)
 
 val install_default_rule : Stage.t -> ruleset:string -> unit
 (** Fig. 6's [r2]: a catch-all rule placing every message in class

@@ -76,24 +76,66 @@ let fields_referenced t =
 
 (* Compiled form.  A stage compiles each rule once, at install, into
    tests over the indices of its classifier fields; classifying a message
-   then looks each field up once ({!row}) and runs integer-indexed tests
-   that allocate nothing.  [matches] above stays the reference
-   semantics. *)
+   then fills a row with each field's value once and runs integer-indexed
+   tests.  A row holds per field a kind byte, eight bytes for an integer
+   and a string slot, so filling and testing it allocate nothing.  Each
+   test is compiled for the kind of value it compares with: an integer
+   test reads the row's unboxed [int64].  [matches] above stays the
+   reference semantics. *)
 
-type row = Metadata.value option array
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let absent = '\000'
+let int_kind = '\001'
+let str_kind = '\002'
+
+(* Field [i]'s kind is [kinds.[i]]; its integer is at [ints.[8i]] when
+   the kind is [int_kind], its string [strs.(i)] when [str_kind].  The
+   cells of another kind are stale and never read. *)
+type row = { kinds : Bytes.t; ints : Bytes.t; strs : string array }
+
+let make_row n =
+  { kinds = Bytes.make n absent; ints = Bytes.make (8 * n) '\000'; strs = Array.make n "" }
+
+let row_length r = Bytes.length r.kinds
+
+(* [kinds] is written, or read, first: its bounds check keeps the
+   unchecked eight-byte accesses inside [ints]. *)
+let set_int r i v =
+  Bytes.set r.kinds i int_kind;
+  set64 r.ints (8 * i) (Int64.of_int v)
+
+let set_str r i s =
+  Bytes.set r.kinds i str_kind;
+  r.strs.(i) <- s
+
+(* [Smap.find] allocates nothing on a hit, where [find_opt] allocates an
+   option per present field; an absent field pays a raise instead. *)
+let fill_row r fields descriptor =
+  if Array.length fields <> row_length r then
+    invalid_arg "Classifier.fill_row: row does not match the fields";
+  for i = 0 to Array.length fields - 1 do
+    match Descriptor.Smap.find fields.(i) descriptor with
+    | Metadata.Int v ->
+      Bytes.set r.kinds i int_kind;
+      set64 r.ints (8 * i) v
+    | Metadata.Str s -> set_str r i s
+    | exception Not_found -> Bytes.set r.kinds i absent
+  done
 
 let row fields descriptor =
-  let r = Array.make (Array.length fields) None in
-  for i = 0 to Array.length fields - 1 do
-    r.(i) <- Descriptor.find fields.(i) descriptor
-  done;
+  let r = make_row (Array.length fields) in
+  fill_row r fields descriptor;
   r
 
 type test =
   | T_present of int
-  | T_eq of int * Metadata.value
-  | T_ne of int * Metadata.value
-  | T_in_set of int * Metadata.value array
+  | T_eq_int of int * int64
+  | T_ne_int of int * int64
+  | T_eq_str of int * string
+  | T_ne_str of int * string
+  | T_in_set of int * int64 array * string array
   | T_range of int * int64 * int64
   | T_prefix of int * string
 
@@ -112,37 +154,59 @@ let compile ~fields t =
       match pattern with
       | Any -> None
       | Present -> Some (T_present i)
-      | Eq v -> Some (T_eq (i, v))
-      | Ne v -> Some (T_ne (i, v))
-      | In_set vs -> Some (T_in_set (i, Array.of_list vs))
+      | Eq (Metadata.Int v) -> Some (T_eq_int (i, v))
+      | Eq (Metadata.Str s) -> Some (T_eq_str (i, s))
+      | Ne (Metadata.Int v) -> Some (T_ne_int (i, v))
+      | Ne (Metadata.Str s) -> Some (T_ne_str (i, s))
+      | In_set vs ->
+        let ints =
+          List.filter_map (function Metadata.Int v -> Some v | Metadata.Str _ -> None) vs
+        and strs =
+          List.filter_map (function Metadata.Str s -> Some s | Metadata.Int _ -> None) vs
+        in
+        Some (T_in_set (i, Array.of_list ints, Array.of_list strs))
       | Range (lo, hi) -> Some (T_range (i, lo, hi))
       | Prefix p -> Some (T_prefix (i, p)))
     t
   |> Array.of_list
 
-let rec mem_value v vs i =
-  i < Array.length vs && (Metadata.equal_value v vs.(i) || mem_value v vs (i + 1))
+(* The row's integer is read at each comparison: passing it to a call
+   would box it. *)
+let rec mem_int ints at vs j =
+  j < Array.length vs && (get64 ints at = vs.(j) || mem_int ints at vs (j + 1))
+
+let rec mem_str s vs j =
+  j < Array.length vs && (String.equal s vs.(j) || mem_str s vs (j + 1))
 
 let rec has_prefix s p i =
   i = String.length p || (Char.equal s.[i] p.[i] && has_prefix s p (i + 1))
 
-let test_row row = function
-  | T_present i -> ( match row.(i) with Some _ -> true | None -> false)
-  | T_eq (i, expected) -> (
-    match row.(i) with Some v -> Metadata.equal_value expected v | None -> false)
-  | T_ne (i, expected) -> (
-    match row.(i) with Some v -> not (Metadata.equal_value expected v) | None -> false)
-  | T_in_set (i, vs) -> ( match row.(i) with Some v -> mem_value v vs 0 | None -> false)
-  | T_range (i, lo, hi) -> (
-    match row.(i) with
-    | Some (Metadata.Int v) -> Int64.compare lo v <= 0 && Int64.compare v hi <= 0
-    | Some (Metadata.Str _) | None -> false)
-  | T_prefix (i, p) -> (
-    match row.(i) with
-    | Some (Metadata.Str s) -> String.length s >= String.length p && has_prefix s p 0
-    | Some (Metadata.Int _) | None -> false)
+let test_row r = function
+  | T_present i -> Bytes.get r.kinds i <> absent
+  | T_eq_int (i, x) -> Bytes.get r.kinds i = int_kind && get64 r.ints (8 * i) = x
+  | T_ne_int (i, x) ->
+    let k = Bytes.get r.kinds i in
+    k = str_kind || (k = int_kind && get64 r.ints (8 * i) <> x)
+  | T_eq_str (i, x) -> Bytes.get r.kinds i = str_kind && String.equal r.strs.(i) x
+  | T_ne_str (i, x) ->
+    let k = Bytes.get r.kinds i in
+    k = int_kind || (k = str_kind && not (String.equal r.strs.(i) x))
+  | T_in_set (i, ints, strs) ->
+    let k = Bytes.get r.kinds i in
+    if k = int_kind then mem_int r.ints (8 * i) ints 0
+    else k = str_kind && mem_str r.strs.(i) strs 0
+  | T_range (i, lo, hi) ->
+    Bytes.get r.kinds i = int_kind
+    &&
+    let v = get64 r.ints (8 * i) in
+    lo <= v && v <= hi
+  | T_prefix (i, p) ->
+    Bytes.get r.kinds i = str_kind
+    &&
+    let s = r.strs.(i) in
+    String.length s >= String.length p && has_prefix s p 0
 
-let rec all_from tests row i =
-  i = Array.length tests || (test_row row tests.(i) && all_from tests row (i + 1))
+let rec all_from tests r i =
+  i = Array.length tests || (test_row r tests.(i) && all_from tests r (i + 1))
 
-let matches_row tests row = all_from tests row 0
+let matches_row tests r = all_from tests r 0

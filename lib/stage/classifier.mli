@@ -46,16 +46,41 @@ val fields_referenced : t -> string list
 
     Stages compile each rule's classifier once, when the rule is
     installed, into tests over the positions of the stage's classifier
-    fields.  Classifying a message then looks each field up once
-    ({!row}) and runs the tests without allocating.  {!matches} is the
-    reference the compiled form agrees with. *)
+    fields.  Classifying a message then fills a {!row} with each field's
+    value once and runs the tests.  Each test is compiled for the kind of
+    value it compares with, so integer equality, sets and ranges compare
+    the row's unboxed [int64]s; filling a row and running the tests
+    allocate nothing.  {!matches} is the reference the compiled form
+    agrees with. *)
 
-type row = Eden_base.Metadata.value option array
+type row
 (** One message's values for a stage's classifier fields, in the order
-    the stage declares them; [None] where the message lacks the field. *)
+    the stage declares them.  Per field it holds whether the field is
+    absent, an integer or a string, an unboxed [int64] and a string slot.
+    A row is mutable and meant to be reused: each fill overwrites every
+    field's kind, so a value of another kind or an absent field never
+    shows through from an earlier message. *)
+
+val make_row : int -> row
+(** A row of [n] fields, all absent. *)
+
+val row_length : row -> int
+
+val fill_row : row -> string array -> Descriptor.t -> unit
+(** [fill_row r fields d] looks each of [fields] up in [d] once and
+    stores its value, or its absence, at the field's index.
+    @raise Invalid_argument if [r]'s length is not [fields]'. *)
 
 val row : string array -> Descriptor.t -> row
-(** [row fields d] looks up each of [fields] in [d] once. *)
+(** A fresh row, filled by {!fill_row}. *)
+
+val set_int : row -> int -> int -> unit
+(** [set_int r i v] sets field [i] to the integer [v].
+    @raise Invalid_argument if [i] is not a field of [r]. *)
+
+val set_str : row -> int -> string -> unit
+(** [set_str r i s] sets field [i] to the string [s].
+    @raise Invalid_argument if [i] is not a field of [r]. *)
 
 type compiled
 
@@ -65,4 +90,6 @@ val compile : fields:string array -> t -> compiled
     pattern, [Any] included) that is not in [fields]. *)
 
 val matches_row : compiled -> row -> bool
-(** [matches_row (compile ~fields c) (row fields d) = matches c d]. *)
+(** [matches_row (compile ~fields c) r = matches c d] whenever [r]'s
+    fields hold [d]'s values, absences included: after
+    [fill_row r fields d], whatever [r] held before. *)

@@ -11,6 +11,7 @@ type t = {
   name : string;
   classifier_fields : string list;
   fields : string array;  (* [classifier_fields]: the order of a {!Classifier.row} *)
+  row : Classifier.row;  (* scratch, refilled by every [classify] and [classes] *)
   metadata_fields : string list;
   mutable rulesets : Ruleset.t list;  (* in creation order *)
   mutable next_msg_id : int64;
@@ -22,6 +23,7 @@ let create ~name ~classifier_fields ~metadata_fields =
     name;
     classifier_fields;
     fields = Array.of_list classifier_fields;
+    row = Classifier.make_row (List.length classifier_fields);
     metadata_fields;
     rulesets = [];
     next_msg_id = 0L;
@@ -48,8 +50,9 @@ let new_msg_id t =
 
 let qualified_class t ~ruleset cls = Class_name.v ~stage:t.name ~ruleset ~name:cls
 
-(* Both entry points look each classifier field up once, then run every
-   rule-set's compiled tests over that row.  [classify] collects the
+(* Both entry points look each classifier field up once, into the
+   stage's scratch row, then run every rule-set's compiled tests over
+   it.  [classify] collects the
    matching rules' classes and field names and builds the metadata once
    ({!Metadata.classified}), rather than one record per class and per
    field. *)
@@ -64,7 +67,8 @@ let rec classify_in ~msg_id descriptor row classes names = function
 
 let classify ?msg_id t descriptor =
   let msg_id = match msg_id with Some id -> id | None -> new_msg_id t in
-  classify_in ~msg_id descriptor (Classifier.row t.fields descriptor) [] [] t.rulesets
+  Classifier.fill_row t.row t.fields descriptor;
+  classify_in ~msg_id descriptor t.row [] [] t.rulesets
 
 let rec classes_in rulesets row =
   match rulesets with
@@ -75,11 +79,13 @@ let rec classes_in rulesets row =
     | None -> classes_in rest row)
 
 let classes_of_row t row =
-  if Array.length row <> Array.length t.fields then
+  if Classifier.row_length row <> Array.length t.fields then
     invalid_arg "Stage.classes_of_row: row does not match the classifier fields";
   classes_in t.rulesets row
 
-let classes t descriptor = classes_in t.rulesets (Classifier.row t.fields descriptor)
+let classes t descriptor =
+  Classifier.fill_row t.row t.fields descriptor;
+  classes_in t.rulesets t.row
 
 module Api = struct
   let get_stage_info = info

@@ -18,6 +18,9 @@ type info = {
 }
 
 type t
+(** A stage is single-writer: {!classify} and {!classes} fill one
+    scratch row the stage owns, as {!new_msg_id} moves its message-id
+    counter, so one domain at a time may classify on a stage. *)
 
 val create :
   name:string -> classifier_fields:string list -> metadata_fields:string list -> t
@@ -39,8 +42,8 @@ val new_msg_id : t -> int64
 
 val classify : ?msg_id:int64 -> t -> Classifier.Descriptor.t -> Eden_base.Metadata.t
 (** Run every installed rule-set over the descriptor: each classifier
-    field is looked up once, then each rule-set's rules, compiled when
-    they were added, run in order.  The result carries
+    field is looked up once, into the stage's scratch row, then each
+    rule-set's rules, compiled when they were added, run in order.  The result carries
     a message id (fresh unless provided), one fully-qualified class per
     matching rule-set, and the union of the metadata fields requested by
     the matched rules (values taken from the descriptor). *)
@@ -53,8 +56,10 @@ val classes_of_row : t -> Classifier.row -> Eden_base.Class_name.t list
 (** [classes] for a row of this stage's classifier fields, in
     [classifier_fields] order: [classes t d = classes_of_row t
     (Classifier.row (Array.of_list (info t).classifier_fields) d)].  The
-    enclave classifies each new flow this way, from the row
-    {!Builtin.flow_row} reads off the five-tuple, and memoises the result.
+    row is only read, so a caller may keep its own and refill it: the
+    enclave classifies each new flow this way, from one row
+    {!Builtin.fill_flow_row} fills from the five-tuple's ints, and
+    memoises the result.
     @raise Invalid_argument if the row's length is not the number of
     classifier fields. *)
 

@@ -216,6 +216,15 @@ let prop_rng_int_uniformish =
 (* ------------------------------------------------------------------ *)
 (* Addr *)
 
+(* Route labels in the VLAN id range are shared options, so the
+   enclave's label write-back allocates nothing; others are fresh. *)
+let test_packet_label () =
+  check_bool "shared" true (Packet.label 17 == Packet.label 17);
+  check_bool "top of range shared" true (Packet.label 4095 == Packet.label 4095);
+  List.iter
+    (fun l -> check_bool (Printf.sprintf "label %d" l) true (Packet.label l = Some l))
+    [ 0; 17; 4095; 4096; -1; max_int ]
+
 let test_five_tuple_reverse () =
   let t =
     Addr.five_tuple
@@ -356,7 +365,8 @@ let test_metadata_merge_flow () =
   List.iter
     (fun b ->
       check_bool "same as union" true
-        (show (Metadata.merge_flow ~msg_id:7L flow b) = show (Metadata.union left b)))
+        (show (Metadata.merge_flow ~flow_id:7 (Metadata.merge_order flow) b)
+        = show (Metadata.union left b)))
     [
       Metadata.empty;
       Metadata.empty |> Metadata.add_class (c "P") |> Metadata.add_class (c "G");
@@ -474,6 +484,53 @@ let test_poisson_gap_positive () =
     check_bool "gap >= 0" true Time.(Dist.poisson_gap rng ~rate_per_sec:1000.0 >= zero)
   done
 
+(* The same equation over random class lists drawn from one small pool,
+   so the flow's and the stage's classes overlap and the flow's repeat,
+   with the message id on either side.  The flow's merged list is the
+   result's tail, physically, and every class appears once. *)
+let prop_merge_flow_is_union =
+  let open QCheck.Gen in
+  let pool =
+    Array.init 5 (fun i -> Class_name.v ~stage:"s" ~ruleset:"r" ~name:(string_of_int i))
+  in
+  let classes = list_size (int_bound 6) (map (Array.get pool) (int_bound 4)) in
+  let gen = quad classes classes (opt (int_bound 9)) (int_range 1 1000) in
+  let print (flow, stage, id, flow_id) =
+    let names cs = String.concat "," (List.map Class_name.to_string cs) in
+    Printf.sprintf "flow [%s] stage [%s] id %s flow id %d" (names flow) (names stage)
+      (match id with Some i -> string_of_int i | None -> "-")
+      flow_id
+  in
+  QCheck.Test.make ~name:"merge_flow = union" ~count:1000 (QCheck.make ~print gen)
+    (fun (flow, stage, id, flow_id) ->
+      let add m c = Metadata.add_class c m in
+      let b =
+        List.fold_left add
+          (match id with
+          | Some i -> Metadata.with_msg_id (Int64.of_int i) Metadata.empty
+          | None -> Metadata.empty)
+          stage
+        |> Metadata.add "x" (Metadata.int flow_id)
+      in
+      let left =
+        List.fold_left add (Metadata.with_msg_id (Int64.of_int flow_id) Metadata.empty) flow
+      in
+      let merged = Metadata.merge_order flow in
+      let got = Metadata.merge_flow ~flow_id merged b and want = Metadata.union left b in
+      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+      let rev = Metadata.classes_rev got in
+      (* [union]'s classes are [b]'s added to [left]'s one by one; the
+         class functions share code, so [add_class] is checked too. *)
+      let folded = List.fold_left add left (Metadata.classes b) in
+      List.equal Class_name.equal merged (Metadata.classes_rev left)
+      && Metadata.msg_id got = Metadata.msg_id want
+      && List.equal Class_name.equal (Metadata.classes got) (Metadata.classes want)
+      && List.equal Class_name.equal (Metadata.classes want) (Metadata.classes folded)
+      && List.length (Metadata.classes folded)
+         = List.length (List.sort_uniq Class_name.compare (flow @ stage))
+      && Metadata.fields got = Metadata.fields want
+      && drop (List.length rev - List.length merged) rev == merged)
+
 let qcheck = Qcheck_seed.qcheck
 
 let () =
@@ -504,6 +561,7 @@ let () =
           Alcotest.test_case "hash" `Quick test_five_tuple_hash_deterministic;
           qcheck prop_five_tuple_compare;
         ] );
+      ("packet", [ Alcotest.test_case "route label options" `Quick test_packet_label ]);
       ( "class_name",
         [
           Alcotest.test_case "roundtrip" `Quick test_class_name_roundtrip;
@@ -516,6 +574,7 @@ let () =
           Alcotest.test_case "classes" `Quick test_metadata_classes;
           Alcotest.test_case "union" `Quick test_metadata_union;
           Alcotest.test_case "merge_flow" `Quick test_metadata_merge_flow;
+          qcheck prop_merge_flow_is_union;
         ] );
       ( "stats",
         [

@@ -435,6 +435,107 @@ let prop_stage_classes_reference =
       && List.equal Class_name.equal expected
            (Metadata.classes (Stage.classify ~msg_id:0L st d)))
 
+(* A reused row: each classification must see only its own input, so a
+   field that was present and is now absent, or was an int and is now a
+   string (or the reverse), must not match through a stale cell.  One
+   rule-set per pattern kind, so each result shows every test. *)
+let per_kind_rulesets st field ~int ~str =
+  List.iteri
+    (fun i pattern ->
+      ignore
+        (get_ok
+           (Stage.Api.create_stage_rule st ~ruleset:(Printf.sprintf "k%d" i)
+              ~classifier:[ (field, pattern) ] ~class_name:"HIT" ~metadata_fields:[])))
+    Classifier.
+      [
+        Present;
+        Eq (Metadata.int int);
+        Eq (Metadata.str str);
+        Ne (Metadata.int int);
+        Ne (Metadata.str str);
+        In_set [ Metadata.int int; Metadata.str str ];
+        Range (Int64.of_int (int - 1), Int64.of_int (int + 1));
+        Prefix (String.sub str 0 1);
+      ]
+
+let reference_classes st d =
+  List.filter_map
+    (fun rs -> Option.map (fun r -> r.Ruleset.qualified) (reference rs d))
+    (Stage.rulesets st)
+
+let test_reused_row () =
+  let st = Stage.create ~name:"s" ~classifier_fields:diff_fields ~metadata_fields:[] in
+  per_kind_rulesets st "a" ~int:1 ~str:"xy";
+  let d l = Classifier.Descriptor.of_list l in
+  let i v = Metadata.int v and s v = Metadata.str v in
+  List.iteri
+    (fun k d ->
+      let want = reference_classes st d in
+      check_bool (Printf.sprintf "classes, input %d" k) true
+        (List.equal Class_name.equal want (Stage.classes st d));
+      check_bool (Printf.sprintf "classify, input %d" k) true
+        (List.equal Class_name.equal want
+           (Metadata.classes (Stage.classify ~msg_id:0L st d))))
+    [
+      d [ ("a", i 1) ];
+      d [];
+      d [ ("a", s "xy"); ("b", i 1) ];
+      d [ ("b", i 1) ];
+      d [ ("a", i 1) ];
+      d [ ("a", s "1") ];
+      d [ ("a", s "xz") ];
+      d [ ("a", i 2) ];
+      d [ ("a", s "xy") ];
+      d [ ("a", i 7) ];
+      d [ ("c", s "xy") ];
+    ];
+  (* The enclave's flow row, filled from tuples and, in between, from
+     descriptors over the flow fields with a port absent or a string and
+     the protocol an int. *)
+  let fl = Builtin.flow () in
+  per_kind_rulesets fl Builtin.Field.src_port ~int:80 ~str:"80";
+  per_kind_rulesets fl Builtin.Field.proto ~int:6 ~str:"tcp";
+  let fields = Array.of_list (Stage.info fl).Stage.classifier_fields in
+  let row = Builtin.flow_row () in
+  let tuple sp proto =
+    Eden_base.Addr.five_tuple ~src:(Eden_base.Addr.endpoint 1 sp)
+      ~dst:(Eden_base.Addr.endpoint 2 9) ~proto
+  in
+  let of_tuple ft =
+    Builtin.fill_flow_row row ft;
+    Builtin.flow_descriptor ft
+  and of_descriptor l =
+    let d = d l in
+    Classifier.fill_row row fields d;
+    d
+  in
+  List.iteri
+    (fun k fill ->
+      let d = fill () in
+      check_bool (Printf.sprintf "flow row, input %d" k) true
+        (List.equal Class_name.equal (reference_classes fl d) (Stage.classes_of_row fl row)))
+    [
+      (fun () -> of_tuple (tuple 80 Eden_base.Addr.Tcp));
+      (fun () -> of_descriptor [ (Builtin.Field.dst_port, i 9) ]);
+      (fun () -> of_tuple (tuple 81 Eden_base.Addr.Udp));
+      (fun () ->
+        of_descriptor [ (Builtin.Field.src_port, s "80"); (Builtin.Field.proto, i 6) ]);
+      (fun () -> of_tuple (tuple 79 Eden_base.Addr.Tcp));
+      (fun () -> of_descriptor [ (Builtin.Field.proto, s "tcp") ]);
+      (fun () -> of_tuple (tuple 443 Eden_base.Addr.Udp));
+    ];
+  (* The row's integers are written unchecked once the field index has
+     passed its bounds check. *)
+  List.iter
+    (fun (name, set) ->
+      check_bool name true
+        (match set () with () -> false | exception Invalid_argument _ -> true))
+    [
+      ("set_int past the end", fun () -> Classifier.set_int row 5 1);
+      ("set_int below 0", fun () -> Classifier.set_int row (-1) 1);
+      ("set_str past the end", fun () -> Classifier.set_str row 5 "x");
+    ]
+
 (* [Stage.classify] builds its metadata in one record; the fold it
    replaced, one record per class and per field, is the reference: same
    message id, same field bindings, same class order. *)
@@ -532,8 +633,8 @@ let prop_classified_is_the_fold =
       in
       same_metadata (Metadata.classified ~msg_id:4L classes names find d) fold)
 
-(* The enclave classifies a new flow from its five-tuple; that must agree
-   with classifying [Builtin.flow_descriptor]. *)
+(* The enclave classifies a new flow from its five-tuple, through one row
+   it refills; that must agree with classifying [Builtin.flow_descriptor]. *)
 let prop_flow_row_classes =
   let gen_tuple =
     G.map
@@ -591,11 +692,13 @@ let prop_flow_row_classes =
                Printf.sprintf "H%d" i ))
            hosts);
       program "proto" [ ([ (Builtin.Field.proto, Classifier.eq_str proto) ], "P") ];
+      let row = Builtin.flow_row () in
       List.for_all
         (fun ft ->
+          Builtin.fill_flow_row row ft;
           List.equal Class_name.equal
             (Stage.classes st (Builtin.flow_descriptor ft))
-            (Stage.classes_of_row st (Builtin.flow_row ft)))
+            (Stage.classes_of_row st row))
         fts)
 
 (* [Class_name] compares by components without polymorphic compare and
@@ -663,6 +766,7 @@ let () =
           qcheck prop_classification_deterministic;
           qcheck prop_compiled_first_match;
           qcheck prop_stage_classes_reference;
+          Alcotest.test_case "reused row" `Quick test_reused_row;
           qcheck prop_flow_row_classes;
           qcheck prop_class_name_order;
         ] );
